@@ -3,8 +3,9 @@
 ``run`` simulates observation records for a configured scenario family,
 filters each of them, and writes a self-describing output directory: the
 canonical config, per-replica observation and filter CSVs, a verdicts
-summary, and a manifest with content hashes.  ``replay`` re-executes a
-run directory and insists on byte-identical outputs.  Exit codes: 0 ok,
+summary, and a manifest with content hashes.  ``replay`` checks a run
+directory against its manifest, re-executes it and insists on
+byte-identical outputs.  Exit codes: 0 ok,
 2 bad configuration, 3 model hypothesis violation, 4 numerical
 degeneracy, 5 acceptance or replay failure.
 """
@@ -88,6 +89,18 @@ def _sha256(path):
         for block in iter(lambda: fh.read(1 << 16), b""):
             h.update(block)
     return h.hexdigest()
+
+
+def _mismatched_files(out_dir, hashes):
+    """Names in ``hashes`` whose file in out_dir is missing or differs."""
+    mismatched = []
+    for name, digest in hashes.items():
+        path = os.path.join(out_dir, name)
+        if not os.path.exists(path):
+            mismatched.append(f"{name} (missing)")
+        elif _sha256(path) != digest:
+            mismatched.append(name)
+    return mismatched
 
 
 def _write_manifest(out_dir, payload):
@@ -248,17 +261,17 @@ def _cmd_replay(args):
         raise ConfigError(f"cannot read manifest in {out_dir!r}: {exc}")
     if manifest.get("status") != "complete":
         raise ConfigError(f"run in {out_dir!r} did not complete; nothing to replay")
+    # the stored files must be the ones the manifest describes before the
+    # re-run can vouch for them
+    edited = _mismatched_files(out_dir, manifest["files"])
+    if edited:
+        raise ReplayMismatchError(
+            "run directory differs from its manifest: " + ", ".join(edited))
     cfg = parse_config_file(os.path.join(out_dir, "config.cfg"))
 
     with tempfile.TemporaryDirectory(prefix="levyfilter-replay-") as tmp:
         _execute_run(cfg, tmp, args.threads, manifest.get("command", "replay"))
-        mismatched = []
-        for name, digest in manifest["files"].items():
-            fresh = os.path.join(tmp, name)
-            if not os.path.exists(fresh):
-                mismatched.append(f"{name} (missing)")
-            elif _sha256(fresh) != digest:
-                mismatched.append(name)
+        mismatched = _mismatched_files(tmp, manifest["files"])
     if mismatched:
         raise ReplayMismatchError(
             "replay produced different bytes for: " + ", ".join(mismatched))

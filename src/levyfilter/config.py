@@ -23,7 +23,6 @@ SCHEMA = {
     "n_particles": ("int", _REQUIRED),
     "replicas": ("int", 1),
     "ess_fraction": ("float", 0.5),
-    "store_clouds": ("bool", False),
     "test_functions": ("str", "coord:0,quad"),
     "validate_hypotheses": ("bool", True),
     "hypothesis_budget": ("int", 200),
@@ -42,7 +41,6 @@ class ScenarioConfig:
     seed: int = 0
     replicas: int = 1
     ess_fraction: float = 0.5
-    store_clouds: bool = False
     test_functions: str = "coord:0,quad"
     validate_hypotheses: bool = True
     hypothesis_budget: int = 200

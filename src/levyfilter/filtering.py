@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ModelViolationError
 from .girsanov import reconstruct_reference_drivers
-from .model import generator_values
+from .model import SignalTerms, signal_terms
 from .rng import substream
 
 
@@ -168,6 +168,20 @@ class FunctionSummary:
 
 
 @dataclass
+class NodeTerms:
+    """Per-particle quantities at one node, evaluated once on the cloud and
+    shared by the moment recording and the step that follows it."""
+
+    w: np.ndarray                # normalized weights, (N,)
+    h: np.ndarray                # sensor function, (N, m)
+    lam_bar: np.ndarray | None   # mark mean of lambda, (N,); None without
+                                 # observation jumps
+    coup: np.ndarray             # driver coupling, (N, n, m)
+    signal: SignalTerms          # b1, a, f1 displacement and compensator
+    values: dict                 # test-function name -> F on the cloud, (N,)
+
+
+@dataclass
 class FilterTrajectory:
     """Filter output on the observation grid: masses, moments, drivers."""
 
@@ -255,32 +269,31 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
         w = e / e.sum()
         hv = np.asarray(spec.h(t, x, y), float).reshape(N, m)
         pi_h[k] = w @ hv
+        lam_bar = None
         if spec.nu2.rate > 0.0:
             lam_bar = np.mean(spec.lam_marks(t, x, marks2), axis=-1)
             pi_lambar[k] = float(w @ lam_bar)
-        else:
-            lam_bar = None
-        per_f = {}
+        coup = spec.coupling(t, x)
+        if coup.ndim == 2:
+            coup = np.broadcast_to(coup, (N,) + coup.shape)
+        signal = signal_terms(spec, t, x, marks1)
+        values = {}
         for F in funcs:
             s = summ[F.name]
             vals = _values(F, x)
-            s.pi_F[k] = float(w @ vals)
-            gv, _ = generator_values(spec, F, t, x, marks1)
-            s.pi_LF[k] = float(w @ gv)
             grad = np.asarray(F.grad(x), float).reshape(N, n)
-            coup = spec.coupling(t, x)
-            if coup.ndim == 2:
-                coup = np.broadcast_to(coup, (N,) + coup.shape)
+            s.pi_F[k] = float(w @ vals)
+            s.pi_LF[k] = float(w @ signal.generator(F, vals, grad))
             s.grad_coup[k] = w @ np.einsum("Nn,Nnm->Nm", grad, coup)
             s.f_h[k] = w @ (vals[:, None] * hv)
             if lam_bar is None:
                 s.pi_F_lambar[k] = s.pi_F[k]
             else:
                 s.pi_F_lambar[k] = float(w @ (vals * lam_bar))
-            per_f[F.name] = vals
+            values[F.name] = vals
         if store_clouds:
             clouds.append(ParticleCloud(x.copy(), logw.copy()))
-        return w, per_f
+        return NodeTerms(w, hv, lam_bar, coup, signal, values)
 
     for k in range(K):
         t = obs.t[k]
@@ -290,7 +303,7 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
             new = resample(cloud_now, substream(rng_seed, f"resample-{k}"))
             x, logw = new.x, new.logw
             resampled[k] = True
-        w, per_f = record_node(k, t, y)
+        node = record_node(k, t, y)
         event_count[k + 1] = event_count[k]
         if k in ev:
             u = ev[k].mark
@@ -298,7 +311,7 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
             if np.any(~np.isfinite(lam)) or np.any(lam <= 0.0) or np.any(lam >= 1.0):
                 raise ModelViolationError(
                     f"intensity ratio outside (0,1) at t={t:g}")
-            b = float(w @ lam)
+            b = float(node.w @ lam)
             if b < spec.iota:
                 raise ModelViolationError(
                     f"conditional intensity {b:.3g} below floor {spec.iota:g} "
@@ -306,30 +319,28 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
             mass_left = np.exp(log_mass[k])
             for F in funcs:
                 s = summ[F.name]
-                a = float(w @ (per_f[F.name] * lam))
+                a = float(node.w @ (node.values[F.name] * lam))
                 s.jump_D[k] = a / b - s.pi_F[k]
                 s.zakai_jump[k] = mass_left * (a - s.pi_F[k])
             logw = logw + np.log(lam)
             event_count[k + 1] += 1.0
         else:
+            # the cloud has not moved since record_node, so its per-particle
+            # terms are reused as they are
             dt = dt_all[k]
             dW = drivers.dW[k]
-            hv = np.asarray(spec.h(t, x, y), float).reshape(N, m)
+            hv = node.h
             logw = logw + hv @ dW - 0.5 * np.sum(hv * hv, axis=1) * dt
-            if spec.nu2.rate > 0.0:
-                lam_bar = np.mean(spec.lam_marks(t, x, marks2), axis=-1)
-                logw = logw + dt * spec.nu2.rate * (1.0 - lam_bar)
-            coup = spec.coupling(t, x)
-            if coup.ndim == 2:
-                coup = np.broadcast_to(coup, (N,) + coup.shape)
-            drift = (np.asarray(spec.b1(t, x), float).reshape(N, n)
-                     - np.einsum("Nnm,Nm->Nn", coup, hv)
-                     - spec.signal_jump_drift(t, x, marks1))
+            if node.lam_bar is not None:
+                logw = logw + dt * spec.nu2.rate * (1.0 - node.lam_bar)
+            drift = (node.signal.b1.reshape(N, n)
+                     - np.einsum("Nnm,Nm->Nn", node.coup, hv)
+                     - node.signal.jump_drift)
             indep = spec.indep_factor(t, x)
             if indep.ndim == 2:
                 indep = np.broadcast_to(indep, (N,) + indep.shape)
             dB = rng_b.standard_normal((N, q)) * np.sqrt(dt)
-            x = (x + drift * dt + coup @ dW
+            x = (x + drift * dt + node.coup @ dW
                  + np.einsum("Nnq,Nq->Nn", indep, dB))
             if spec.nu1.rate > 0.0:
                 counts = rng_c.poisson(spec.nu1.rate * dt, size=N)

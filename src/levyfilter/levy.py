@@ -137,7 +137,9 @@ def compensator_integral(spec, g, x_lookup, t0, t1, step, marks=None, mark_seed=
         bad = int(np.argmax(~np.isfinite(vals)))
         raise NumericOverflowError(
             f"compensator integrand not finite at t={ts[bad]:g}")
-    trapezoid = getattr(np, "trapezoid", np.trapz)
+    # numpy >= 2.0 names it trapezoid and numpy 2.4 dropped trapz; look the
+    # old name up only when the new one is missing
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
     return float(trapezoid(vals, ts))
 
 

@@ -216,14 +216,27 @@ class SystemSpec:
         if self.variant == SENSOR:
             return b2v
         sig = np.asarray(self.sigma2(t, y), float)
+        m = self.m
         try:
-            sol = np.linalg.solve(sig, b2v[..., None])
+            if sig.ndim > 2:
+                # one matrix per row: a batched solve
+                return np.linalg.solve(sig, b2v[..., None])[..., 0]
+            if m == 1:
+                # a 1x1 solve is a division: it gives the correctly rounded
+                # quotient of a per-row solve, where one solve with many
+                # right-hand sides multiplies by the reciprocal and can
+                # differ in the last bit
+                if sig[0, 0] == 0.0:
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return b2v / sig[0, 0]
+            # one matrix for the whole batch: a single solve
+            sol = np.linalg.solve(sig, b2v.reshape(-1, m).T)
+            return sol.T.reshape(b2v.shape)
         except np.linalg.LinAlgError as exc:
-            cond = float(np.linalg.cond(sig.reshape(-1, self.m, self.m)[0]))
+            cond = float(np.linalg.cond(sig.reshape(-1, m, m)[0]))
             raise InvertibilityError(
                 f"sigma2 is singular at t={t:g} (condition number {cond:.3e})"
             ) from exc
-        return sol[..., 0]
 
     def coupling(self, t, x):
         """(n, m) loading of the reconstructed observation driver onto X."""
@@ -255,13 +268,19 @@ class SystemSpec:
 
     # -- frozen-mark compensator helpers --
 
+    def signal_jumps(self, t, x, marks):
+        """f1 at every mark of a sample, (..., M, n), and its compensator
+        drift, the integral of f1 against nu1, (..., n).  The displacement
+        is None when the channel is off, and the drift is then zero."""
+        x = np.asarray(x, float)
+        if self.nu1.rate == 0.0 or marks.shape[0] == 0:
+            return None, np.zeros(x.shape)
+        disp = np.asarray(self.f1(t, x[..., None, :], marks), float)
+        return disp, self.nu1.rate * np.mean(disp, axis=-2)
+
     def signal_jump_drift(self, t, x, marks):
         """Compensator drift of the signal jumps: integral of f1 against nu1."""
-        if self.nu1.rate == 0.0 or marks.shape[0] == 0:
-            return np.zeros(np.asarray(x, float).shape)
-        x = np.asarray(x, float)
-        disp = np.asarray(self.f1(t, x[..., None, :], marks), float)
-        return self.nu1.rate * np.mean(disp, axis=-2)
+        return self.signal_jumps(t, x, marks)[1]
 
     def lam_marks(self, t, x, marks):
         """lam evaluated against a mark sample: (..., M)."""
@@ -299,44 +318,84 @@ class GeneratorValue:
     jump_variance: float
 
 
-def generator_values(spec, F, t, x, marks):
-    """Generator of the signal applied to F on a batch of states.
+@dataclass
+class SignalTerms:
+    """The signal's coefficients on one batch of states.
 
-    Returns (values, jump_variances) with shapes (...,).  The jump integral
-    is a Monte Carlo mean over the supplied frozen mark sample.
+    b1, the diffusion matrix a, the f1 displacement at each frozen mark
+    and its compensator drift, evaluated once and shared by the generator
+    of every test function (and by the filter's propagation step).
+    ``disp`` is None without signal jumps.
+    """
+
+    t: float
+    x: np.ndarray
+    b1: np.ndarray
+    a: np.ndarray
+    disp: np.ndarray | None
+    jump_drift: np.ndarray
+    rate1: float
+
+    def jump_bracket(self, F, value, grad):
+        """F(x + f1) - F(x) - grad F . f1 at each frozen mark: (..., M)."""
+        moved = F.value(self.x[..., None, :] + self.disp)
+        lin = np.einsum("...mi,...i->...m", self.disp, grad)
+        return moved - value[..., None] - lin
+
+    def generator(self, F, value, grad):
+        """Generator applied to F, given F and grad F on the batch: (...,).
+
+        The jump integral is a Monte Carlo mean over the frozen marks.
+        """
+        t = self.t
+        drift = np.einsum("...i,...i->...", grad, self.b1)
+        H = np.asarray(F.hess(self.x), float)
+        diffusion = 0.5 * np.einsum("...ij,...ij->...", self.a, H)
+        jump = np.zeros(self.x.shape[:-1])
+        if self.disp is not None:
+            jump = self.rate1 * np.mean(self.jump_bracket(F, value, grad), axis=-1)
+        total = drift + diffusion + jump
+        if not np.all(np.isfinite(total)):
+            for label, term in (("drift", drift), ("diffusion", diffusion), ("jump", jump)):
+                if not np.all(np.isfinite(term)):
+                    raise NumericOverflowError(f"generator {label} term is not finite at t={t:g}")
+            raise NumericOverflowError(f"generator value is not finite at t={t:g}")
+        return total
+
+
+def signal_terms(spec, t, x, marks):
+    """Evaluate the signal's coefficients once on a batch of states."""
+    x = np.asarray(x, float)
+    disp, jump_drift = spec.signal_jumps(t, x, marks)
+    return SignalTerms(t, x, np.asarray(spec.b1(t, x), float),
+                       spec.diffusion_matrix(t, x), disp, jump_drift,
+                       spec.nu1.rate)
+
+
+def generator_values(spec, F, t, x, marks):
+    """Generator of the signal applied to F on a batch of states: (...,).
+
+    The jump integral is a Monte Carlo mean over the supplied frozen mark
+    sample.
     """
     x = np.asarray(x, float)
-    g = np.asarray(F.grad(x), float)
-    H = np.asarray(F.hess(x), float)
-    drift = np.einsum("...i,...i->...", g, np.asarray(spec.b1(t, x), float))
-    a = spec.diffusion_matrix(t, x)
-    diffusion = 0.5 * np.einsum("...ij,...ij->...", a, H)
-    jump = np.zeros(x.shape[:-1])
-    jvar = np.zeros(x.shape[:-1])
-    if spec.nu1.rate > 0.0 and marks.shape[0] > 0:
-        disp = np.asarray(spec.f1(t, x[..., None, :], marks), float)
-        moved = F.value(x[..., None, :] + disp)
-        base = F.value(x)[..., None]
-        lin = np.einsum("...mi,...i->...m", disp, g)
-        bracket = moved - base - lin
-        jump = spec.nu1.rate * np.mean(bracket, axis=-1)
-        jvar = (spec.nu1.rate**2) * np.var(bracket, axis=-1) / bracket.shape[-1]
-    total = drift + diffusion + jump
-    if not np.all(np.isfinite(total)):
-        for label, term in (("drift", drift), ("diffusion", diffusion), ("jump", jump)):
-            if not np.all(np.isfinite(term)):
-                raise NumericOverflowError(f"generator {label} term is not finite at t={t:g}")
-        raise NumericOverflowError(f"generator value is not finite at t={t:g}")
-    return total, jvar
+    return signal_terms(spec, t, x, marks).generator(
+        F, F.value(x), np.asarray(F.grad(x), float))
 
 
 def apply_generator(spec, F, t, x, marks=None, mark_seed=None):
-    """Generator of the signal applied to F at one point x."""
+    """Generator of the signal applied to F at one point x, with the Monte
+    Carlo variance of its jump part over the mark sample."""
     x = np.asarray(x, float).reshape(spec.n)
     if marks is None:
         marks = spec.nu1.frozen_marks(spec.mark_budget, mark_seed)
-    vals, jvar = generator_values(spec, F, t, x, marks)
-    return GeneratorValue(float(vals), float(jvar))
+    terms = signal_terms(spec, t, x, marks)
+    value, grad = F.value(x), np.asarray(F.grad(x), float)
+    jvar = 0.0
+    if terms.disp is not None:
+        bracket = terms.jump_bracket(F, value, grad)
+        jvar = (spec.nu1.rate**2) * np.var(bracket, axis=-1) / bracket.shape[-1]
+    return GeneratorValue(float(terms.generator(F, value, grad)), float(jvar))
 
 
 # ---------------------------------------------------------------------------

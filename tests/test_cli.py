@@ -202,17 +202,33 @@ def test_replay_reproduces_bytes(tmp_path, capsys):
     assert "byte-identical" in capsys.readouterr().out
 
 
-def test_replay_detects_config_tampering(tmp_path, capsys):
+def _edit_seed(path):
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text.replace("seed = 11", "seed = 12"))
+
+
+def _edit_last_digit(path):
+    # one byte of the final row: still a well-formed CSV
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
+    data[-3] = ord("7") if data[-3] != ord("7") else ord("3")
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+@pytest.mark.parametrize("name,edit", [("config.cfg", _edit_seed),
+                                       ("filter_000.csv", _edit_last_digit)],
+                         ids=["config.cfg", "filter_000.csv"])
+def test_replay_detects_config_tampering(tmp_path, capsys, name, edit):
     cfg = write_cfg(tmp_path, BASE_CFG)
     out = str(tmp_path / "tamper")
     assert main(["run", "--config", cfg, "--out", out]) == 0
-    cfg_path = os.path.join(out, "config.cfg")
-    with open(cfg_path) as fh:
-        text = fh.read()
-    with open(cfg_path, "w") as fh:
-        fh.write(text.replace("seed = 11", "seed = 12"))
+    edit(os.path.join(out, name))
     assert main(["replay", "--out", out]) == 5
-    assert "replay mismatch" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "replay mismatch" in err and name in err
 
 
 def test_replay_requires_completed_run(tmp_path, capsys):

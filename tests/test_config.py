@@ -20,7 +20,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.family == "trig"
     assert cfg.n_steps == 100 and cfg.n_particles == 500
     assert cfg.seed == 0 and cfg.replicas == 1
-    assert cfg.ess_fraction == 0.5 and cfg.store_clouds is False
+    assert cfg.ess_fraction == 0.5
     assert cfg.validate_hypotheses is True
     assert cfg.accept_max_kalman_gap is None
     assert cfg.params == {}
@@ -34,12 +34,11 @@ def test_comments_blanks_and_params_parse():
         n_steps = 50
         n_particles = 100
         seed = 7
-        store_clouds = true
         param.rate1 = 2.5
         param.jump1 = 0.1
         accept.min_ess_fraction = 0.2
     """)
-    assert cfg.seed == 7 and cfg.store_clouds is True
+    assert cfg.seed == 7
     assert cfg.params == {"rate1": 2.5, "jump1": 0.1}
     assert cfg.accept_min_ess_fraction == 0.2
 
@@ -49,9 +48,11 @@ def test_comments_blanks_and_params_parse():
     ("family = trig\nn_steps = 1\nn_particles = x\n", "expects an integer"),
     ("family = trig\nn_steps = 1\nn_particles = 5\ness_fraction = nan\n",
      "must be finite"),
-    ("family = trig\nn_steps = 1\nn_particles = 5\nstore_clouds = yes\n",
-     "expects true or false"),
+    ("family = trig\nn_steps = 1\nn_particles = 5\n"
+     "validate_hypotheses = yes\n", "expects true or false"),
     ("family = trig\nn_steps = 1\nn_particles = 5\nbogus = 1\n",
+     "unknown key"),
+    ("family = trig\nn_steps = 1\nn_particles = 5\nstore_clouds = true\n",
      "unknown key"),
     ("family = trig\nn_steps = 1\nn_steps = 2\nn_particles = 5\n",
      "duplicate key"),
@@ -97,12 +98,11 @@ def test_canonical_text_orders_params():
        steps=st.integers(1, 10**6),
        particles=st.integers(1, 10**6),
        ess=st.floats(0.0, 1.0, allow_nan=False),
-       store=st.booleans(),
        pval=st.floats(-1e6, 1e6, allow_nan=False))
-def test_round_trip_property(seed, steps, particles, ess, store, pval):
+def test_round_trip_property(seed, steps, particles, ess, pval):
     cfg = ScenarioConfig(family="jump_only", n_steps=steps,
                          n_particles=particles, seed=seed,
-                         ess_fraction=ess, store_clouds=store,
+                         ess_fraction=ess,
                          accept_max_kalman_gap=0.25,
                          params={"rate2": pval})
     back = parse_config(config_to_text(cfg))

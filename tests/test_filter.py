@@ -18,7 +18,7 @@ from levyfilter.filtering import (FilterTrajectory, GainTerms, ParticleCloud,
                                   normalize_cloud, pathwise_uniqueness_probe,
                                   resample, write_trajectory_csv,
                                   zakai_filter, zakai_residual)
-from levyfilter.model import LevyMeasureSpec, SystemSpec
+from levyfilter.model import LevyMeasureSpec, SystemSpec, generator_values
 from levyfilter.oracle import kalman_bucy
 from levyfilter.rng import substream
 from levyfilter.simulate import TimeGrid, project_observation, simulate_path
@@ -318,6 +318,39 @@ def test_store_clouds_and_trajectory_csv(tmp_path):
     assert np.array_equal(body[:, 1], traj.log_mass)
     for j, name in enumerate(names):
         assert np.array_equal(body[:, 6 + j], traj.summaries[name].pi_F)
+
+
+@pytest.mark.parametrize("family", ["mixed", "sensor_saturated"])
+def test_node_moments_equal_direct_evaluation(family):
+    # Both jump channels on, with candidates dense enough for observation
+    # events: each per-node term the filter evaluates once and shares must
+    # equal, bit for bit, a fresh evaluation on the cloud stored at the node.
+    scen, rec, obs, traj, funcs = run_family(
+        family, 40, 200, 53, params={"rate2": 8.0}, store_clouds=True)
+    spec = scen.spec
+    assert spec.nu1.rate > 0.0 and spec.nu2.rate > 0.0
+    assert traj.event_count[-1] >= 1
+    marks1 = spec.nu1.frozen_marks(spec.mark_budget)
+    for k, cloud in enumerate(traj.clouds):
+        t, y, x = obs.t[k], obs.Y[k], cloud.x
+        N = x.shape[0]
+        w = cloud.normalized_weights()
+        hv = np.asarray(spec.h(t, x, y), float).reshape(N, spec.m)
+        lam_bar = np.mean(spec.lam_marks(t, x, obs.marks2), axis=-1)
+        coup = np.broadcast_to(spec.coupling(t, x), (N, spec.n, spec.m))
+        assert np.array_equal(traj.pi_h[k], w @ hv)
+        assert traj.pi_lambar[k] == float(w @ lam_bar)
+        for F in funcs:
+            s = traj.summaries[F.name]
+            vals = F.value(x)
+            grad = F.grad(x)
+            lf = generator_values(spec, F, t, x, marks1)
+            assert s.pi_F[k] == float(w @ vals)
+            assert s.pi_LF[k] == float(w @ lf)
+            assert np.array_equal(s.grad_coup[k],
+                                  w @ np.einsum("Nn,Nnm->Nm", grad, coup))
+            assert np.array_equal(s.f_h[k], w @ (vals[:, None] * hv))
+            assert s.pi_F_lambar[k] == float(w @ (vals * lam_bar))
 
 
 # --- against the linear reference ----------------------------------------------

@@ -165,14 +165,28 @@ def test_generator_point_mass_jump_bracket():
     assert g.jump_variance == pytest.approx(0.0, abs=1e-15)
 
 
+def test_generator_jump_variance_closed_form():
+    # F = x^2 and f1 = c u: the jump bracket (x + cu)^2 - x^2 - 2x cu is
+    # c^2 u^2 at every mark, so its Monte Carlo variance over the M frozen
+    # marks is rate^2 var(c^2 u^2) / M.
+    c, rate = 0.4, 1.5
+    spec = scalar_spec(nu1=LevyMeasureSpec.gaussian(0.2, 0.9, rate=rate),
+                       f1=lambda t, x, u: c * u + 0.0 * np.asarray(x))
+    marks = spec.nu1.frozen_marks(spec.mark_budget)
+    want = rate**2 * np.var(c**2 * marks[:, 0] ** 2) / len(marks)
+    g = apply_generator(spec, quadratic(), 0.1, np.array([0.7]), marks)
+    assert want > 0.0
+    assert g.jump_variance == pytest.approx(want, rel=1e-12)
+
+
 def test_generator_linearity_with_shared_marks():
     spec = scalar_spec(nu1=LevyMeasureSpec.gaussian(0.2, 0.9, rate=1.5),
                        f1=lambda t, x, u: 0.4 * u + 0.0 * np.asarray(x))
     marks = spec.nu1.frozen_marks(spec.mark_budget)
     x = np.array([0.8])
     F, G = quadratic(), coordinate(0)
-    vF, _ = generator_values(spec, F, 0.2, x, marks)
-    vG, _ = generator_values(spec, G, 0.2, x, marks)
+    vF = generator_values(spec, F, 0.2, x, marks)
+    vG = generator_values(spec, G, 0.2, x, marks)
 
     class Combo:
         name = "combo"
@@ -180,7 +194,7 @@ def test_generator_linearity_with_shared_marks():
         grad = staticmethod(lambda z: 2.0 * F.grad(z) - 3.0 * G.grad(z))
         hess = staticmethod(lambda z: 2.0 * F.hess(z) - 3.0 * G.hess(z))
 
-    vC, _ = generator_values(spec, Combo, 0.2, x, marks)
+    vC = generator_values(spec, Combo, 0.2, x, marks)
     assert abs(float(vC) - (2.0 * float(vF) - 3.0 * float(vG))) <= 1e-10 * 5
 
 
@@ -191,7 +205,7 @@ def test_generator_matches_finite_difference_oracle(F):
                        f1=lambda t, x, u: 0.3 * u + 0.0 * np.asarray(x))
     marks = spec.nu1.frozen_marks(spec.mark_budget)
     x = np.array([0.45])
-    got, _ = generator_values(spec, F, 0.6, x, marks)
+    got = generator_values(spec, F, 0.6, x, marks)
     want = fd_generator(spec, F, 0.6, x, marks)
     assert float(got) == pytest.approx(want, abs=5e-6)
 
@@ -224,6 +238,39 @@ def test_observation_h_two_by_two_solve():
     # defining identity sigma2 @ h = b2
     sig = np.diag([2.0, 4.0])
     assert np.allclose(sig @ h, [2.0, 8.0], rtol=1e-10)
+
+
+def test_observation_h_on_a_batch_matches_row_by_row_solves():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(50, 2))
+    sig = np.array([[0.7, 0.2], [-0.1, 1.3]])
+
+    def spec_with(sigma2):
+        return SystemSpec(
+            n=2, m=2, d=1,
+            b1=lambda t, x: np.zeros(np.shape(x)),
+            sigma0=lambda t, x: np.zeros(np.shape(x)[:-1] + (2, 1)),
+            sigma1=lambda t, x: np.zeros(np.shape(x)[:-1] + (2, 2)),
+            f1=lambda t, x, u: np.zeros(np.shape(x)),
+            b2=lambda t, x, y: np.sin(x) + 0.0 * y, sigma2=sigma2,
+            f2=lambda t, y, u: np.zeros(np.shape(y)),
+            lam=lambda t, x, u: np.full(np.broadcast(
+                np.asarray(x)[..., 0], np.asarray(u)[..., 0]).shape, 0.5),
+            nu1=LevyMeasureSpec.none(), nu2=LevyMeasureSpec.none(), T=1.0)
+
+    want = np.array([np.linalg.solve(sig, np.sin(row)) for row in x])
+    shared = spec_with(lambda t, y: sig)
+    per_row = spec_with(lambda t, y: np.broadcast_to(
+        sig, np.shape(y)[:-1] + (2, 2)))
+    for spec, y in ((shared, np.zeros(2)), (per_row, np.zeros((50, 2)))):
+        h = observation_h(spec, 0.0, x, y)
+        assert h.shape == (50, 2)
+        assert np.allclose(h, want, rtol=1e-12, atol=1e-14)
+    # m = 1: the quotient is the correctly rounded one a 1x1 solve returns
+    spec = scalar_spec(b2=lambda t, x, y: np.sin(x) + 0.0 * y, sigma2=0.7)
+    x1 = rng.normal(size=(200, 1))
+    h = observation_h(spec, 0.0, x1, np.zeros(1))
+    assert np.array_equal(h, np.sin(x1) / 0.7)
 
 
 def test_observation_h_singular_sigma2_raises():
