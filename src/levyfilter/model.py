@@ -216,27 +216,20 @@ class SystemSpec:
         if self.variant == SENSOR:
             return b2v
         sig = np.asarray(self.sigma2(t, y), float)
-        m = self.m
         try:
-            if sig.ndim > 2:
-                # one matrix per row: a batched solve
-                return np.linalg.solve(sig, b2v[..., None])[..., 0]
-            if m == 1:
-                # a 1x1 solve is a division: it gives the correctly rounded
-                # quotient of a per-row solve, where one solve with many
-                # right-hand sides multiplies by the reciprocal and can
-                # differ in the last bit
+            if sig.ndim == 2 and self.m == 1:
+                # one 1x1 matrix for the whole batch: a division, which gives
+                # the correctly rounded quotient of a per-row 1x1 solve
                 if sig[0, 0] == 0.0:
                     raise np.linalg.LinAlgError("Singular matrix")
                 return b2v / sig[0, 0]
-            # one matrix for the whole batch: a single solve
-            sol = np.linalg.solve(sig, b2v.reshape(-1, m).T)
-            return sol.T.reshape(b2v.shape)
+            sol = np.linalg.solve(sig, b2v[..., None])
         except np.linalg.LinAlgError as exc:
-            cond = float(np.linalg.cond(sig.reshape(-1, m, m)[0]))
+            cond = float(np.linalg.cond(sig.reshape(-1, self.m, self.m)[0]))
             raise InvertibilityError(
                 f"sigma2 is singular at t={t:g} (condition number {cond:.3e})"
             ) from exc
+        return sol[..., 0]
 
     def coupling(self, t, x):
         """(n, m) loading of the reconstructed observation driver onto X."""

@@ -231,6 +231,23 @@ def test_replay_detects_config_tampering(tmp_path, capsys, name, edit):
     assert "replay mismatch" in err and name in err
 
 
+def test_replay_detects_rerun_that_differs(tmp_path, capsys):
+    # an edited config whose new hash is written into the manifest passes the
+    # check of the stored files, so the re-run itself must catch it
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    out = str(tmp_path / "rerun")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    cfg_path = os.path.join(out, "config.cfg")
+    _edit_seed(cfg_path)
+    manifest = read_json(out, "manifest.json")
+    manifest["files"]["config.cfg"] = sha256(cfg_path)
+    with open(os.path.join(out, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh)
+    assert main(["replay", "--out", out]) == 5
+    err = capsys.readouterr().err
+    assert "produced different bytes" in err and "filter_000.csv" in err
+
+
 def test_replay_requires_completed_run(tmp_path, capsys):
     out = tmp_path / "empty"
     out.mkdir()
