@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -22,21 +23,71 @@ from .model import SignalTerms, signal_terms
 from .rng import substream
 
 
-def _logsumexp(a):
-    m = np.max(a)
-    if not np.isfinite(m):
-        return m
-    return m + np.log(np.sum(np.exp(a - m)))
+# mallopt parameters of glibc's <malloc.h>
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+
+@cache
+def _keep_freed_heap():
+    """Make glibc keep freed blocks of up to 32 MB in its heap for reuse.
+
+    Each node of `zakai_filter` allocates and frees several (N, M)
+    temporaries of about 1 MB (N = 2000 particles, M = 64 frozen marks).
+    Under glibc's default policy, depending on what the process allocated
+    before, either each of them is mapped and unmapped, or the freed top
+    of the heap is handed back to the OS, and the next node faults the
+    same pages in again: on a 2-vCPU VM, `levyfilter run` on
+    configs/mixed.cfg made 593 000 minor page faults and took 2.5 s in
+    place of 7 000 and 1.5 s when a module imported at start-up changed
+    that history. Fixed thresholds (32 MB is the largest mmap threshold
+    glibc accepts) make the reuse independent of it. The setting holds for
+    the whole process, which then keeps up to 64 MB of freed memory for
+    reuse. Where mallopt does not exist, nothing changes.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
+class ShiftedWeights:
+    """exp(logw - max logw) over a cloud, computed once: the log mass, the
+    effective sample size and the normalized weights are all read from it.
+    The exponentials are not formed when the largest log-weight is not
+    finite."""
+
+    def __init__(self, logw):
+        self.n = len(logw)
+        self.max = np.max(logw)
+        self.e = np.exp(logw - self.max) if np.isfinite(self.max) else None
+        self.sum = None if self.e is None else self.e.sum()
+
+    def log_mass(self):
+        """log of the mean weight: log-sum-exp of logw less log N."""
+        lse = self.max if self.e is None else self.max + np.log(self.sum)
+        return lse - np.log(self.n)
+
+    @cached_property
+    def ess(self):
+        """(sum w)^2 / sum w^2; zero when the largest log-weight is not finite."""
+        if self.e is None:
+            return 0.0
+        return float(self.sum * self.sum / np.sum(self.e * self.e))
+
+    def normalized(self):
+        return self.e / self.sum
 
 
 def effective_sample_size(logw):
     """(sum w)^2 / sum w^2, computed stably in log space."""
-    m = np.max(logw)
-    if not np.isfinite(m):
-        return 0.0
-    e = np.exp(logw - m)
-    s = e.sum()
-    return float(s * s / np.sum(e * e))
+    return ShiftedWeights(logw).ess
 
 
 @dataclass
@@ -56,7 +107,7 @@ class ParticleCloud:
 
     def log_mass(self):
         """log of the mean unnormalized weight (zero for a fresh cloud)."""
-        return float(_logsumexp(self.logw) - np.log(self.n_particles))
+        return float(ShiftedWeights(self.logw).log_mass())
 
     def normalized_weights(self):
         m = np.max(self.logw)
@@ -112,10 +163,8 @@ class ResamplePolicy:
 
     ess_fraction: float = 0.5
 
-    def should_fire(self, cloud):
-        if self.ess_fraction <= 0.0:
-            return False
-        return cloud.ess() < self.ess_fraction * cloud.n_particles
+    def should_fire(self, ess, n_particles):
+        return self.ess_fraction > 0.0 and ess < self.ess_fraction * n_particles
 
 
 @dataclass
@@ -221,6 +270,7 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
     test functions are recorded before each step (left-endpoint convention)
     so the residual assemblers can telescope them afterwards.
     """
+    _keep_freed_heap()
     drivers = reconstruct_reference_drivers(obs, spec)
     N = int(n_particles)
     n, m = spec.n, spec.m
@@ -257,16 +307,14 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
     clouds = [] if store_clouds else None
     event_count = np.zeros(K + 1)
 
-    def record_node(k, t, y):
-        mass = _logsumexp(logw) - np.log(N)
+    def record_node(k, t, y, weights):
+        mass = weights.log_mass()
         if not np.isfinite(mass) or mass < np.log(mass_floor):
             raise DegeneracyError(
                 f"unnormalized mass collapsed at t={t:g} (log mass {mass:.3g})")
         log_mass[k] = mass
-        ess_arr[k] = effective_sample_size(logw)
-        wmax = np.max(logw)
-        e = np.exp(logw - wmax)
-        w = e / e.sum()
+        ess_arr[k] = weights.ess
+        w = weights.normalized()
         hv = np.asarray(spec.h(t, x, y), float).reshape(N, m)
         pi_h[k] = w @ hv
         lam_bar = None
@@ -298,12 +346,14 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
     for k in range(K):
         t = obs.t[k]
         y = obs.Y[k]
-        cloud_now = ParticleCloud(x, logw)
-        if k > 0 and resample_policy.should_fire(cloud_now):
-            new = resample(cloud_now, substream(rng_seed, f"resample-{k}"))
+        weights = ShiftedWeights(logw)
+        if k > 0 and resample_policy.should_fire(weights.ess, N):
+            new = resample(ParticleCloud(x, logw),
+                           substream(rng_seed, f"resample-{k}"))
             x, logw = new.x, new.logw
             resampled[k] = True
-        node = record_node(k, t, y)
+            weights = ShiftedWeights(logw)
+        node = record_node(k, t, y, weights)
         event_count[k + 1] = event_count[k]
         if k in ev:
             u = ev[k].mark
@@ -352,7 +402,7 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
                     # in the drift is exact for the jump law the cloud follows
                     u1 = marks1[rng_u.integers(0, len(marks1), nm)]
                     x[mask] += np.asarray(spec.f1(t, x[mask], u1), float)
-    record_node(K, obs.t[K], obs.Y[K])
+    record_node(K, obs.t[K], obs.Y[K], ShiftedWeights(logw))
 
     return FilterTrajectory(
         t=obs.t.copy(), dt=dt_all, dW=drivers.dW, is_jump=drivers.is_jump_step(),

@@ -3,6 +3,7 @@ manifest hashing, acceptance gates."""
 
 import hashlib
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -182,14 +183,86 @@ n_particles = 800
         assert entry["prior_se"] > 0.0
 
 
-def test_threaded_run_matches_serial_bytes(tmp_path):
-    cfg = write_cfg(tmp_path, BASE_CFG)
+SMALL = ("seed = {seed}\nn_steps = {steps}\nn_particles = {particles}\n"
+         "replicas = {replicas}\n")
+POOL_CASES = {
+    "trig": (BASE_CFG, ()),
+    # the Kalman verdict fields
+    "linear_gaussian": ("family = linear_gaussian\n"
+                        + SMALL.format(seed=5, steps=40, particles=200,
+                                       replicas=2),
+                        ("kalman_gap_mean", "kalman_gap_max")),
+    # the reduction verdict
+    "uninformative": ("family = uninformative\n"
+                      + SMALL.format(seed=21, steps=30, particles=200,
+                                     replicas=2),
+                      ("reduction", "reduction_passed")),
+    # dense observation jumps and resampling, more replicas than workers
+    "mixed": ("family = mixed\n"
+              + SMALL.format(seed=3, steps=60, particles=200, replicas=3)
+              + "ess_fraction = 0.8\nparam.rate2 = 60\n",
+              ("observation_jumps", "resample_count")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POOL_CASES))
+def test_threaded_run_matches_serial_bytes(tmp_path, case):
+    text, fields = POOL_CASES[case]
+    cfg = write_cfg(tmp_path, text)
     out1 = str(tmp_path / "serial")
     out2 = str(tmp_path / "threaded")
     assert main(["run", "--config", cfg, "--out", out1]) == 0
     assert main(["run", "--config", cfg, "--out", out2, "--threads", "2"]) == 0
     assert read_json(out1, "manifest.json")["files"] == \
         read_json(out2, "manifest.json")["files"]
+    assert main(["replay", "--out", out2, "--threads", "2"]) == 0
+    for rep in read_json(out2, "verdicts.json")["replicas"]:
+        assert all(field in rep for field in fields)
+        if case == "mixed":
+            assert rep["observation_jumps"] > 0
+            assert rep["resample_count"] > 0
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_worker_error_keeps_its_exit_code(tmp_path, capsys, threads):
+    cfg = write_cfg(tmp_path, """\
+family = uninformative
+n_steps = 20
+n_particles = 50
+replicas = 2
+validate_hypotheses = false
+param.lam0 = 1.5
+""")
+    out = str(tmp_path / "bad")
+    assert main(["run", "--config", cfg, "--out", out,
+                 "--threads", threads]) == 3
+    assert "acceptance probability 1.5 outside (0,1)" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "replay"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_rejected(tmp_path, capsys, command, threads):
+    args = ["--out", str(tmp_path / "out"), "--threads", threads]
+    if command == "run":
+        args += ["--config", write_cfg(tmp_path, BASE_CFG)]
+    with pytest.raises(SystemExit) as exc:
+        main([command] + args)
+    assert exc.value.code == 2
+    assert "--threads: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_worker_pool_without_fork_is_a_config_error(tmp_path, capsys,
+                                                     monkeypatch):
+    def no_fork(method):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--threads", "2"]) == 2
+    assert "fork start method" in capsys.readouterr().err
 
 
 # --- replay ------------------------------------------------------------------------

@@ -132,9 +132,9 @@ def test_resample_policy_thresholds():
     uniform = ParticleCloud(np.zeros((10, 1)), np.zeros(10))
     skewed = ParticleCloud(np.zeros((10, 1)),
                            np.array([0.0] + [-50.0] * 9))
-    assert not ResamplePolicy(0.5).should_fire(uniform)
-    assert ResamplePolicy(0.5).should_fire(skewed)
-    assert not ResamplePolicy(0.0).should_fire(skewed)
+    assert not ResamplePolicy(0.5).should_fire(uniform.ess(), 10)
+    assert ResamplePolicy(0.5).should_fire(skewed.ess(), 10)
+    assert not ResamplePolicy(0.0).should_fire(skewed.ess(), 10)
 
 
 @settings(max_examples=30, deadline=None)
