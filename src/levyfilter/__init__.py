@@ -27,7 +27,7 @@ from .girsanov import (LikelihoodPath, ReferenceDrivers, log_lambda_inverse,
 from .levy import (JumpEvent, JumpStream, compensator_integral,
                    sample_poisson_stream, thin_by_lambda)
 from .model import (LevyMeasureSpec, SystemSpec, apply_generator,
-                    generator_values, observation_h, validate_hypotheses)
+                    generator_values, validate_hypotheses)
 from .mollify import (MollifierField, QuadratureGrid, auto_grid, build_grid,
                       energy_distance, energy_trajectory, energy_gap_trajectory,
                       gronwall_constant,
@@ -38,7 +38,6 @@ from .oracle import (KalmanResult, LinearSpec, OracleEstimate, kalman_bucy,
 from .rng import derive_seed, substream
 from .simulate import (ObservationRecord, PathRecord, TimeGrid,
                        coarsen_observation, project_observation,
-                       read_observation, read_path, simulate_path,
-                       write_observation, write_path)
+                       read_observation, simulate_path, write_observation)
 from .testfuncs import (TestFunction, bump, constant, coordinate,
                         hermite_window, make_test_function, quadratic)

@@ -29,8 +29,9 @@ from .errors import (ConfigError, DegeneracyError, DivergenceError,
                      ReplayMismatchError)
 from .families import build_family, list_families
 from .filtering import ResamplePolicy, write_trajectory_csv, zakai_filter
-from .model import validate_hypotheses
+from .model import signal_terms, validate_hypotheses
 from .oracle import kalman_bucy
+from .propagation import add_signal_jumps, batched, reference_step
 from .rng import derive_seed, substream
 from .simulate import (TimeGrid, project_observation, simulate_path,
                        write_observation)
@@ -42,37 +43,24 @@ def _prior_mc_moments(spec, scen, n_steps, n_samples, seed, funcs):
 
     Used for the reduction verdict on families whose observation carries no
     information about the signal: the filter moments must then agree with
-    this unconditional law.
+    this unconditional law.  The paths take the filter's reference step
+    without the sensor term, each with its own observation driver.
     """
     R = int(n_samples)
-    n = spec.n
     dt = spec.T / n_steps
     x = np.asarray(scen.prior_sampler(substream(seed, "x0"), R),
-                   float).reshape(R, n)
+                   float).reshape(R, spec.n)
     rng_g = substream(seed, "brownian")
     rng_c = substream(seed, "jump-counts")
     rng_u = substream(seed, "jump-marks")
     marks1 = spec.nu1.frozen_marks(spec.mark_budget)
     for k in range(n_steps):
         t = k * dt
-        drift = (np.asarray(spec.b1(t, x), float).reshape(R, n)
-                 - spec.signal_jump_drift(t, x, marks1))
-        s0 = np.asarray(spec.sigma0(t, x), float)
-        s1 = np.asarray(spec.sigma1(t, x), float)
-        if s0.ndim == 2:
-            s0 = np.broadcast_to(s0, (R,) + s0.shape)
-        if s1.ndim == 2:
-            s1 = np.broadcast_to(s1, (R,) + s1.shape)
-        db = rng_g.standard_normal((R, spec.d)) * np.sqrt(dt)
+        db = rng_g.standard_normal((R, spec.indep_dim())) * np.sqrt(dt)
         dw = rng_g.standard_normal((R, spec.m)) * np.sqrt(dt)
-        x = (x + drift * dt + np.einsum("Rnd,Rd->Rn", s0, db)
-             + np.einsum("Rnm,Rm->Rn", s1, dw))
-        if spec.nu1.rate > 0.0:
-            counts = rng_c.poisson(spec.nu1.rate * dt, size=R)
-            for j in range(1, int(counts.max()) + 1):
-                mask = counts >= j
-                u1 = marks1[rng_u.integers(0, len(marks1), int(mask.sum()))]
-                x[mask] += np.asarray(spec.f1(t, x[mask], u1), float)
+        x = reference_step(spec, signal_terms(spec, t, x, marks1),
+                           batched(spec.coupling(t, x), R), dt, dw, db)
+        x = add_signal_jumps(spec, t, x, dt, marks1, rng_c, rng_u)
     out = {}
     for F in funcs:
         fn = getattr(F, "value", F)

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DegeneracyError, ModelViolationError
 from .girsanov import reconstruct_reference_drivers
 from .model import SignalTerms, signal_terms
+from .propagation import add_signal_jumps, batched, reference_step
 from .rng import substream
 
 
@@ -105,17 +106,18 @@ class ParticleCloud:
     def n_particles(self):
         return self.x.shape[0]
 
+    def weights(self):
+        return ShiftedWeights(self.logw)
+
     def log_mass(self):
         """log of the mean unnormalized weight (zero for a fresh cloud)."""
-        return float(ShiftedWeights(self.logw).log_mass())
+        return float(self.weights().log_mass())
 
     def normalized_weights(self):
-        m = np.max(self.logw)
-        e = np.exp(self.logw - m)
-        return e / e.sum()
+        return self.weights().normalized()
 
     def ess(self):
-        return effective_sample_size(self.logw)
+        return self.weights().ess
 
     def copy(self):
         return ParticleCloud(self.x.copy(), self.logw.copy())
@@ -144,17 +146,17 @@ def estimate_moment(cloud, F, normalized=True):
     return float(np.exp(m) * np.dot(e, vals) / cloud.n_particles)
 
 
-def resample(cloud, rng):
-    """Systematic resampling preserving the total unnormalized mass."""
-    N = cloud.n_particles
-    w = cloud.normalized_weights()
-    edges = np.cumsum(w)
+def resample(x, weights, rng):
+    """Systematic resampling of the particles x, weighted by ``weights``
+    (their ShiftedWeights), preserving the total unnormalized mass."""
+    N = x.shape[0]
+    edges = np.cumsum(weights.normalized())
     edges[-1] = 1.0
     points = (rng.uniform() + np.arange(N)) / N
     idx = np.searchsorted(edges, points, side="right")
     idx = np.minimum(idx, N - 1)
-    logw = np.full(N, cloud.log_mass())
-    return ParticleCloud(cloud.x[idx], logw)
+    logw = np.full(N, float(weights.log_mass()))
+    return ParticleCloud(x[idx], logw)
 
 
 @dataclass(frozen=True)
@@ -183,22 +185,15 @@ class GainTerms:
         return self.grad_coup + self.f_h - self.pi_F * self.pi_h
 
 
-def gain_terms(spec, cloud, t, y, F):
-    """Conditional-moment gain ingredients for one test function."""
-    w = cloud.normalized_weights()
-    x = cloud.x
-    vals = _values(F, x)
-    hv = np.asarray(spec.h(t, x, y), float).reshape(x.shape[0], spec.m)
-    grad = np.asarray(F.grad(x), float).reshape(x.shape[0], spec.n)
-    coup = spec.coupling(t, x)
-    if coup.ndim == 2:
-        coup = np.broadcast_to(coup, (x.shape[0],) + coup.shape)
-    gc = np.einsum("Nn,Nnm->Nm", grad, coup)
+def gain_terms(w, value, grad, h, coup):
+    """Conditional-moment gain ingredients for one test function, from the
+    normalized weights (N,) and, on the cloud, F (N,), grad F (N, n), the
+    sensor function h (N, m) and the coupling (N, n, m)."""
     return GainTerms(
-        pi_F=float(w @ vals),
-        pi_h=w @ hv,
-        grad_coup=w @ gc,
-        f_h=w @ (vals[:, None] * hv),
+        pi_F=float(w @ value),
+        pi_h=w @ h,
+        grad_coup=w @ np.einsum("Nn,Nnm->Nm", grad, coup),
+        f_h=w @ (value[:, None] * h),
     )
 
 
@@ -321,19 +316,18 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
         if spec.nu2.rate > 0.0:
             lam_bar = np.mean(spec.lam_marks(t, x, marks2), axis=-1)
             pi_lambar[k] = float(w @ lam_bar)
-        coup = spec.coupling(t, x)
-        if coup.ndim == 2:
-            coup = np.broadcast_to(coup, (N,) + coup.shape)
+        coup = batched(spec.coupling(t, x), N)
         signal = signal_terms(spec, t, x, marks1)
         values = {}
         for F in funcs:
             s = summ[F.name]
             vals = _values(F, x)
             grad = np.asarray(F.grad(x), float).reshape(N, n)
-            s.pi_F[k] = float(w @ vals)
+            gain = gain_terms(w, vals, grad, hv, coup)
+            s.pi_F[k] = gain.pi_F
             s.pi_LF[k] = float(w @ signal.generator(F, vals, grad))
-            s.grad_coup[k] = w @ np.einsum("Nn,Nnm->Nm", grad, coup)
-            s.f_h[k] = w @ (vals[:, None] * hv)
+            s.grad_coup[k] = gain.grad_coup
+            s.f_h[k] = gain.f_h
             if lam_bar is None:
                 s.pi_F_lambar[k] = s.pi_F[k]
             else:
@@ -348,8 +342,7 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
         y = obs.Y[k]
         weights = ShiftedWeights(logw)
         if k > 0 and resample_policy.should_fire(weights.ess, N):
-            new = resample(ParticleCloud(x, logw),
-                           substream(rng_seed, f"resample-{k}"))
+            new = resample(x, weights, substream(rng_seed, f"resample-{k}"))
             x, logw = new.x, new.logw
             resampled[k] = True
             weights = ShiftedWeights(logw)
@@ -357,10 +350,7 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
         event_count[k + 1] = event_count[k]
         if k in ev:
             u = ev[k].mark
-            lam = np.asarray(spec.lam(t, x, u), float).reshape(N)
-            if np.any(~np.isfinite(lam)) or np.any(lam <= 0.0) or np.any(lam >= 1.0):
-                raise ModelViolationError(
-                    f"intensity ratio outside (0,1) at t={t:g}")
+            lam = spec.acceptance(t, x, u).reshape(N)
             b = float(node.w @ lam)
             if b < spec.iota:
                 raise ModelViolationError(
@@ -383,25 +373,9 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
             logw = logw + hv @ dW - 0.5 * np.sum(hv * hv, axis=1) * dt
             if node.lam_bar is not None:
                 logw = logw + dt * spec.nu2.rate * (1.0 - node.lam_bar)
-            drift = (node.signal.b1.reshape(N, n)
-                     - np.einsum("Nnm,Nm->Nn", node.coup, hv)
-                     - node.signal.jump_drift)
-            indep = spec.indep_factor(t, x)
-            if indep.ndim == 2:
-                indep = np.broadcast_to(indep, (N,) + indep.shape)
             dB = rng_b.standard_normal((N, q)) * np.sqrt(dt)
-            x = (x + drift * dt + node.coup @ dW
-                 + np.einsum("Nnq,Nq->Nn", indep, dB))
-            if spec.nu1.rate > 0.0:
-                counts = rng_c.poisson(spec.nu1.rate * dt, size=N)
-                cmax = int(counts.max())
-                for j in range(1, cmax + 1):
-                    mask = counts >= j
-                    nm = int(mask.sum())
-                    # marks come from the frozen sample, so the compensator
-                    # in the drift is exact for the jump law the cloud follows
-                    u1 = marks1[rng_u.integers(0, len(marks1), nm)]
-                    x[mask] += np.asarray(spec.f1(t, x[mask], u1), float)
+            x = reference_step(spec, node.signal, node.coup, dt, dW, dB, hv)
+            x = add_signal_jumps(spec, t, x, dt, marks1, rng_c, rng_u)
     record_node(K, obs.t[K], obs.Y[K], ShiftedWeights(logw))
 
     return FilterTrajectory(
@@ -409,6 +383,11 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
         log_mass=log_mass, ess=ess_arr, pi_h=pi_h, pi_lambar=pi_lambar,
         rate2=spec.nu2.rate, summaries=summ, n_particles=N, rng_seed=rng_seed,
         resampled=resampled, clouds=clouds, event_count=event_count)
+
+
+def _node_gain(traj, s, k):
+    """The gain ingredients a summary recorded at node k."""
+    return GainTerms(s.pi_F[k], traj.pi_h[k], s.grad_coup[k], s.f_h[k])
 
 
 def ks_residual(traj, name):
@@ -428,7 +407,7 @@ def ks_residual(traj, name):
         else:
             dt = traj.dt[k]
             dw_bar = traj.dW[k] - traj.pi_h[k] * dt
-            gain = s.grad_coup[k] + s.f_h[k] - s.pi_F[k] * traj.pi_h[k]
+            gain = _node_gain(traj, s, k).ks_gain()
             inc = s.pi_LF[k] * dt + float(gain @ dw_bar)
             if traj.rate2 > 0.0:
                 inc -= dt * traj.rate2 * (
@@ -450,7 +429,7 @@ def zakai_residual(traj, name):
             inc = s.zakai_jump[k]
         else:
             dt = traj.dt[k]
-            gain = s.grad_coup[k] + s.f_h[k]
+            gain = _node_gain(traj, s, k).zakai_gain()
             inc = mass[k] * (s.pi_LF[k] * dt + float(gain @ traj.dW[k]))
             if traj.rate2 > 0.0:
                 inc -= dt * traj.rate2 * mass[k] * (s.pi_F_lambar[k] - s.pi_F[k])

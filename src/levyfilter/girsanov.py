@@ -16,12 +16,13 @@ are mean-one martingales, which the batch samplers below make testable.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvertibilityError, ModelViolationError
+from .errors import InvertibilityError
+from .model import signal_terms
+from .propagation import add_signal_jumps, batched, jump_rounds, reference_step
 from .rng import substream
 
 
@@ -77,11 +78,7 @@ def log_lambda_inverse(record, spec):
                 dc = -dt * spec.nu2.rate * (1.0 - lam_bar)
         elif record.step_kind[k] == 2 and record.step_accepted[k]:
             u = record.step_mark[k, :spec.nu2.dim]
-            lam = float(spec.lam(t, x, u))
-            if not (0.0 < lam < 1.0) or not np.isfinite(lam):
-                raise ModelViolationError(
-                    f"intensity ratio {lam!r} outside (0,1) at t={t:g}")
-            dj = -np.log(lam)
+            dj = -np.log(float(spec.acceptance(t, x, u)))
         brown[k + 1] = brown[k] + db
         jump[k + 1] = jump[k] + dj
         comp[k + 1] = comp[k] + dc
@@ -172,46 +169,16 @@ def resynthesize_observation(drivers, spec, y0):
     return Y
 
 
-def write_likelihood_csv(lik, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "log_lambda_inverse", "brownian", "jump", "compensator"])
-        tot = lik.log_lambda_inverse
-        for k in range(len(lik.t)):
-            w.writerow([format(v, ".17g") for v in
-                        (lik.t[k], tot[k], lik.brownian[k], lik.jump[k],
-                         lik.compensator[k])])
-
-
 # --- batch martingale samplers ----------------------------------------------
-
-def _apply_jumps(spec, rng_counts, rng_marks, t, rate, nu, state, fn, dt,
-                 weight=None, lam_state=None):
-    """Apply Poisson(rate*dt) jumps per batch row; optionally weight by lam."""
-    R = state.shape[0]
-    counts = rng_counts.poisson(rate * dt, size=R)
-    cmax = int(counts.max()) if R else 0
-    for j in range(1, cmax + 1):
-        mask = counts >= j
-        nm = int(mask.sum())
-        u = np.asarray(nu.sampler(rng_marks, nm), float).reshape(nm, nu.dim)
-        if weight is not None:
-            lamv = np.asarray(spec.lam(t, lam_state[mask], u), float)
-            if np.any(~np.isfinite(lamv)) or np.any(lamv <= 0.0) or np.any(lamv >= 1.0):
-                raise ModelViolationError(
-                    f"intensity ratio outside (0,1) at t={t:g}")
-            weight[mask] += np.log(lamv)
-        state[mask] += np.asarray(fn(t, state[mask], u), float)
-    return state, weight
-
 
 def sample_reference_log_weights(spec, grid, n_paths, x0_sampler, y0, rng_seed):
     """Log-weights log Lambda_T over independent reference-measure paths.
 
     The per-step weight factors are exact likelihood ratios of the
     discretized transition laws, so mean(exp(logw)) estimates 1 without a
-    time-discretization bias when lam is mark-independent (mark-dependent
-    lam adds an O(1/sqrt(mark_budget)) compensator error).
+    time-discretization bias.  Both jump channels draw their marks from
+    the frozen samples that the compensators average over, so this holds
+    for a mark-dependent lam too, with no mark-sampling error.
     """
     R = int(n_paths)
     n, m = spec.n, spec.m
@@ -236,23 +203,17 @@ def sample_reference_log_weights(spec, grid, n_paths, x0_sampler, y0, rng_seed):
         if spec.nu2.rate > 0.0:
             lam_bar = np.mean(spec.lam_marks(t, X, marks2), axis=-1)
             logw += dt * spec.nu2.rate * (1.0 - lam_bar)
-        coup = spec.coupling(t, X)
-        drift = (np.asarray(spec.b1(t, X), float)
-                 - np.einsum("...nm,...m->...n", coup, hv)
-                 - spec.signal_jump_drift(t, X, marks1))
-        Xn = (X + drift * dt + np.einsum("...nm,...m->...n", coup, dW)
-              + np.einsum("...nq,...q->...n", spec.indep_factor(t, X), dXi))
+        Xn = reference_step(spec, signal_terms(spec, t, X, marks1),
+                            batched(spec.coupling(t, X), R), dt, dW, dXi, hv)
         comp2 = spec.obs_jump_drift_reference(t, Y, marks2)
         Yn = Y + _bmatvec(spec.obs_sigma(t, Y), dW) - dt * comp2
-        X_left = X
         if spec.nu2.rate > 0.0:
-            Yn, logw = _apply_jumps(spec, rng_c, rng_u, t, spec.nu2.rate,
-                                    spec.nu2, Yn, spec.f2, dt,
-                                    weight=logw, lam_state=X_left)
-        if spec.nu1.rate > 0.0:
-            Xn, _ = _apply_jumps(spec, rng_c, rng_u, t, spec.nu1.rate,
-                                 spec.nu1, Xn, spec.f1, dt)
-        X, Y = Xn, Yn
+            for mask, u in jump_rounds(rng_c, rng_u, spec.nu2.rate, dt,
+                                       marks2, R):
+                logw[mask] += np.log(spec.acceptance(t, X[mask], u))
+                Yn[mask] += np.asarray(spec.f2(t, Yn[mask], u), float)
+        X = add_signal_jumps(spec, t, Xn, dt, marks1, rng_c, rng_u)
+        Y = Yn
     return logw
 
 
@@ -295,25 +256,14 @@ def sample_model_log_inverse_weights(spec, grid, n_paths, x0_sampler, y0, rng_se
                   + np.einsum("...nd,...d->...n", s0, dB)
                   + np.einsum("...nm,...m->...n", s1, dW))
             Yn = Y + (b2v - comp2) * dt + _bmatvec(spec.sigma2(t, Y), dW)
-        X_left = X
         if spec.nu2.rate > 0.0:
-            counts = rng_c.poisson(spec.nu2.rate * dt, size=R)
-            cmax = int(counts.max())
-            for j in range(1, cmax + 1):
-                mask = counts >= j
-                nm = int(mask.sum())
-                u = np.asarray(spec.nu2.sampler(rng_u, nm), float).reshape(nm, spec.nu2.dim)
-                lamv = np.asarray(spec.lam(t, X_left[mask], u), float)
-                if np.any(~np.isfinite(lamv)) or np.any(lamv <= 0.0) or np.any(lamv >= 1.0):
-                    raise ModelViolationError(
-                        f"intensity ratio outside (0,1) at t={t:g}")
-                acc = rng_a.uniform(size=nm) < lamv
+            for mask, u in jump_rounds(rng_c, rng_u, spec.nu2.rate, dt,
+                                       marks2, R):
+                lamv = spec.acceptance(t, X[mask], u)
+                acc = rng_a.uniform(size=lamv.size) < lamv
                 sel = np.flatnonzero(mask)[acc]
-                if sel.size:
-                    logw[sel] -= np.log(lamv[acc])
-                    Yn[sel] += np.asarray(spec.f2(t, Yn[sel], u[acc]), float)
-        if spec.nu1.rate > 0.0:
-            Xn, _ = _apply_jumps(spec, rng_c, rng_u, t, spec.nu1.rate,
-                                 spec.nu1, Xn, spec.f1, dt)
-        X, Y = Xn, Yn
+                logw[sel] -= np.log(lamv[acc])
+                Yn[sel] += np.asarray(spec.f2(t, Yn[sel], u[acc]), float)
+        X = add_signal_jumps(spec, t, Xn, dt, marks1, rng_c, rng_u)
+        Y = Yn
     return logw

@@ -8,12 +8,11 @@ compensator ``lam(t, x, u) dt nu2(du)``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelViolationError, NumericOverflowError
+from .errors import NumericOverflowError
 from .rng import substream
 
 
@@ -99,11 +98,7 @@ def thin_by_lambda(candidates, spec, x_lookup, rng_seed):
     kept = []
     for ev in candidates:
         x = np.asarray(x_lookup(ev.t), float)
-        lam = float(spec.lam(ev.t, x, ev.mark))
-        if not (0.0 < lam < 1.0) or not np.isfinite(lam):
-            raise ModelViolationError(
-                f"acceptance probability {lam!r} outside (0,1) at "
-                f"t={ev.t:g}, x={x}, u={ev.mark}")
+        lam = float(spec.acceptance(ev.t, x, ev.mark))
         if rng.uniform() < lam:
             kept.append(JumpEvent(ev.t, ev.mark, channel=ev.channel, accepted=True))
     return JumpStream(kept, candidates.t0, candidates.t1, candidates.rate,
@@ -141,37 +136,3 @@ def compensator_integral(spec, g, x_lookup, t0, t1, step, marks=None, mark_seed=
     # old name up only when the new one is missing
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     return float(trapezoid(vals, ts))
-
-
-# --- columnar serialization -------------------------------------------------
-
-def write_stream(stream, path):
-    """Write a jump stream as a columnar CSV: t, channel, accepted, mark_*."""
-    dim = stream.marks().shape[1] if len(stream) else 1
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["# t0", f"{stream.t0:.17g}", "t1", f"{stream.t1:.17g}",
-                    "rate", f"{stream.rate:.17g}", "seed", str(stream.seed),
-                    "channel", stream.channel])
-        w.writerow(["t", "channel", "accepted"] + [f"mark_{i}" for i in range(dim)])
-        for ev in stream:
-            w.writerow([f"{ev.t:.17g}", ev.channel, int(ev.accepted)]
-                       + [f"{v:.17g}" for v in ev.mark])
-
-
-def read_stream(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    head = rows[0]
-    meta = {head[i].lstrip("# "): head[i + 1] for i in range(0, len(head) - 1, 2)}
-    events = []
-    for row in rows[2:]:
-        if not row:
-            continue
-        t = float(row[0])
-        channel = row[1]
-        accepted = bool(int(row[2]))
-        mark = np.array([float(v) for v in row[3:]])
-        events.append(JumpEvent(t, mark, channel=channel, accepted=accepted))
-    return JumpStream(events, float(meta["t0"]), float(meta["t1"]),
-                      float(meta["rate"]), int(meta["seed"]), meta["channel"])

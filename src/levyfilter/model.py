@@ -41,7 +41,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvertibilityError, NumericOverflowError
+from .errors import (InvertibilityError, ModelViolationError,
+                     NumericOverflowError)
 from .rng import substream
 
 FEEDBACK = "feedback"
@@ -275,6 +276,20 @@ class SystemSpec:
         """Compensator drift of the signal jumps: integral of f1 against nu1."""
         return self.signal_jumps(t, x, marks)[1]
 
+    def acceptance(self, t, x, u):
+        """lam(t, x, u) as floats; raises ModelViolationError naming the
+        first value outside (0, 1) (or not finite) with its t, x and u."""
+        lam = np.asarray(self.lam(t, x, u), float)
+        bad = np.flatnonzero(~((lam > 0.0) & (lam < 1.0)))
+        if bad.size:
+            i = np.unravel_index(bad[0], lam.shape)
+            x = np.broadcast_to(x, lam.shape + np.shape(x)[-1:])[i]
+            u = np.broadcast_to(u, lam.shape + np.shape(u)[-1:])[i]
+            raise ModelViolationError(
+                f"acceptance probability {float(lam[i])!r} outside (0,1) at "
+                f"t={t:g}, x={x}, u={u}")
+        return lam
+
     def lam_marks(self, t, x, marks):
         """lam evaluated against a mark sample: (..., M)."""
         x = np.asarray(x, float)
@@ -296,11 +311,6 @@ class SystemSpec:
         f2v = np.asarray(self.f2(t, y[..., None, :], marks), float)
         lamv = self.lam_marks(t, x, marks)
         return self.nu2.rate * np.mean(lamv[..., None] * f2v, axis=-2)
-
-
-def observation_h(spec, t, x, y):
-    """Sensor function h(t, x, y); see SystemSpec.h."""
-    return spec.h(t, x, y)
 
 
 @dataclass

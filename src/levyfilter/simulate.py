@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, ModelViolationError
+from .errors import ConfigError, DivergenceError
 from .levy import JumpEvent, JumpStream, sample_poisson_stream
 from .rng import derive_seed, substream
 
@@ -224,11 +224,7 @@ def simulate_path(spec, grid, x0_sampler, y0, rng_seed, *, max_norm=1e8):
         else:
             step_kind[k] = 2
             step_mark[k, :spec.nu2.dim] = ev.mark
-            lam = float(spec.lam(t, x, ev.mark))
-            if not (0.0 < lam < 1.0) or not np.isfinite(lam):
-                raise ModelViolationError(
-                    f"acceptance probability {lam!r} outside (0,1) at "
-                    f"t={t:g}, x={x}, u={ev.mark}")
+            lam = float(spec.acceptance(t, x, ev.mark))
             if thin_rng.uniform() < lam:
                 ev.accepted = True
                 step_accepted[k] = True
@@ -330,101 +326,6 @@ def _read_marks(row):
     rows, cols = int(row[1]), int(row[2])
     vals = np.array([float(v) for v in row[3:3 + rows * cols]])
     return vals.reshape(rows, cols)
-
-
-def write_path(record, path):
-    """One columnar CSV: per-node state plus per-step drivers/events."""
-    n = record.X.shape[1]
-    m = record.Y.shape[1]
-    d = record.dB.shape[1]
-    md = record.step_mark.shape[1]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        g = record.base_grid
-        w.writerow(["#meta", "n", n, "m", m, "d", d, "mark_dim", md,
-                    "seed", record.seed, "t0", _fmt(g.t0), "t1", _fmt(g.t1),
-                    "n_steps", g.n_steps, "sig_seed", record.signal_jumps.seed,
-                    "cand_seed", record.obs_candidates.seed,
-                    "sig_rate", _fmt(record.signal_jumps.rate),
-                    "cand_rate", _fmt(record.obs_candidates.rate)])
-        _write_marks(w, "marks1", record.marks1)
-        _write_marks(w, "marks2", record.marks2)
-        header = (["t", "base"] + [f"x_{i}" for i in range(n)]
-                  + [f"y_{i}" for i in range(m)]
-                  + [f"db_{i}" for i in range(d)] + [f"dw_{i}" for i in range(m)]
-                  + ["step_kind", "step_accepted"]
-                  + [f"mark_{i}" for i in range(md)])
-        w.writerow(header)
-        K = len(record.t) - 1
-        for k in range(K + 1):
-            row = [_fmt(record.t[k]), int(record.base_mask[k])]
-            row += [_fmt(v) for v in record.X[k]]
-            row += [_fmt(v) for v in record.Y[k]]
-            if k < K:
-                row += [_fmt(v) for v in record.dB[k]]
-                row += [_fmt(v) for v in record.dW[k]]
-                row += [int(record.step_kind[k]), int(record.step_accepted[k])]
-                row += [_fmt(v) for v in record.step_mark[k]]
-            else:
-                row += [""] * (d + m + 2 + md)
-            w.writerow(row)
-
-
-def read_path(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    meta_row = rows[0]
-    meta = {meta_row[i]: meta_row[i + 1] for i in range(1, len(meta_row) - 1, 2)}
-    n, m, d = int(meta["n"]), int(meta["m"]), int(meta["d"])
-    md = int(meta["mark_dim"])
-    marks1 = _read_marks(rows[1])
-    marks2 = _read_marks(rows[2])
-    body = rows[4:]
-    K = len(body) - 1
-    t = np.empty(K + 1)
-    base_mask = np.empty(K + 1, bool)
-    X = np.empty((K + 1, n))
-    Y = np.empty((K + 1, m))
-    dB = np.zeros((K, d))
-    dW = np.zeros((K, m))
-    step_kind = np.zeros(K, np.int8)
-    step_accepted = np.zeros(K, bool)
-    step_mark = np.zeros((K, md))
-    for k, row in enumerate(body):
-        t[k] = float(row[0])
-        base_mask[k] = bool(int(row[1]))
-        o = 2
-        X[k] = [float(v) for v in row[o:o + n]]
-        o += n
-        Y[k] = [float(v) for v in row[o:o + m]]
-        o += m
-        if k < K:
-            dB[k] = [float(v) for v in row[o:o + d]]
-            o += d
-            dW[k] = [float(v) for v in row[o:o + m]]
-            o += m
-            step_kind[k] = int(row[o])
-            step_accepted[k] = bool(int(row[o + 1]))
-            o += 2
-            step_mark[k] = [float(v) for v in row[o:o + md]]
-    grid = TimeGrid(float(meta["t0"]), float(meta["t1"]), int(meta["n_steps"]))
-    sig_events = []
-    cand_events = []
-    for k in range(K):
-        if step_kind[k] == 1:
-            sig_events.append(JumpEvent(t[k], step_mark[k][:marks1.shape[1] or 1],
-                                        channel="signal"))
-        elif step_kind[k] == 2:
-            cand_events.append(JumpEvent(t[k], step_mark[k][:marks2.shape[1] or 1],
-                                         channel="observation",
-                                         accepted=bool(step_accepted[k])))
-    sig = JumpStream(sig_events, grid.t0, grid.t1, float(meta["sig_rate"]),
-                     int(meta["sig_seed"]), "signal")
-    cand = JumpStream(cand_events, grid.t0, grid.t1, float(meta["cand_rate"]),
-                      int(meta["cand_seed"]), "observation")
-    return PathRecord(grid, t, X, Y, dB, dW, base_mask, step_kind,
-                      step_accepted, step_mark, sig, cand,
-                      int(meta["seed"]), marks1, marks2)
 
 
 def write_observation(obs, path):

@@ -5,13 +5,16 @@ import hashlib
 import json
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from levyfilter import __version__
-from levyfilter.cli import main
+from levyfilter.cli import _prior_mc_moments, main
 from levyfilter.config import config_to_text, parse_config
+from levyfilter.families import build_family
+from levyfilter.testfuncs import make_test_function
 
 BASE_CFG = """\
 family = trig
@@ -181,6 +184,16 @@ n_particles = 800
     for name, entry in rep["reduction"].items():
         assert entry["z"] <= 4.0
         assert entry["prior_se"] > 0.0
+
+
+def test_prior_mc_ignores_sigma0_in_the_sensor_variant():
+    # the sensor variant ignores sigma0 (its signal noise is sigma1 dW);
+    # a nonzero sigma0 must leave the prior moments unchanged, bit for bit
+    scen = build_family("sensor_saturated")
+    funcs = [make_test_function(name, 1) for name in ("coord:0", "quad")]
+    loud = replace(scen.spec, sigma0=lambda t, x: np.array([[2.0]]))
+    args = (scen, 50, 2000, 7, funcs)
+    assert _prior_mc_moments(loud, *args) == _prior_mc_moments(scen.spec, *args)
 
 
 SMALL = ("seed = {seed}\nn_steps = {steps}\nn_particles = {particles}\n"

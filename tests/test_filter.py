@@ -20,6 +20,7 @@ from levyfilter.filtering import (FilterTrajectory, GainTerms, ParticleCloud,
                                   zakai_filter, zakai_residual)
 from levyfilter.model import LevyMeasureSpec, SystemSpec, generator_values
 from levyfilter.oracle import kalman_bucy
+from levyfilter.propagation import batched
 from levyfilter.rng import substream
 from levyfilter.simulate import TimeGrid, project_observation, simulate_path
 from levyfilter.testfuncs import constant, coordinate, quadratic
@@ -119,7 +120,7 @@ def test_resample_preserves_mass_and_matches_weights():
     x = np.repeat(np.array([[0.0], [1.0], [2.0]]), N // 3, axis=0)
     logw = np.repeat(np.log(np.array([1.0, 2.0, 3.0])), N // 3)
     c = ParticleCloud(x, logw)
-    out = resample(c, substream(123, "resample-test"))
+    out = resample(c.x, c.weights(), substream(123, "resample-test"))
     assert out.log_mass() == pytest.approx(c.log_mass(), abs=1e-13)
     assert np.all(np.isin(out.x, [0.0, 1.0, 2.0]))
     assert np.ptp(out.logw) == 0.0
@@ -156,8 +157,11 @@ def test_estimate_moment_linearity_property(seed, a, b):
 
 def test_gain_terms_hand_values():
     spec = build_family("linear_gaussian").spec
-    cloud = ParticleCloud(np.array([[0.0], [1.0]]), np.zeros(2))
-    g = gain_terms(spec, cloud, 0.0, np.zeros(1), coordinate(0))
+    x = np.array([[0.0], [1.0]])
+    F = coordinate(0)
+    g = gain_terms(np.full(2, 0.5), F.value(x), F.grad(x),
+                   spec.h(0.0, x, np.zeros(1)),
+                   batched(spec.coupling(0.0, x), 2))
     assert g.pi_F == pytest.approx(0.5, abs=1e-14)
     assert g.pi_h == pytest.approx([0.5], abs=1e-14)
     assert g.zakai_gain() == pytest.approx([HAND_ZAKAI_GAIN], abs=1e-14)

@@ -1,7 +1,6 @@
 """Likelihood weights and reference drivers: closed forms, roundtrips,
 mean-one martingale checks in both parameterizations."""
 
-import csv
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +12,7 @@ from levyfilter.girsanov import (log_lambda_inverse,
                                  reconstruct_reference_drivers,
                                  resynthesize_observation,
                                  sample_model_log_inverse_weights,
-                                 sample_reference_log_weights,
-                                 write_likelihood_csv)
+                                 sample_reference_log_weights)
 from levyfilter.levy import JumpStream
 from levyfilter.simulate import (PathRecord, TimeGrid, project_observation,
                                  simulate_path)
@@ -97,22 +95,17 @@ def test_out_of_range_ratio_raises():
         log_lambda_inverse(rec, bad)
 
 
-def test_likelihood_csv_columns_decompose(tmp_path):
+def test_likelihood_path_decomposes():
     scen = build_family("mixed", {"rate1": 2.0, "rate2": 2.0})
     grid = TimeGrid(0.0, scen.spec.T, 30)
     rec = simulate_path(scen.spec, grid, scen.prior_sampler, scen.y0, 17)
     lik = log_lambda_inverse(rec, scen.spec)
-    p = tmp_path / "lik.csv"
-    write_likelihood_csv(lik, p)
-    with open(p, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "log_lambda_inverse", "brownian", "jump",
-                       "compensator"]
-    assert len(rows) == len(lik.t) + 1
-    body = np.array([[float(v) for v in r] for r in rows[1:]])
-    assert np.allclose(body[:, 1], body[:, 2] + body[:, 3] + body[:, 4],
-                       atol=1e-14)
-    assert np.allclose(body[:, 1], lik.log_lambda_inverse, atol=0.0)
+    assert len(lik.t) == len(rec.t)
+    for part in (lik.brownian, lik.jump, lik.compensator):
+        assert part.shape == lik.t.shape and part[0] == 0.0
+    assert np.array_equal(lik.log_lambda_inverse,
+                          lik.brownian + lik.jump + lik.compensator)
+    assert np.array_equal(lik.log_lambda, -lik.log_lambda_inverse)
 
 
 # --- driver reconstruction -----------------------------------------------------

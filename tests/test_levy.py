@@ -1,16 +1,15 @@
-"""Jump streams: sampling, thinning, compensator quadrature, serialization."""
+"""Jump streams: sampling, thinning, compensator quadrature."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from levyfilter.errors import ModelViolationError
+from levyfilter.families import build_family
 from levyfilter.levy import (JumpEvent, JumpStream, compensator_integral,
-                             read_stream, sample_poisson_stream,
-                             thin_by_lambda, write_stream)
+                             sample_poisson_stream, thin_by_lambda)
 from levyfilter.model import LevyMeasureSpec
 
 # --- independent oracles ------------------------------------------------------
@@ -31,9 +30,8 @@ def const_lam(level):
 
 
 def lam_spec(level, rate=2.0):
-    return SimpleNamespace(lam=const_lam(level),
-                           nu2=LevyMeasureSpec.uniform(0.0, 1.0, rate),
-                           mark_budget=64)
+    return replace(build_family("uninformative").spec, lam=const_lam(level),
+                   nu2=LevyMeasureSpec.uniform(0.0, 1.0, rate))
 
 
 # --- Poisson stream sampling --------------------------------------------------
@@ -171,7 +169,7 @@ def test_compensator_integral_state_dependence():
     assert got == pytest.approx(0.9, abs=1e-12)
 
 
-# --- stream container + serialization -----------------------------------------
+# --- stream container ---------------------------------------------------------
 
 def test_jumpstream_validates_ordering_and_window():
     ev = [JumpEvent(0.5, 1.0), JumpEvent(0.2, 2.0)]
@@ -188,37 +186,3 @@ def test_accepted_filters_rejected_events():
     s = JumpStream(ev, 0.0, 1.0, 3.0)
     acc = s.accepted()
     assert [e.t for e in acc] == [0.1, 0.9]
-
-
-def test_stream_roundtrip_csv(tmp_path):
-    nu = LevyMeasureSpec.gaussian(0.5, 1.5, rate=10.0, dim=2)
-    s = sample_poisson_stream(nu, 0.0, 3.0, 77, channel="observation")
-    assert len(s) > 0
-    path = tmp_path / "stream.csv"
-    write_stream(s, path)
-    back = read_stream(path)
-    assert np.array_equal(back.times(), s.times())
-    assert np.array_equal(back.marks(), s.marks())
-    assert (back.t0, back.t1, back.rate, back.seed, back.channel) == \
-        (s.t0, s.t1, s.rate, s.seed, s.channel)
-
-
-def test_empty_stream_roundtrip(tmp_path):
-    s = JumpStream([], 0.0, 2.0, 0.0, seed=4)
-    path = tmp_path / "empty.csv"
-    write_stream(s, path)
-    back = read_stream(path)
-    assert len(back) == 0
-    assert (back.t0, back.t1, back.rate) == (0.0, 2.0, 0.0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), rate=st.floats(0.5, 20.0))
-def test_stream_roundtrip_property(tmp_path_factory, seed, rate):
-    nu = LevyMeasureSpec.uniform(-2.0, 2.0, rate=rate)
-    s = sample_poisson_stream(nu, 0.0, 1.0, seed)
-    path = tmp_path_factory.mktemp("streams") / "s.csv"
-    write_stream(s, path)
-    back = read_stream(path)
-    assert np.array_equal(back.times(), s.times())
-    assert np.array_equal(back.marks(), s.marks()) or len(s) == 0

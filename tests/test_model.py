@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
-from levyfilter.errors import InvertibilityError
+from levyfilter.errors import InvertibilityError, ModelViolationError
+from levyfilter.families import build_family
+from levyfilter.filtering import zakai_filter
+from levyfilter.girsanov import (log_lambda_inverse,
+                                 sample_model_log_inverse_weights,
+                                 sample_reference_log_weights)
+from levyfilter.levy import sample_poisson_stream, thin_by_lambda
 from levyfilter.model import (LevyMeasureSpec, SystemSpec, apply_generator,
-                              generator_values, observation_h,
-                              validate_hypotheses)
+                              generator_values, validate_hypotheses)
+from levyfilter.simulate import TimeGrid, project_observation, simulate_path
 from levyfilter.testfuncs import (bump, constant, coordinate, hermite_window,
                                   quadratic)
 
@@ -214,7 +220,7 @@ def test_generator_matches_finite_difference_oracle(F):
 
 def test_observation_h_identity_and_scaling():
     spec = scalar_spec(b2=lambda t, x, y: np.full(np.shape(y), 4.0), sigma2=2.0)
-    h = observation_h(spec, 0.0, np.array([0.0]), np.array([0.0]))
+    h = spec.h(0.0, np.array([0.0]), np.array([0.0]))
     assert h == pytest.approx(np.array([2.0]))
 
 
@@ -233,7 +239,7 @@ def test_observation_h_two_by_two_solve():
         lam=lambda t, x, u: np.full(np.broadcast(
             np.asarray(x)[..., 0], np.asarray(u)[..., 0]).shape, 0.5),
         nu1=LevyMeasureSpec.none(), nu2=LevyMeasureSpec.none(), T=1.0)
-    h = observation_h(spec, 0.0, np.zeros(2), np.zeros(2))
+    h = spec.h(0.0, np.zeros(2), np.zeros(2))
     assert np.allclose(h, [1.0, 2.0], atol=1e-12)
     # defining identity sigma2 @ h = b2
     sig = np.diag([2.0, 4.0])
@@ -263,20 +269,20 @@ def test_observation_h_on_a_batch_matches_row_by_row_solves():
     per_row = spec_with(lambda t, y: np.broadcast_to(
         sig, np.shape(y)[:-1] + (2, 2)))
     for spec, y in ((shared, np.zeros(2)), (per_row, np.zeros((50, 2)))):
-        h = observation_h(spec, 0.0, x, y)
+        h = spec.h(0.0, x, y)
         assert h.shape == (50, 2)
         assert np.array_equal(h, want)
     # m = 1: the quotient is the correctly rounded one a 1x1 solve returns
     spec = scalar_spec(b2=lambda t, x, y: np.sin(x) + 0.0 * y, sigma2=0.7)
     x1 = rng.normal(size=(200, 1))
-    h = observation_h(spec, 0.0, x1, np.zeros(1))
+    h = spec.h(0.0, x1, np.zeros(1))
     assert np.array_equal(h, np.sin(x1) / 0.7)
 
 
 def test_observation_h_singular_sigma2_raises():
     spec = scalar_spec(sigma2=lambda t, y: np.zeros(np.shape(y)[:-1] + (1, 1)))
     with pytest.raises(InvertibilityError):
-        observation_h(spec, 0.0, np.array([0.0]), np.array([0.0]))
+        spec.h(0.0, np.array([0.0]), np.array([0.0]))
 
 
 def test_sensor_variant_mixing_must_be_unitary():
@@ -308,3 +314,41 @@ def test_levy_measure_moment_bookkeeping():
     assert LevyMeasureSpec.none().frozen_marks(64).shape == (0, 1)
     with pytest.raises(ValueError):
         LevyMeasureSpec.point_mass(1.0, rate=-2.0)
+
+
+# --- acceptance probability check ---------------------------------------------
+
+def _bad_lambda_calls():
+    """Each entry point that evaluates lam, called with lam = 1.5."""
+    good = build_family("uninformative", {"rate2": 20.0})
+    bad = build_family("uninformative", {"rate2": 20.0, "lam0": 1.5})
+    spec, prior, y0 = bad.spec, bad.prior_sampler, bad.y0
+    grid = TimeGrid(0.0, spec.T, 20)
+
+    def good_record():
+        rec = simulate_path(good.spec, grid, prior, y0, 3)
+        assert len(rec.obs_jumps) > 0
+        return rec
+
+    return {
+        "simulate_path": lambda: simulate_path(spec, grid, prior, y0, 3),
+        "thin_by_lambda": lambda: thin_by_lambda(
+            sample_poisson_stream(spec.nu2, 0.0, spec.T, 3), spec,
+            lambda t: np.array([0.25]), 4),
+        "log_lambda_inverse": lambda: log_lambda_inverse(good_record(), spec),
+        "zakai_filter": lambda: zakai_filter(
+            spec, project_observation(good_record()), 50, prior, 5),
+        "sample_reference_log_weights": lambda: sample_reference_log_weights(
+            spec, grid, 50, prior, y0, 6),
+        "sample_model_log_inverse_weights":
+            lambda: sample_model_log_inverse_weights(spec, grid, 50, prior,
+                                                     y0, 7),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_bad_lambda_calls()))
+def test_lambda_outside_unit_interval_is_reported_with_witness(entry):
+    with pytest.raises(ModelViolationError,
+                       match=r"^acceptance probability 1\.5 outside \(0,1\) "
+                             r"at t=\S+, x=\[\S+\], u=\[\S+\]$"):
+        _bad_lambda_calls()[entry]()

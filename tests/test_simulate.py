@@ -12,8 +12,7 @@ from levyfilter.errors import (ConfigError, DivergenceError,
 from levyfilter.families import build_family
 from levyfilter.simulate import (TimeGrid, coarsen_observation,
                                  project_observation, read_observation,
-                                 read_path, simulate_path, write_observation,
-                                 write_path)
+                                 simulate_path, write_observation)
 
 # --- independent oracles ------------------------------------------------------
 
@@ -223,25 +222,6 @@ def test_coarsening_identity_and_validation():
 
 
 # --- serialization ------------------------------------------------------------
-
-def test_path_roundtrip_csv(tmp_path):
-    scen = busy_scenario()
-    grid = TimeGrid(0.0, scen.spec.T, 30)
-    rec = simulate_path(scen.spec, grid, scen.prior_sampler, scen.y0, 5)
-    p = tmp_path / "path.csv"
-    write_path(rec, p)
-    back = read_path(p)
-    for name in ("t", "X", "Y", "dB", "dW", "base_mask", "step_kind",
-                 "step_accepted", "step_mark", "marks1", "marks2"):
-        assert np.array_equal(getattr(back, name), getattr(rec, name)), name
-    assert back.seed == rec.seed
-    assert back.base_grid == rec.base_grid
-    assert np.array_equal(back.signal_jumps.times(), rec.signal_jumps.times())
-    assert np.array_equal(back.obs_candidates.marks(),
-                          rec.obs_candidates.marks())
-    assert [e.accepted for e in back.obs_candidates] == \
-        [e.accepted for e in rec.obs_candidates]
-
 
 def test_observation_roundtrip_csv(tmp_path):
     scen = busy_scenario()
