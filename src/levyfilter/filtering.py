@@ -370,7 +370,7 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
             dt = dt_all[k]
             dW = drivers.dW[k]
             hv = node.h
-            logw = logw + hv @ dW - 0.5 * np.sum(hv * hv, axis=1) * dt
+            logw = logw + hv @ dW - 0.5 * np.einsum("Nm,Nm->N", hv, hv) * dt
             if node.lam_bar is not None:
                 logw = logw + dt * spec.nu2.rate * (1.0 - node.lam_bar)
             dB = rng_b.standard_normal((N, q)) * np.sqrt(dt)

@@ -280,20 +280,20 @@ class SystemSpec:
         """lam(t, x, u) as floats; raises ModelViolationError naming the
         first value outside (0, 1) (or not finite) with its t, x and u."""
         lam = np.asarray(self.lam(t, x, u), float)
+        if lam.size == 0 or (lam.min() > 0.0 and lam.max() < 1.0):
+            return lam
+        # a NaN fails both comparisons, so it is found here too
         bad = np.flatnonzero(~((lam > 0.0) & (lam < 1.0)))
-        if bad.size:
-            i = np.unravel_index(bad[0], lam.shape)
-            x = np.broadcast_to(x, lam.shape + np.shape(x)[-1:])[i]
-            u = np.broadcast_to(u, lam.shape + np.shape(u)[-1:])[i]
-            raise ModelViolationError(
-                f"acceptance probability {float(lam[i])!r} outside (0,1) at "
-                f"t={t:g}, x={x}, u={u}")
-        return lam
+        i = np.unravel_index(bad[0], lam.shape)
+        x = np.broadcast_to(x, lam.shape + np.shape(x)[-1:])[i]
+        u = np.broadcast_to(u, lam.shape + np.shape(u)[-1:])[i]
+        raise ModelViolationError(
+            f"acceptance probability {float(lam[i])!r} outside (0,1) at "
+            f"t={t:g}, x={x}, u={u}")
 
     def lam_marks(self, t, x, marks):
-        """lam evaluated against a mark sample: (..., M)."""
-        x = np.asarray(x, float)
-        return np.asarray(self.lam(t, x[..., None, :], marks), float)
+        """lam evaluated against a mark sample, checked: (..., M)."""
+        return self.acceptance(t, np.asarray(x, float)[..., None, :], marks)
 
     def obs_jump_drift_reference(self, t, y, marks):
         """Compensator drift of observation jumps at unit thinning."""
@@ -302,15 +302,6 @@ class SystemSpec:
         y = np.asarray(y, float)
         f2v = np.asarray(self.f2(t, y[..., None, :], marks), float)
         return self.nu2.rate * np.mean(f2v, axis=-2)
-
-    def obs_jump_drift_model(self, t, x, y, marks):
-        """Compensator drift of observation jumps under the thinned intensity."""
-        if self.nu2.rate == 0.0 or marks.shape[0] == 0:
-            return np.zeros(np.asarray(y, float).shape)
-        y = np.asarray(y, float)
-        f2v = np.asarray(self.f2(t, y[..., None, :], marks), float)
-        lamv = self.lam_marks(t, x, marks)
-        return self.nu2.rate * np.mean(lamv[..., None] * f2v, axis=-2)
 
 
 @dataclass
@@ -339,24 +330,23 @@ class SignalTerms:
     jump_drift: np.ndarray
     rate1: float
 
-    def jump_bracket(self, F, value, grad):
-        """F(x + f1) - F(x) - grad F . f1 at each frozen mark: (..., M)."""
-        moved = F.value(self.x[..., None, :] + self.disp)
-        lin = np.einsum("...mi,...i->...m", self.disp, grad)
-        return moved - value[..., None] - lin
-
     def generator(self, F, value, grad):
         """Generator applied to F, given F and grad F on the batch: (...,).
 
-        The jump integral is a Monte Carlo mean over the frozen marks.
+        The jump integral is a Monte Carlo mean over the frozen marks, whose
+        grad F . f1 part is grad F . jump_drift / rate1.  An F declared
+        affine has no jump bracket and no Hessian: only the drift is formed.
         """
         t = self.t
         drift = np.einsum("...i,...i->...", grad, self.b1)
-        H = np.asarray(F.hess(self.x), float)
-        diffusion = 0.5 * np.einsum("...ij,...ij->...", self.a, H)
-        jump = np.zeros(self.x.shape[:-1])
-        if self.disp is not None:
-            jump = self.rate1 * np.mean(self.jump_bracket(F, value, grad), axis=-1)
+        diffusion = jump = np.zeros(self.x.shape[:-1])
+        if not getattr(F, "affine", False):
+            H = np.asarray(F.hess(self.x), float)
+            diffusion = 0.5 * np.einsum("...ij,...ij->...", self.a, H)
+            if self.disp is not None:
+                moved = F.value(self.x[..., None, :] + self.disp)
+                jump = (self.rate1 * (np.mean(moved, axis=-1) - value)
+                        - np.einsum("...i,...i->...", grad, self.jump_drift))
         total = drift + diffusion + jump
         if not np.all(np.isfinite(total)):
             for label, term in (("drift", drift), ("diffusion", diffusion), ("jump", jump)):
@@ -396,7 +386,8 @@ def apply_generator(spec, F, t, x, marks=None, mark_seed=None):
     value, grad = F.value(x), np.asarray(F.grad(x), float)
     jvar = 0.0
     if terms.disp is not None:
-        bracket = terms.jump_bracket(F, value, grad)
+        # F(x + f1) - F(x) - grad F . f1 at each frozen mark
+        bracket = F.value(x + terms.disp) - value - terms.disp @ grad
         jvar = (spec.nu1.rate**2) * np.var(bracket, axis=-1) / bracket.shape[-1]
     return GeneratorValue(float(terms.generator(F, value, grad)), float(jvar))
 
@@ -680,7 +671,7 @@ def validate_hypotheses(spec, sample_budget, rng_seed, *, box_x=(-5.0, 5.0),
     def chk_lambda_lower():
         if spec.nu2.rate == 0.0:
             return 1.0, {}, "observation jumps disabled"
-        lv = spec.lam_marks(tP[0], X1, marks2)
+        lv = np.asarray(spec.lam(tP[0], X1[:, None, :], marks2), float)
         i = int(np.argmin(np.min(lv, axis=-1)))
         j = int(np.argmin(lv[i]))
         return float(np.min(lv)), {"t": tP[0], "x": X1[i], "u": marks2[j]}, ""
@@ -688,7 +679,7 @@ def validate_hypotheses(spec, sample_budget, rng_seed, *, box_x=(-5.0, 5.0),
     def chk_lambda_upper():
         if spec.nu2.rate == 0.0:
             return 0.0, {}, "observation jumps disabled"
-        lv = spec.lam_marks(tP[0], X1, marks2)
+        lv = np.asarray(spec.lam(tP[0], X1[:, None, :], marks2), float)
         i = int(np.argmax(np.max(lv, axis=-1)))
         j = int(np.argmax(lv[i]))
         return float(np.max(lv)), {"t": tP[0], "x": X1[i], "u": marks2[j]}, ""
@@ -696,7 +687,7 @@ def validate_hypotheses(spec, sample_budget, rng_seed, *, box_x=(-5.0, 5.0),
     def chk_lambda_integrable():
         if spec.nu2.rate == 0.0:
             return 0.0, {}, "observation jumps disabled"
-        lv = spec.lam_marks(tP[0], X1, marks2)
+        lv = np.asarray(spec.lam(tP[0], X1[:, None, :], marks2), float)
         lo = np.min(lv, axis=0)  # pointwise-in-mark lower envelope over states
         lo = np.clip(lo, 1e-300, None)
         val = spec.nu2.rate * np.mean((1.0 - lo) ** 2 / lo)
@@ -712,7 +703,8 @@ def validate_hypotheses(spec, sample_budget, rng_seed, *, box_x=(-5.0, 5.0),
     guarded("obs_bounded_invertible", 1.0, chk_obs_bounded_invertible)
     guarded("obs_drift_x_lipschitz", ceil["lipschitz"], chk_obs_drift_x_lipschitz)
 
-    # intensity bounds: pass/fail semantics are two-sided, handled directly
+    # intensity bounds: pass/fail semantics are two-sided, handled directly;
+    # lam is read unchecked, so a value outside (0, 1) is reported, not raised
     try:
         lo_val, lo_wit, lo_note = chk_lambda_lower()
         hi_val, hi_wit, hi_note = chk_lambda_upper()

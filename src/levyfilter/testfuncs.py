@@ -8,6 +8,10 @@ polynomials and constants.
 
 Call conventions: ``value(x) -> (...,)``, ``grad(x) -> (..., n)``,
 ``hess(x) -> (..., n, n)`` for ``x`` of shape ``(..., n)``.
+
+``affine=True`` (``constant``, ``coordinate``) declares F affine in x: the
+generator is then grad F . b1, evaluating neither jump bracket nor Hessian.
+Declared for a non-affine F, it gives a wrong generator value.
 """
 
 from dataclasses import dataclass
@@ -21,10 +25,14 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class TestFunction:
+    """F with its derivatives.  ``affine``: F is affine in x, so the
+    generator skips its jump bracket and Hessian (wrong L F if it is not)."""
+
     name: str
     value: Callable
     grad: Callable
     hess: Callable
+    affine: bool = False
 
     def __call__(self, x):
         return self.value(x)
@@ -45,7 +53,7 @@ def constant(c=1.0, n=1):
         x = np.asarray(x, float)
         return np.zeros(x.shape[:-1] + (n, n))
 
-    return TestFunction(f"const:{c:g}", value, grad, hess)
+    return TestFunction(f"const:{c:g}", value, grad, hess, affine=True)
 
 
 def coordinate(i=0, n=1):
@@ -65,7 +73,7 @@ def coordinate(i=0, n=1):
         x = np.asarray(x, float)
         return np.zeros(x.shape[:-1] + (n, n))
 
-    return TestFunction(f"coord:{i}", value, grad, hess)
+    return TestFunction(f"coord:{i}", value, grad, hess, affine=True)
 
 
 def quadratic(n=1):
@@ -73,7 +81,7 @@ def quadratic(n=1):
 
     def value(x):
         x = np.asarray(x, float)
-        return np.sum(x * x, axis=-1)
+        return np.einsum("...i,...i->...", x, x)
 
     def grad(x):
         return 2.0 * np.asarray(x, float)
@@ -96,7 +104,7 @@ def bump(center=0.0, radius=1.0, n=1):
     def _parts(x):
         x = np.asarray(x, float)
         z = (x - c) / np.sqrt(r2)
-        s = np.sum(z * z, axis=-1)
+        s = np.einsum("...i,...i->...", z, z)
         inside = s < 1.0 - 1e-12
         ssafe = np.where(inside, s, 0.5)
         inv = 1.0 / (1.0 - ssafe)

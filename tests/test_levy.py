@@ -1,7 +1,6 @@
 """Jump streams: sampling, thinning, compensator quadrature."""
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -116,6 +115,18 @@ def test_thinning_rejects_out_of_range_lambda():
             thin_by_lambda(cand, spec, lambda t: np.array([0.0]), 6)
 
 
+def test_lambda_check_on_a_mark_sample_finds_one_bad_value():
+    # one bad value among valid ones, past the all-inside fast path
+    marks = np.linspace(0.1, 0.9, 5)[:, None]
+    x = np.zeros((3, 1))
+    for bad in (1.5, 0.0, float("nan")):
+        spec = replace(lam_spec(0.5), lam=lambda t, x, u, b=bad: np.where(
+            u[..., 0] > 0.6, b, 0.5) + 0.0 * x[..., 0])
+        with pytest.raises(ModelViolationError, match=rf"{bad!r} .* u=\[0\.7\]"):
+            spec.lam_marks(0.0, x, marks)
+    assert spec.lam_marks(0.0, x, marks[:0]).shape == (3, 0)
+
+
 def test_thinning_queries_state_at_event_times():
     nu = LevyMeasureSpec.uniform(0.0, 1.0, rate=20.0)
     cand = sample_poisson_stream(nu, 0.0, 2.0, 31)
@@ -156,17 +167,17 @@ def test_compensator_integral_degenerate():
 
 
 def test_compensator_integral_state_dependence():
-    # lam depends on x through the lookup; x(t) = t makes lam(t) = t/10,
-    # so the integral of g=1 against rate=2 over [0, 3] is 2 * 9/20 = 0.9
+    # lam depends on x through the lookup; x(t) = t makes lam(t) = (t+1)/10,
+    # inside (0, 1) on [0, 3], so the integral of g=1 against rate=2 over
+    # [0, 3] is 2 * 7.5/10 = 1.5
     def lam(t, x, u):
         shape = np.broadcast(np.asarray(x)[..., 0], np.asarray(u)[..., 0]).shape
-        return np.broadcast_to(np.asarray(x)[..., 0] / 10.0, shape)
+        return np.broadcast_to((np.asarray(x)[..., 0] + 1.0) / 10.0, shape)
 
-    spec = SimpleNamespace(lam=lam, nu2=LevyMeasureSpec.uniform(0, 1, 2.0),
-                           mark_budget=64)
+    spec = replace(lam_spec(0.5), lam=lam)
     got = compensator_integral(spec, lambda t, u: np.ones(u.shape[0]),
                                lambda t: np.array([t]), 0.0, 3.0, 0.01)
-    assert got == pytest.approx(0.9, abs=1e-12)
+    assert got == pytest.approx(1.5, abs=1e-12)
 
 
 # --- stream container ---------------------------------------------------------

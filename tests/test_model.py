@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+from levyfilter import testfuncs
 from levyfilter.errors import InvertibilityError, ModelViolationError
 from levyfilter.families import build_family
 from levyfilter.filtering import zakai_filter
 from levyfilter.girsanov import (log_lambda_inverse,
                                  sample_model_log_inverse_weights,
                                  sample_reference_log_weights)
-from levyfilter.levy import sample_poisson_stream, thin_by_lambda
+from levyfilter.levy import (compensator_integral, sample_poisson_stream,
+                             thin_by_lambda)
 from levyfilter.model import (LevyMeasureSpec, SystemSpec, apply_generator,
                               generator_values, validate_hypotheses)
 from levyfilter.simulate import TimeGrid, project_observation, simulate_path
@@ -204,16 +206,57 @@ def test_generator_linearity_with_shared_marks():
     assert abs(float(vC) - (2.0 * float(vF) - 3.0 * float(vG))) <= 1e-10 * 5
 
 
+@pytest.mark.parametrize("f1", [
+    lambda t, x, u: 0.3 * u + 0.0 * np.asarray(x),
+    # state- and mark-dependent: the mark mean of grad F . f1 is taken from
+    # the jump drift, which must then be the drift at this x
+    lambda t, x, u: 0.3 * u + 0.2 * np.asarray(x) * u,
+], ids=["mark", "state_mark"])
 @pytest.mark.parametrize("F", [quadratic(), bump(0.4, 1.5),
-                               hermite_window(degrees=3)])
-def test_generator_matches_finite_difference_oracle(F):
-    spec = scalar_spec(nu1=LevyMeasureSpec.gaussian(0.1, 0.7, rate=1.2),
-                       f1=lambda t, x, u: 0.3 * u + 0.0 * np.asarray(x))
+                               hermite_window(degrees=3), coordinate(0),
+                               constant()], ids=lambda F: F.name)
+def test_generator_matches_finite_difference_oracle(F, f1):
+    spec = scalar_spec(nu1=LevyMeasureSpec.gaussian(0.1, 0.7, rate=1.2), f1=f1)
     marks = spec.nu1.frozen_marks(spec.mark_budget)
     x = np.array([0.45])
     got = generator_values(spec, F, 0.6, x, marks)
     want = fd_generator(spec, F, 0.6, x, marks)
     assert float(got) == pytest.approx(want, abs=5e-6)
+
+
+@pytest.mark.parametrize("F", [coordinate(0), constant(2.0)],
+                         ids=lambda F: F.name)
+def test_affine_generator_is_exactly_the_drift_term(F):
+    spec = scalar_spec(b1=lambda t, x: np.sin(3.0 * np.asarray(x)) - 0.7,
+                       nu1=LevyMeasureSpec.gaussian(0.1, 0.7, rate=1.2),
+                       f1=lambda t, x, u: 0.3 * u + 0.2 * np.asarray(x) * u)
+    marks = spec.nu1.frozen_marks(spec.mark_budget)
+    x = np.linspace(-2.0, 2.0, 7)[:, None]
+    want = np.einsum("...i,...i->...", F.grad(x), spec.b1(0.4, x))
+    np.testing.assert_array_equal(generator_values(spec, F, 0.4, x, marks), want)
+
+
+def test_affine_generator_skips_hessian_and_jumped_states():
+    value_shapes = []
+
+    def value(z):
+        value_shapes.append(np.shape(z))
+        return 2.0 * np.asarray(z, float)[..., 0]
+
+    def hess(z):
+        raise AssertionError("hess called for an affine test function")
+
+    F = testfuncs.TestFunction("stub", value,
+                               lambda z: np.full(np.shape(z), 2.0), hess,
+                               affine=True)
+    spec = scalar_spec(nu1=LevyMeasureSpec.gaussian(0.1, 0.7, rate=1.2),
+                       f1=lambda t, x, u: 0.3 * u + 0.0 * np.asarray(x))
+    marks = spec.nu1.frozen_marks(spec.mark_budget)
+    x = np.linspace(-1.0, 1.0, 5)[:, None]
+    got = generator_values(spec, F, 0.2, x, marks)
+    np.testing.assert_array_equal(got, 2.0 * spec.b1(0.2, x)[:, 0])
+    # F is read on the batch of states only, never on the (5, M, 1) jumped states
+    assert value_shapes == [x.shape]
 
 
 # --- sensor function ----------------------------------------------------------
@@ -330,14 +373,28 @@ def _bad_lambda_calls():
         assert len(rec.obs_jumps) > 0
         return rec
 
+    def jumpless_record():
+        # lam is then met only through the compensator's mark mean
+        sparse = build_family("uninformative", {"rate2": 1e-3})
+        rec = simulate_path(sparse.spec, grid, prior, y0, 3)
+        assert len(rec.obs_jumps) == 0 and len(rec.marks2) > 0
+        return rec
+
     return {
         "simulate_path": lambda: simulate_path(spec, grid, prior, y0, 3),
         "thin_by_lambda": lambda: thin_by_lambda(
             sample_poisson_stream(spec.nu2, 0.0, spec.T, 3), spec,
             lambda t: np.array([0.25]), 4),
+        "compensator_integral": lambda: compensator_integral(
+            spec, lambda t, u: np.ones(len(u)), lambda t: np.array([0.25]),
+            0.0, 0.1, 0.05),
         "log_lambda_inverse": lambda: log_lambda_inverse(good_record(), spec),
+        "log_lambda_inverse_no_jump": lambda: log_lambda_inverse(
+            jumpless_record(), spec),
         "zakai_filter": lambda: zakai_filter(
             spec, project_observation(good_record()), 50, prior, 5),
+        "zakai_filter_no_jump": lambda: zakai_filter(
+            spec, project_observation(jumpless_record()), 50, prior, 5),
         "sample_reference_log_weights": lambda: sample_reference_log_weights(
             spec, grid, 50, prior, y0, 6),
         "sample_model_log_inverse_weights":
@@ -352,3 +409,12 @@ def test_lambda_outside_unit_interval_is_reported_with_witness(entry):
                        match=r"^acceptance probability 1\.5 outside \(0,1\) "
                              r"at t=\S+, x=\[\S+\], u=\[\S+\]$"):
         _bad_lambda_calls()[entry]()
+
+
+def test_hypothesis_screen_reports_lambda_above_one_as_its_value():
+    # the screen reads lam unchecked, so the offending value is reported
+    # rather than the error the checked evaluation would raise
+    spec = build_family("uninformative", {"lam0": 1.5}).spec
+    check = validate_hypotheses(spec, 50, 3)["jump_intensity_upper"]
+    assert not check.passed
+    assert check.worst == 1.5
