@@ -37,6 +37,7 @@ Vectorized call conventions (leading batch dimensions broadcast):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -319,7 +320,7 @@ class SignalTerms:
     b1, the diffusion matrix a, the f1 displacement at each frozen mark
     and its compensator drift, evaluated once and shared by the generator
     of every test function (and by the filter's propagation step).
-    ``disp`` is None without signal jumps.
+    ``disp`` is None without signal jumps; it is (M, n) when f1 ignores x.
     """
 
     t: float
@@ -330,20 +331,32 @@ class SignalTerms:
     jump_drift: np.ndarray
     rate1: float
 
+    @cached_property
+    def jump_second_moment(self):
+        """Mark mean of f1 f1': (n, n) when f1 ignores x, else (..., n, n)."""
+        return (np.einsum("...Mi,...Mj->...ij", self.disp, self.disp)
+                / self.disp.shape[-2])
+
     def generator(self, F, value, grad):
         """Generator applied to F, given F and grad F on the batch: (...,).
 
         The jump integral is a Monte Carlo mean over the frozen marks, whose
-        grad F . f1 part is grad F . jump_drift / rate1.  An F declared
-        affine has no jump bracket and no Hessian: only the drift is formed.
+        grad F . f1 part is grad F . jump_drift / rate1.  ``F.degree`` 0 or
+        1 has no jump bracket and no Hessian: only the drift is formed.
+        Degree 2 has a constant Hessian H, so the bracket at each mark is
+        f1' H f1 / 2 and its mark mean is jump_second_moment : H / 2.
         """
         t = self.t
         drift = np.einsum("...i,...i->...", grad, self.b1)
         diffusion = jump = np.zeros(self.x.shape[:-1])
-        if not getattr(F, "affine", False):
+        degree = getattr(F, "degree", None)
+        if degree not in (0, 1):
             H = np.asarray(F.hess(self.x), float)
             diffusion = 0.5 * np.einsum("...ij,...ij->...", self.a, H)
-            if self.disp is not None:
+            if self.disp is not None and degree == 2:
+                jump = 0.5 * self.rate1 * np.einsum(
+                    "...ij,...ij->...", self.jump_second_moment, H)
+            elif self.disp is not None:
                 moved = F.value(self.x[..., None, :] + self.disp)
                 jump = (self.rate1 * (np.mean(moved, axis=-1) - value)
                         - np.einsum("...i,...i->...", grad, self.jump_drift))

@@ -9,9 +9,13 @@ polynomials and constants.
 Call conventions: ``value(x) -> (...,)``, ``grad(x) -> (..., n)``,
 ``hess(x) -> (..., n, n)`` for ``x`` of shape ``(..., n)``.
 
-``affine=True`` (``constant``, ``coordinate``) declares F affine in x: the
-generator is then grad F . b1, evaluating neither jump bracket nor Hessian.
-Declared for a non-affine F, it gives a wrong generator value.
+``degree`` declares F a polynomial of at most that degree in x, which lets
+the generator skip work: 0 or 1 (``constant``, ``coordinate``) gives
+grad F . b1 alone, with neither jump bracket nor Hessian; 2 (``quadratic``)
+gives the jump bracket in closed form from the constant Hessian and the
+mark mean of f1 f1'.  ``None`` (bumps, Hermite windows) takes the Monte
+Carlo bracket at the jumped states.  A wrong declared degree gives a wrong
+generator value.
 """
 
 from dataclasses import dataclass
@@ -25,14 +29,16 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class TestFunction:
-    """F with its derivatives.  ``affine``: F is affine in x, so the
-    generator skips its jump bracket and Hessian (wrong L F if it is not)."""
+    """F with its derivatives.  ``degree``: F is a polynomial of at most
+    this degree in x (None: not declared); see the module docstring."""
+
+    __test__ = False  # not a pytest test class, though named like one
 
     name: str
     value: Callable
     grad: Callable
     hess: Callable
-    affine: bool = False
+    degree: int | None = None
 
     def __call__(self, x):
         return self.value(x)
@@ -53,7 +59,7 @@ def constant(c=1.0, n=1):
         x = np.asarray(x, float)
         return np.zeros(x.shape[:-1] + (n, n))
 
-    return TestFunction(f"const:{c:g}", value, grad, hess, affine=True)
+    return TestFunction(f"const:{c:g}", value, grad, hess, degree=0)
 
 
 def coordinate(i=0, n=1):
@@ -73,7 +79,7 @@ def coordinate(i=0, n=1):
         x = np.asarray(x, float)
         return np.zeros(x.shape[:-1] + (n, n))
 
-    return TestFunction(f"coord:{i}", value, grad, hess, affine=True)
+    return TestFunction(f"coord:{i}", value, grad, hess, degree=1)
 
 
 def quadratic(n=1):
@@ -91,7 +97,7 @@ def quadratic(n=1):
         eye = np.eye(n)
         return np.broadcast_to(2.0 * eye, x.shape[:-1] + (n, n)).copy()
 
-    return TestFunction("quad", value, grad, hess)
+    return TestFunction("quad", value, grad, hess, degree=2)
 
 
 def bump(center=0.0, radius=1.0, n=1):

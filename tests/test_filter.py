@@ -23,7 +23,7 @@ from levyfilter.oracle import kalman_bucy
 from levyfilter.propagation import batched
 from levyfilter.rng import substream
 from levyfilter.simulate import TimeGrid, project_observation, simulate_path
-from levyfilter.testfuncs import constant, coordinate, quadratic
+from levyfilter.testfuncs import bump, constant, coordinate, quadratic
 
 # --- independent oracles ------------------------------------------------------
 # Hand cloud: locations (0, 1, 2) with weights proportional to (1, 2, 3).
@@ -73,8 +73,12 @@ def point_prior(value):
     return lambda rng, size: np.full((int(size), 1), float(value))
 
 
-def run_family(family, n_steps, n_particles, seed, *, params=None, **kw):
+def run_family(family, n_steps, n_particles, seed, *, params=None, lam=None,
+               **kw):
+    """Simulate and filter one family; ``lam`` maps its lambda to another."""
     scen = build_family(family, params)
+    if lam is not None:
+        scen = replace(scen, spec=replace(scen.spec, lam=lam(scen.spec.lam)))
     grid = TimeGrid(0.0, scen.spec.T, n_steps)
     rec = simulate_path(scen.spec, grid, scen.prior_sampler, scen.y0, seed)
     obs = project_observation(rec)
@@ -324,23 +328,40 @@ def test_store_clouds_and_trajectory_csv(tmp_path):
         assert np.array_equal(body[:, 6 + j], traj.summaries[name].pi_F)
 
 
-@pytest.mark.parametrize("family", ["mixed", "sensor_saturated"])
-def test_node_moments_equal_direct_evaluation(family):
+def _mark_dependent_lam(lam):
+    return lambda t, x, u: lam(t, x, u) * (0.9 + 0.1 * np.asarray(u)[..., 0])
+
+
+@pytest.mark.parametrize("family, lam, extra", [
+    ("mixed", None, []),
+    ("sensor_saturated", None, []),
+    # the general paths, which no bundled family takes: lambda-bar as a mean
+    # over the (N, M) mark grid, and the Monte Carlo jump bracket of an F of
+    # undeclared degree
+    ("mixed", _mark_dependent_lam, []),
+    ("mixed", None, [bump(0.0, 3.0)]),
+], ids=["mixed", "sensor_saturated", "mixed-mark_lambda", "mixed-bump"])
+def test_node_moments_equal_direct_evaluation(family, lam, extra):
     # Both jump channels on, with candidates dense enough for observation
     # events: each per-node term the filter evaluates once and shares must
     # equal, bit for bit, a fresh evaluation on the cloud stored at the node.
     scen, rec, obs, traj, funcs = run_family(
-        family, 40, 200, 53, params={"rate2": 8.0}, store_clouds=True)
+        family, 40, 200, 53, params={"rate2": 8.0}, lam=lam,
+        test_functions=[coordinate(0), quadratic()] + extra, store_clouds=True)
     spec = scen.spec
     assert spec.nu1.rate > 0.0 and spec.nu2.rate > 0.0
     assert traj.event_count[-1] >= 1
+    assert all(F.degree is None for F in extra)
     marks1 = spec.nu1.frozen_marks(spec.mark_budget)
     for k, cloud in enumerate(traj.clouds):
         t, y, x = obs.t[k], obs.Y[k], cloud.x
         N = x.shape[0]
         w = cloud.normalized_weights()
         hv = np.asarray(spec.h(t, x, y), float).reshape(N, spec.m)
-        lam_bar = np.mean(spec.lam_marks(t, x, obs.marks2), axis=-1)
+        lam_marks = spec.lam_marks(t, x, obs.marks2)
+        if lam is not None:
+            assert lam_marks.shape == (N, len(obs.marks2))
+        lam_bar = np.mean(lam_marks, axis=-1)
         coup = np.broadcast_to(spec.coupling(t, x), (N, spec.n, spec.m))
         assert np.array_equal(traj.pi_h[k], w @ hv)
         assert traj.pi_lambar[k] == float(w @ lam_bar)

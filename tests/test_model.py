@@ -1,9 +1,10 @@
 """System specification: hypothesis screening, generator, sensor function."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from levyfilter import testfuncs
 from levyfilter.errors import InvertibilityError, ModelViolationError
 from levyfilter.families import build_family
 from levyfilter.filtering import zakai_filter
@@ -15,8 +16,8 @@ from levyfilter.levy import (compensator_integral, sample_poisson_stream,
 from levyfilter.model import (LevyMeasureSpec, SystemSpec, apply_generator,
                               generator_values, validate_hypotheses)
 from levyfilter.simulate import TimeGrid, project_observation, simulate_path
-from levyfilter.testfuncs import (bump, constant, coordinate, hermite_window,
-                                  quadratic)
+from levyfilter.testfuncs import (TestFunction, bump, constant, coordinate,
+                                  hermite_window, quadratic)
 
 # --- independent oracles ------------------------------------------------------
 
@@ -246,9 +247,8 @@ def test_affine_generator_skips_hessian_and_jumped_states():
     def hess(z):
         raise AssertionError("hess called for an affine test function")
 
-    F = testfuncs.TestFunction("stub", value,
-                               lambda z: np.full(np.shape(z), 2.0), hess,
-                               affine=True)
+    F = TestFunction("stub", value, lambda z: np.full(np.shape(z), 2.0), hess,
+                     degree=1)
     spec = scalar_spec(nu1=LevyMeasureSpec.gaussian(0.1, 0.7, rate=1.2),
                        f1=lambda t, x, u: 0.3 * u + 0.0 * np.asarray(x))
     marks = spec.nu1.frozen_marks(spec.mark_budget)
@@ -256,6 +256,67 @@ def test_affine_generator_skips_hessian_and_jumped_states():
     got = generator_values(spec, F, 0.2, x, marks)
     np.testing.assert_array_equal(got, 2.0 * spec.b1(0.2, x)[:, 0])
     # F is read on the batch of states only, never on the (5, M, 1) jumped states
+    assert value_shapes == [x.shape]
+
+
+def _quadratic_form(Q):
+    """F(x) = x' Q x, declared of degree 2."""
+    Q = np.asarray(Q, float)
+    return TestFunction(
+        "xQx", lambda z: np.einsum("...i,ij,...j->...", z, Q, z),
+        lambda z: np.asarray(z, float) @ (Q + Q.T),
+        lambda z: np.broadcast_to(Q + Q.T, np.shape(z)[:-1] + Q.shape),
+        degree=2)
+
+
+def _two_state_spec():
+    # off-diagonal, state- and mark-dependent f1 on a 2-D mark, so every
+    # entry of the mark mean of f1 f1' enters the closed form
+    J = np.array([[0.3, -0.5], [0.2, 0.4]])
+    return SystemSpec(
+        n=2, m=1, d=2,
+        b1=lambda t, x: np.asarray(x) @ np.array([[-1.0, 0.3], [0.0, -0.7]]),
+        sigma0=lambda t, x: np.broadcast_to(
+            np.array([[0.4, 0.1], [0.0, 0.3]]), np.shape(x)[:-1] + (2, 2)),
+        sigma1=lambda t, x: np.broadcast_to(
+            np.array([[0.2], [-0.1]]), np.shape(x)[:-1] + (2, 1)),
+        f1=lambda t, x, u: u @ J.T + 0.1 * np.asarray(x) * u[..., ::-1],
+        b2=lambda t, x, y: np.asarray(x)[..., :1],
+        sigma2=lambda t, y: np.array([[1.0]]),
+        f2=lambda t, y, u: np.zeros(np.shape(y)),
+        lam=lambda t, x, u: np.full(np.shape(x)[:-1], 0.5),
+        nu1=LevyMeasureSpec.gaussian(0.1, 0.8, rate=1.3, dim=2),
+        nu2=LevyMeasureSpec.none(), T=1.0)
+
+
+@pytest.mark.parametrize("case", ["mark", "state_mark", "two_state"])
+def test_degree_two_generator_equals_monte_carlo_bracket(case):
+    # F(x + f1) - F - grad F . f1 = f1' H f1 / 2 for a constant Hessian H,
+    # so on the same frozen marks the closed form is the Monte Carlo
+    # bracket up to rounding
+    if case == "two_state":
+        spec = _two_state_spec()
+        F = _quadratic_form([[1.0, 0.4], [0.4, 2.0]])
+        x = np.random.default_rng(2).normal(size=(9, 2))
+    else:
+        f1 = {"mark": lambda t, x, u: 0.3 * u + 0.0 * np.asarray(x),
+              "state_mark": lambda t, x, u: 0.3 * u + 0.2 * np.asarray(x) * u,
+              }[case]
+        spec = scalar_spec(nu1=LevyMeasureSpec.gaussian(0.1, 0.7, rate=1.2),
+                           f1=f1)
+        F = quadratic()
+        x = np.linspace(-2.0, 2.0, 9)[:, None]
+    marks = spec.nu1.frozen_marks(spec.mark_budget)
+    want = generator_values(spec, replace(F, degree=None), 0.3, x, marks)
+    value_shapes = []
+
+    def value(z):
+        value_shapes.append(np.shape(z))
+        return F.value(z)
+
+    got = generator_values(spec, replace(F, value=value), 0.3, x, marks)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # the closed form never reads F at the (9, M, n) jumped states
     assert value_shapes == [x.shape]
 
 
