@@ -3,8 +3,9 @@
 Each family is a builder that turns a flat parameter dict into a
 Scenario: a SystemSpec plus a prior sampler, an observation start value,
 and (when one exists) the matching closed-form linear reference.  All
-bundled families are scalar (n = m = d = 1) and keep their intensity
-ratios mark-free so jump compensators are exact rather than mark-sampled.
+bundled families are scalar (n = m = d = 1), and every bundled lambda
+ignores its mark and returns the shape of the x batch alone, so the
+filter's lambda-bar is lambda(t, x) itself, exact and O(N).
 """
 
 from __future__ import annotations
@@ -73,18 +74,14 @@ def _sigmoid_lam(lam0, slope):
 
     def lam(t, x, u):
         x = np.asarray(x, float)
-        u = np.asarray(u, float)
-        base = lam0 + span / (1.0 + np.exp(-slope * x[..., 0]))
-        return base + 0.0 * u[..., 0]
+        return lam0 + span / (1.0 + np.exp(-slope * x[..., 0]))
 
     return lam
 
 
 def _const_lam(value):
     def lam(t, x, u):
-        x = np.asarray(x, float)
-        u = np.asarray(u, float)
-        return value + 0.0 * x[..., 0] + 0.0 * u[..., 0]
+        return value + 0.0 * np.asarray(x, float)[..., 0]
 
     return lam
 

@@ -33,18 +33,21 @@ M_MMAP_THRESHOLD = -3
 def _keep_freed_heap():
     """Make glibc keep freed blocks of up to 32 MB in its heap for reuse.
 
-    Each node of `zakai_filter` allocates and frees several (N, M)
-    temporaries of about 1 MB (N = 2000 particles, M = 64 frozen marks).
-    Under glibc's default policy, depending on what the process allocated
+    A node of `zakai_filter` can allocate and free several (N, M)
+    temporaries of about 1 MB (N = 2000 particles, M = 64 frozen marks):
+    lambda at every mark if lambda reads its mark, f1 if f1 reads x, and F
+    at the jumped states for a test function of undeclared degree. Under
+    glibc's default policy, depending on what the process allocated
     before, either each of them is mapped and unmapped, or the freed top
     of the heap is handed back to the OS, and the next node faults the
-    same pages in again: on a 2-vCPU VM, `levyfilter run` on
-    configs/mixed.cfg made 593 000 minor page faults and took 2.5 s in
-    place of 7 000 and 1.5 s when a module imported at start-up changed
-    that history. Fixed thresholds (32 MB is the largest mmap threshold
-    glibc accepts) make the reuse independent of it. The setting holds for
-    the whole process, which then keeps up to 64 MB of freed memory for
-    reuse. Where mallopt does not exist, nothing changes.
+    same pages in again: on a 2-vCPU VM, `levyfilter run` on mixed.cfg,
+    when its lambda and generator still formed such grids, made 593 000
+    minor page faults and took 2.5 s in place of 7 000 and 1.5 s when a
+    module imported at start-up changed that history. Fixed thresholds
+    (32 MB is the largest mmap threshold glibc accepts) make the reuse
+    independent of it. The setting holds for the whole process, which then
+    keeps up to 64 MB of freed memory for reuse. Where mallopt does not
+    exist, nothing changes.
     """
     import ctypes
 

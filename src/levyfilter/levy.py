@@ -126,7 +126,7 @@ def compensator_integral(spec, g, x_lookup, t0, t1, step, marks=None, mark_seed=
     for i, t in enumerate(ts):
         x = np.asarray(x_lookup(t), float)
         gv = np.asarray(g(t, marks), float).reshape(marks.shape[0])
-        lamv = spec.lam_marks(t, x, marks).reshape(marks.shape[0])
+        lamv = spec.lam_marks(t, x, marks)
         vals[i] = spec.nu2.rate * np.mean(gv * lamv)
     if not np.all(np.isfinite(vals)):
         bad = int(np.argmax(~np.isfinite(vals)))

@@ -32,6 +32,9 @@ Vectorized call conventions (leading batch dimensions broadcast):
     sigma2(t, y)    (..., m)            -> (..., m, m)
     f2(t, y, u)     (..., m), (..., k2) -> (..., m)
     lam(t, x, u)    (..., n), (..., k2) -> (...)
+
+A lam that ignores u may return the x batch shape: ``lam_marks`` is then
+(..., 1), and lambda-bar is lam(t, x) exactly, at O(N) in place of O(N M).
 """
 
 from __future__ import annotations
@@ -283,17 +286,22 @@ class SystemSpec:
         lam = np.asarray(self.lam(t, x, u), float)
         if lam.size == 0 or (lam.min() > 0.0 and lam.max() < 1.0):
             return lam
+        # a lam that ignores u returns less than the batch shape
+        shape = np.broadcast_shapes(lam.shape, np.shape(x)[:-1],
+                                    np.shape(u)[:-1])
+        lam = np.broadcast_to(lam, shape)
         # a NaN fails both comparisons, so it is found here too
         bad = np.flatnonzero(~((lam > 0.0) & (lam < 1.0)))
-        i = np.unravel_index(bad[0], lam.shape)
-        x = np.broadcast_to(x, lam.shape + np.shape(x)[-1:])[i]
-        u = np.broadcast_to(u, lam.shape + np.shape(u)[-1:])[i]
+        i = np.unravel_index(bad[0], shape)
+        x = np.broadcast_to(x, shape + np.shape(x)[-1:])[i]
+        u = np.broadcast_to(u, shape + np.shape(u)[-1:])[i]
         raise ModelViolationError(
             f"acceptance probability {float(lam[i])!r} outside (0,1) at "
             f"t={t:g}, x={x}, u={u}")
 
     def lam_marks(self, t, x, marks):
-        """lam evaluated against a mark sample, checked: (..., M)."""
+        """lam evaluated against a mark sample, checked: (..., M), or
+        (..., 1) for a lam that ignores u."""
         return self.acceptance(t, np.asarray(x, float)[..., None, :], marks)
 
     def obs_jump_drift_reference(self, t, y, marks):

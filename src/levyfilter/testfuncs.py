@@ -9,13 +9,11 @@ polynomials and constants.
 Call conventions: ``value(x) -> (...,)``, ``grad(x) -> (..., n)``,
 ``hess(x) -> (..., n, n)`` for ``x`` of shape ``(..., n)``.
 
-``degree`` declares F a polynomial of at most that degree in x, which lets
-the generator skip work: 0 or 1 (``constant``, ``coordinate``) gives
-grad F . b1 alone, with neither jump bracket nor Hessian; 2 (``quadratic``)
-gives the jump bracket in closed form from the constant Hessian and the
-mark mean of f1 f1'.  ``None`` (bumps, Hermite windows) takes the Monte
-Carlo bracket at the jumped states.  A wrong declared degree gives a wrong
-generator value.
+``degree`` declares F a polynomial of at most that degree in x: for 0 or 1
+(``constant``, ``coordinate``) the generator is grad F . b1 alone, and for
+2 (``quadratic``) its jump bracket is closed-form (constant Hessian).  None
+(bumps, Hermite windows) takes the Monte Carlo bracket at the jumped
+states.  A wrong declared degree gives a wrong generator value.
 """
 
 from dataclasses import dataclass
@@ -33,7 +31,6 @@ class TestFunction:
     this degree in x (None: not declared); see the module docstring."""
 
     __test__ = False  # not a pytest test class, though named like one
-
     name: str
     value: Callable
     grad: Callable

@@ -180,6 +180,30 @@ def test_compensator_integral_state_dependence():
     assert got == pytest.approx(1.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("reads_mark", [False, True],
+                         ids=["mark_free", "mark_dependent"])
+def test_compensator_integral_with_either_lambda_shape(reads_mark):
+    # a lam that ignores u may return the x-batch shape, (1,) against the
+    # marks here; x(t) = t makes the integrand linear in t, so with g(u) = u
+    # the integral is rate * 0.75 * mean over the frozen marks of u * c(u),
+    # where c(u) = 0.5 + u if lam reads its mark and 1 if it does not
+    if reads_mark:
+        def lam(t, x, u):
+            return (np.asarray(x)[..., 0] + 1.0) / 10.0 * (0.5 + u[..., 0])
+    else:
+        def lam(t, x, u):
+            return (np.asarray(x)[..., 0] + 1.0) / 10.0
+
+    spec = replace(lam_spec(0.5), lam=lam)
+    marks = spec.nu2.frozen_marks(spec.mark_budget)[:, 0]
+    shape = spec.lam_marks(0.0, np.array([0.0]), marks[:, None]).shape
+    assert shape == ((marks.size,) if reads_mark else (1,))
+    weight = marks * (0.5 + marks) if reads_mark else marks
+    got = compensator_integral(spec, lambda t, u: u[:, 0],
+                               lambda t: np.array([t]), 0.0, 3.0, 0.01)
+    assert got == pytest.approx(2.0 * 0.75 * np.mean(weight), rel=1e-12)
+
+
 # --- stream container ---------------------------------------------------------
 
 def test_jumpstream_validates_ordering_and_window():

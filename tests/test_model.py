@@ -320,6 +320,31 @@ def test_degree_two_generator_equals_monte_carlo_bracket(case):
     assert value_shapes == [x.shape]
 
 
+def test_mark_free_lambda_bar_is_lambda_itself():
+    # every bundled lam ignores its mark and returns the x-batch shape: the
+    # mark mean is then over a length-1 axis, so lambda-bar is lam bit for bit
+    spec = build_family("mixed").spec
+    x = np.linspace(-3.0, 3.0, 11)[:, None]
+    marks = spec.nu2.frozen_marks(spec.mark_budget)
+    lam_marks = spec.lam_marks(0.2, x, marks)
+    assert lam_marks.shape == (11, 1)
+    np.testing.assert_array_equal(np.mean(lam_marks, axis=-1),
+                                  spec.lam(0.2, x, marks[0]))
+
+
+def test_mark_dependent_lambda_bar_is_the_mark_mean():
+    base = build_family("mixed").spec
+    spec = replace(base, lam=lambda t, x, u: base.lam(t, x, u)
+                   * (0.9 + 0.1 * np.asarray(u)[..., 0]))
+    x = np.linspace(-3.0, 3.0, 11)[:, None]
+    marks = spec.nu2.frozen_marks(spec.mark_budget)
+    want = np.mean([[float(spec.lam(0.2, xi, u)) for u in marks] for xi in x],
+                   axis=-1)
+    lam_marks = spec.lam_marks(0.2, x, marks)
+    assert lam_marks.shape == (11, len(marks))
+    np.testing.assert_array_equal(np.mean(lam_marks, axis=-1), want)
+
+
 # --- sensor function ----------------------------------------------------------
 
 def test_observation_h_identity_and_scaling():
