@@ -124,6 +124,13 @@ def test_lambda_check_on_a_mark_sample_finds_one_bad_value():
             u[..., 0] > 0.6, b, 0.5) + 0.0 * x[..., 0])
         with pytest.raises(ModelViolationError, match=rf"{bad!r} .* u=\[0\.7\]"):
             spec.lam_marks(0.0, x, marks)
+        # a lam that ignores u returns (3, 1) against the marks; the witness
+        # is the first bad (x, u) of the full (3, 5) batch
+        mark_free = replace(spec, lam=lambda t, x, u, b=bad: np.where(
+            x[..., 0] > 0.6, b, 0.5))
+        with pytest.raises(ModelViolationError,
+                           match=rf"{bad!r} .* x=\[0\.7\], u=\[0\.1\]"):
+            mark_free.lam_marks(0.0, np.array([[0.2], [0.7], [0.9]]), marks)
     assert spec.lam_marks(0.0, x, marks[:0]).shape == (3, 0)
 
 
