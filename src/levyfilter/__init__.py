@@ -25,7 +25,7 @@ from .girsanov import (LikelihoodPath, ReferenceDrivers, log_lambda_inverse,
                        sample_model_log_inverse_weights,
                        sample_reference_log_weights)
 from .levy import (JumpEvent, JumpStream, compensator_integral,
-                   sample_poisson_stream, thin_by_lambda)
+                   sample_poisson_stream)
 from .model import (LevyMeasureSpec, SystemSpec, apply_generator,
                     generator_values, validate_hypotheses)
 from .mollify import (MollifierField, QuadratureGrid, auto_grid, build_grid,

@@ -31,7 +31,7 @@ from .families import build_family, list_families
 from .filtering import ResamplePolicy, write_trajectory_csv, zakai_filter
 from .model import signal_terms, validate_hypotheses
 from .oracle import kalman_bucy
-from .propagation import add_signal_jumps, batched, reference_step
+from .propagation import add_signal_jumps, reference_step
 from .rng import derive_seed, substream
 from .simulate import (TimeGrid, project_observation, simulate_path,
                        write_observation)
@@ -59,7 +59,7 @@ def _prior_mc_moments(spec, scen, n_steps, n_samples, seed, funcs):
         db = rng_g.standard_normal((R, spec.indep_dim())) * np.sqrt(dt)
         dw = rng_g.standard_normal((R, spec.m)) * np.sqrt(dt)
         x = reference_step(spec, signal_terms(spec, t, x, marks1),
-                           batched(spec.coupling(t, x), R), dt, dw, db)
+                           spec.coupling(t, x), dt, dw, db)
         x = add_signal_jumps(spec, t, x, dt, marks1, rng_c, rng_u)
     out = {}
     for F in funcs:
@@ -283,8 +283,12 @@ def _cmd_replay(args):
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:   # ValueError: not JSON
         raise ConfigError(f"cannot read manifest in {out_dir!r}: {exc}")
+    if not (isinstance(manifest, dict)
+            and isinstance(manifest.get("files"), dict)):
+        raise ConfigError(f"manifest in {out_dir!r} is not an object with "
+                          "a \"files\" object")
     if manifest.get("status") != "complete":
         raise ConfigError(f"run in {out_dir!r} did not complete; nothing to replay")
     # the stored files must be the ones the manifest describes before the

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import DegeneracyError, ModelViolationError
 from .girsanov import reconstruct_reference_drivers
 from .model import SignalTerms, signal_terms
-from .propagation import add_signal_jumps, batched, reference_step
+from .propagation import (add_signal_jumps, batched, lam_bar,
+                          log_weight_step, reference_step)
 from .rng import substream
 
 
@@ -315,10 +316,9 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
         w = weights.normalized()
         hv = np.asarray(spec.h(t, x, y), float).reshape(N, m)
         pi_h[k] = w @ hv
-        lam_bar = None
-        if spec.nu2.rate > 0.0:
-            lam_bar = np.mean(spec.lam_marks(t, x, marks2), axis=-1)
-            pi_lambar[k] = float(w @ lam_bar)
+        lam_bar_x = lam_bar(spec, t, x, marks2)
+        if lam_bar_x is not None:
+            pi_lambar[k] = float(w @ lam_bar_x)
         coup = batched(spec.coupling(t, x), N)
         signal = signal_terms(spec, t, x, marks1)
         values = {}
@@ -331,14 +331,14 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
             s.pi_LF[k] = float(w @ signal.generator(F, vals, grad))
             s.grad_coup[k] = gain.grad_coup
             s.f_h[k] = gain.f_h
-            if lam_bar is None:
+            if lam_bar_x is None:
                 s.pi_F_lambar[k] = s.pi_F[k]
             else:
-                s.pi_F_lambar[k] = float(w @ (vals * lam_bar))
+                s.pi_F_lambar[k] = float(w @ (vals * lam_bar_x))
             values[F.name] = vals
         if store_clouds:
             clouds.append(ParticleCloud(x.copy(), logw.copy()))
-        return NodeTerms(w, hv, lam_bar, coup, signal, values)
+        return NodeTerms(w, hv, lam_bar_x, coup, signal, values)
 
     for k in range(K):
         t = obs.t[k]
@@ -372,12 +372,11 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
             # terms are reused as they are
             dt = dt_all[k]
             dW = drivers.dW[k]
-            hv = node.h
-            logw = logw + hv @ dW - 0.5 * np.einsum("Nm,Nm->N", hv, hv) * dt
-            if node.lam_bar is not None:
-                logw = logw + dt * spec.nu2.rate * (1.0 - node.lam_bar)
+            logw = log_weight_step(logw, node.h, dW, dt, spec.nu2.rate,
+                                   node.lam_bar)
             dB = rng_b.standard_normal((N, q)) * np.sqrt(dt)
-            x = reference_step(spec, node.signal, node.coup, dt, dW, dB, hv)
+            x = reference_step(spec, node.signal, node.coup, dt, dW, dB,
+                               node.h)
             x = add_signal_jumps(spec, t, x, dt, marks1, rng_c, rng_u)
     record_node(K, obs.t[K], obs.Y[K], ShiftedWeights(logw))
 

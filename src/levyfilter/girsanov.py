@@ -12,6 +12,8 @@ back to the physical measure factorizes per step into
 and the inverse weight (physical parameterization) into the negatives
 with the Brownian part written against the physical W.  Both exponentials
 are mean-one martingales, which the batch samplers below make testable.
+The steps themselves (paths, thinning, weight increments) are those of
+``propagation.py``.
 """
 
 from __future__ import annotations
@@ -22,17 +24,10 @@ import numpy as np
 
 from .errors import InvertibilityError
 from .model import signal_terms
-from .propagation import add_signal_jumps, batched, jump_rounds, reference_step
+from .propagation import (add_signal_jumps, jump_rounds, lam_bar,
+                          log_weight_step, observation_reference_step,
+                          physical_step, reference_step, thin)
 from .rng import substream
-
-
-def _bmatvec(A, v):
-    """Matrix-vector product with optional leading batch dimensions."""
-    A = np.asarray(A, float)
-    v = np.asarray(v, float)
-    if A.ndim == 2:
-        return v @ A.T
-    return np.einsum("...ij,...j->...i", A, v)
 
 
 @dataclass
@@ -48,10 +43,6 @@ class LikelihoodPath:
     def log_lambda_inverse(self):
         return self.brownian + self.jump + self.compensator
 
-    @property
-    def log_lambda(self):
-        return -self.log_lambda_inverse
-
 
 def log_lambda_inverse(record, spec):
     """Inverse likelihood weight accumulated along a simulated PathRecord.
@@ -66,22 +57,19 @@ def log_lambda_inverse(record, spec):
     comp = np.zeros(K + 1)
     dt_all = record.dt()
     for k in range(K):
-        db, dj, dc = 0.0, 0.0, 0.0
+        brown[k + 1], jump[k + 1], comp[k + 1] = brown[k], jump[k], comp[k]
         t = record.t[k]
         x = record.X[k]
         if record.step_kind[k] == 0:
-            dt = dt_all[k]
+            dt, dW = dt_all[k], record.dW[k]
             h = np.asarray(spec.h(t, x, record.Y[k]), float)
-            db = -float(h @ record.dW[k]) - 0.5 * float(h @ h) * dt
-            if spec.nu2.rate > 0.0:
-                lam_bar = float(np.mean(spec.lam_marks(t, x, record.marks2)))
-                dc = -dt * spec.nu2.rate * (1.0 - lam_bar)
+            brown[k + 1] = log_weight_step(brown[k], -h, dW, dt, 0.0, None)
+            comp[k + 1] = log_weight_step(
+                comp[k], np.zeros_like(h), dW, dt, -spec.nu2.rate,
+                lam_bar(spec, t, x, record.marks2))
         elif record.step_kind[k] == 2 and record.step_accepted[k]:
             u = record.step_mark[k, :spec.nu2.dim]
-            dj = -np.log(float(spec.acceptance(t, x, u)))
-        brown[k + 1] = brown[k] + db
-        jump[k + 1] = jump[k] + dj
-        comp[k + 1] = comp[k] + dc
+            jump[k + 1] = jump[k] - np.log(float(spec.acceptance(t, x, u)))
     return LikelihoodPath(record.t.copy(), brown, jump, comp)
 
 
@@ -162,10 +150,9 @@ def resynthesize_observation(drivers, spec, y0):
         if k in ev:
             Y[k + 1] = y + np.asarray(spec.f2(t, y, ev[k].mark), float).reshape(m)
         else:
-            dt = dt_all[k]
-            comp = spec.obs_jump_drift_reference(t, y, drivers.marks2)
-            sig = np.asarray(spec.obs_sigma(t, y), float)
-            Y[k + 1] = y + sig @ drivers.dW[k] - dt * comp
+            Y[k + 1] = observation_reference_step(
+                spec, t, Y[k:k + 1], dt_all[k], drivers.dW[k:k + 1],
+                drivers.marks2)[0]
     return Y
 
 
@@ -199,14 +186,11 @@ def sample_reference_log_weights(spec, grid, n_paths, x0_sampler, y0, rng_seed):
         dW = rng_g.standard_normal((R, m)) * sq
         dXi = rng_g.standard_normal((R, q)) * sq
         hv = np.asarray(spec.h(t, X, Y), float).reshape(R, m)
-        logw += np.einsum("rm,rm->r", hv, dW) - 0.5 * np.sum(hv * hv, axis=1) * dt
-        if spec.nu2.rate > 0.0:
-            lam_bar = np.mean(spec.lam_marks(t, X, marks2), axis=-1)
-            logw += dt * spec.nu2.rate * (1.0 - lam_bar)
+        logw = log_weight_step(logw, hv, dW, dt, spec.nu2.rate,
+                               lam_bar(spec, t, X, marks2))
         Xn = reference_step(spec, signal_terms(spec, t, X, marks1),
-                            batched(spec.coupling(t, X), R), dt, dW, dXi, hv)
-        comp2 = spec.obs_jump_drift_reference(t, Y, marks2)
-        Yn = Y + _bmatvec(spec.obs_sigma(t, Y), dW) - dt * comp2
+                            spec.coupling(t, X), dt, dW, dXi, hv)
+        Yn = observation_reference_step(spec, t, Y, dt, dW, marks2)
         if spec.nu2.rate > 0.0:
             for mask, u in jump_rounds(rng_c, rng_u, spec.nu2.rate, dt,
                                        marks2, R):
@@ -238,29 +222,13 @@ def sample_model_log_inverse_weights(spec, grid, n_paths, x0_sampler, y0, rng_se
         dW = rng_g.standard_normal((R, m)) * sq
         dB = rng_g.standard_normal((R, d)) * sq
         hv = np.asarray(spec.h(t, X, Y), float).reshape(R, m)
-        logw += -np.einsum("rm,rm->r", hv, dW) - 0.5 * np.sum(hv * hv, axis=1) * dt
-        if spec.nu2.rate > 0.0:
-            lam_bar = np.mean(spec.lam_marks(t, X, marks2), axis=-1)
-            logw -= dt * spec.nu2.rate * (1.0 - lam_bar)
-        b1v = np.asarray(spec.b1(t, X), float)
-        comp1 = spec.signal_jump_drift(t, X, marks1)
-        s1 = np.asarray(spec.sigma1(t, X), float)
-        b2v = np.asarray(spec.b2(t, X, Y), float)
-        comp2 = spec.obs_jump_drift_reference(t, Y, marks2)
-        if spec.variant == "sensor":
-            Xn = X + (b1v - comp1) * dt + np.einsum("...nm,...m->...n", s1, dW)
-            Yn = Y + (b2v - comp2) * dt + dW @ spec.mix_w.T + dB @ spec.mix_b.T
-        else:
-            s0 = np.asarray(spec.sigma0(t, X), float)
-            Xn = (X + (b1v - comp1) * dt
-                  + np.einsum("...nd,...d->...n", s0, dB)
-                  + np.einsum("...nm,...m->...n", s1, dW))
-            Yn = Y + (b2v - comp2) * dt + _bmatvec(spec.sigma2(t, Y), dW)
+        logw = log_weight_step(logw, -hv, dW, dt, -spec.nu2.rate,
+                               lam_bar(spec, t, X, marks2))
+        Xn, Yn = physical_step(spec, t, X, Y, dt, dB, dW, marks1, marks2)
         if spec.nu2.rate > 0.0:
             for mask, u in jump_rounds(rng_c, rng_u, spec.nu2.rate, dt,
                                        marks2, R):
-                lamv = spec.acceptance(t, X[mask], u)
-                acc = rng_a.uniform(size=lamv.size) < lamv
+                acc, lamv = thin(spec, t, X[mask], u, rng_a)
                 sel = np.flatnonzero(mask)[acc]
                 logw[sel] -= np.log(lamv[acc])
                 Yn[sel] += np.asarray(spec.f2(t, Yn[sel], u[acc]), float)

@@ -1,9 +1,9 @@
-"""Finite-activity jump streams: sampling, thinning, compensator quadrature.
+"""Finite-activity jump streams: sampling and compensator quadrature.
 
 Candidate events are drawn from a dominating Poisson measure (rate *
 mark-law); observation-channel events are then kept with the
-state-dependent probability ``lam(t, x, u)``.  The accepted stream has
-compensator ``lam(t, x, u) dt nu2(du)``.
+state-dependent probability ``lam(t, x, u)`` (``propagation.thin``).  The
+accepted stream has compensator ``lam(t, x, u) dt nu2(du)``.
 """
 
 from __future__ import annotations
@@ -85,24 +85,6 @@ def sample_poisson_stream(nu, t0, t1, rng_seed, channel="signal"):
     marks = np.asarray(nu.sampler(rng, count), float).reshape(count, nu.dim)
     events = [JumpEvent(float(t), u, channel=channel) for t, u in zip(times, marks)]
     return JumpStream(events, t0, t1, nu.rate, int(rng_seed), channel)
-
-
-def thin_by_lambda(candidates, spec, x_lookup, rng_seed):
-    """Thin a candidate stream by the acceptance probability lam(t, x(t-), u).
-
-    ``x_lookup(t)`` must return the left limit of the signal path at t.
-    Returns the accepted stream; the rejected candidates are dropped.
-    Raises ModelViolationError when lam leaves (0, 1), reporting (t, x, u).
-    """
-    rng = substream(rng_seed, "thinning")
-    kept = []
-    for ev in candidates:
-        x = np.asarray(x_lookup(ev.t), float)
-        lam = float(spec.acceptance(ev.t, x, ev.mark))
-        if rng.uniform() < lam:
-            kept.append(JumpEvent(ev.t, ev.mark, channel=ev.channel, accepted=True))
-    return JumpStream(kept, candidates.t0, candidates.t1, candidates.rate,
-                      int(rng_seed), candidates.channel)
 
 
 def compensator_integral(spec, g, x_lookup, t0, t1, step, marks=None, mark_seed=None):

@@ -143,12 +143,6 @@ class LevyMeasureSpec:
         marks = np.asarray(self.sampler(rng, int(count)), float)
         return marks.reshape(int(count), self.dim)
 
-    def integral(self, values, axis=-1):
-        """rate * mean(values) along the mark axis; 0 for an off channel."""
-        if self.rate == 0.0:
-            return 0.0
-        return self.rate * np.mean(values, axis=axis)
-
 
 @dataclass
 class SystemSpec:
@@ -254,14 +248,28 @@ class SystemSpec:
     def indep_dim(self):
         return self.m if self.variant == SENSOR else self.d
 
-    def diffusion_matrix(self, t, x):
-        """Full diffusion matrix a(t,x) of the signal generator."""
+    def signal_noise(self, t, x):
+        """Loadings of the signal's physical noise on B and on W; the
+        sensor variant has none on B (None)."""
         x = np.asarray(x, float)
         s1 = np.asarray(self.sigma1(t, x), float)
-        a = np.einsum("...ik,...jk->...ij", s1, s1)
-        if self.variant == FEEDBACK:
-            s0 = np.asarray(self.sigma0(t, x), float)
-            a = a + np.einsum("...ik,...jk->...ij", s0, s0)
+        if self.variant == SENSOR:
+            return None, s1
+        return np.asarray(self.sigma0(t, x), float), s1
+
+    def observation_noise(self, t, y):
+        """Loadings of the observation's physical noise on W and on B; the
+        feedback variant has none on B (None)."""
+        if self.variant == SENSOR:
+            return self.mix_w, self.mix_b
+        return np.asarray(self.sigma2(t, np.asarray(y, float)), float), None
+
+    def diffusion_matrix(self, t, x):
+        """Full diffusion matrix a(t,x) of the signal generator."""
+        on_B, on_W = self.signal_noise(t, x)
+        a = np.einsum("...ik,...jk->...ij", on_W, on_W)
+        if on_B is not None:
+            a = a + np.einsum("...ik,...jk->...ij", on_B, on_B)
         return a
 
     # -- frozen-mark compensator helpers --

@@ -1,11 +1,20 @@
-"""Signal propagation under the reference measure, written once.
+"""The steps of the model under both measures, each written once.
 
-Under the reference measure (Kallianpur-Striebel) the observation is a
-driftless Brownian motion plus jumps at the full rate nu2, and a batch of
-signal states steps as x + (b1 - coupling h - int f1 nu1) dt + coupling dW
-+ indep dB, then jumps.  The filter, the weight sampler and the prior Monte
-Carlo all step through here; ``oracle.py`` keeps its own copy on purpose,
-so that it stays an independent check.
+Physical measure: the pair steps as x + (b1 - int f1 nu1) dt + noise and
+y + (b2 - int f2 nu2) dt + noise, with loadings that depend on the variant
+(``SystemSpec.signal_noise``/``observation_noise``), and each observation
+candidate is kept with probability lam (``thin``).
+
+Reference measure (Kallianpur-Striebel): the observation is a driftless
+Brownian motion plus jumps at the full rate nu2, and a batch of signal
+states steps as x + (b1 - coupling h - int f1 nu1) dt + coupling dW
++ indep dB, then jumps.  The weight that carries it back gains
+h.dW - |h|^2 dt/2 + rate2 (1 - lambda-bar) dt per step
+(``log_weight_step``) and log lam at each accepted jump.
+
+The simulator, the filter, the driver resynthesis, both weight samplers
+and the prior Monte Carlo all step through here; ``oracle.py`` keeps its
+own copy on purpose, so that it stays an independent check.
 """
 
 from __future__ import annotations
@@ -19,25 +28,87 @@ def batched(A, size):
     return np.broadcast_to(A, (size,) + A.shape) if A.ndim == 2 else A
 
 
+def loaded(A, v):
+    """The noise v through the loading A, each shared or per row: (r, c)
+    or (N, r, c) against (c,) or (N, c) gives (N, r).  No loading (None)
+    contributes 0."""
+    if A is None:
+        return 0.0
+    return np.einsum("...rc,...c->...r", A, v)
+
+
+def physical_step(spec, t, x, y, dt, dB, dW, marks1, marks2):
+    """One continuous Euler step of the pair under the physical measure.
+
+    ``x`` (N, n) and ``y`` (N, m) are a batch of paths, ``dB`` (N, d) and
+    ``dW`` (N, m) their Brownian increments; both jump channels enter
+    compensated at their full rates (the observation at nu2, not lam nu2,
+    which keeps the observation's law under the reference measure free of
+    the signal).  Returns the new (x, y).
+    """
+    x_on_B, x_on_W = spec.signal_noise(t, x)
+    y_on_W, y_on_B = spec.observation_noise(t, y)
+    drift_x = (np.asarray(spec.b1(t, x), float)
+               - spec.signal_jump_drift(t, x, marks1))
+    drift_y = (np.asarray(spec.b2(t, x, y), float)
+               - spec.obs_jump_drift_reference(t, y, marks2))
+    return (x + drift_x * dt + loaded(x_on_B, dB) + loaded(x_on_W, dW),
+            y + drift_y * dt + loaded(y_on_W, dW) + loaded(y_on_B, dB))
+
+
+def thin(spec, t, x, u, rng):
+    """Keep each observation candidate (x (N, n), mark u (N, k2)) with
+    probability lam(t, x, u): one uniform per candidate from ``rng``.
+    Returns the accepted mask (N,) and lam (N,)."""
+    lam = spec.acceptance(t, x, u)
+    return rng.uniform(size=lam.shape) < lam, lam
+
+
 def reference_step(spec, signal, coup, dt, dW, dB, h=None):
     """One Euler step of the states ``signal.x`` (N, n); returns the new ones.
 
-    ``signal`` (``model.SignalTerms``) and ``coup`` (N, n, m) hold b1, the
-    jump compensator drift and the coupling already evaluated on the
-    states.  Without the sensor function ``h`` (N, m), as for a prior, the
+    ``signal`` (``model.SignalTerms``) and ``coup``, shared (n, m) or
+    (N, n, m), hold b1, the jump compensator drift and the coupling
+    already evaluated on the states.  Without the sensor function ``h`` (N, m), as for a prior, the
     drift has no coupling term.  ``dW`` is shared (m,) or per state (N, m);
     the independent noise ``dB`` is (N, q).
     """
     x = signal.x
-    N = x.shape[0]
     drift = signal.b1.reshape(x.shape)
     if h is not None:
-        drift = drift - np.einsum("Nnm,Nm->Nn", coup, h)
+        drift = drift - loaded(coup, h)
     drift = drift - signal.jump_drift
-    indep = batched(spec.indep_factor(signal.t, x), N)
-    dW = np.broadcast_to(dW, (N, coup.shape[-1]))
-    return (x + drift * dt + np.einsum("Nnm,Nm->Nn", coup, dW)
-            + np.einsum("Nnq,Nq->Nn", indep, dB))
+    return (x + drift * dt + loaded(coup, dW)
+            + loaded(spec.indep_factor(signal.t, x), dB))
+
+
+def observation_reference_step(spec, t, y, dt, dW, marks2):
+    """One continuous step of the observations y (N, m) under the
+    reference measure: driftless, with the jumps compensated at nu2."""
+    return (y + loaded(spec.obs_sigma(t, y), dW)
+            - dt * spec.obs_jump_drift_reference(t, y, marks2))
+
+
+def lam_bar(spec, t, x, marks2):
+    """Mark mean of lam on the states x (..., n): (...,); None without
+    observation jumps."""
+    if spec.nu2.rate == 0.0:
+        return None
+    return np.mean(spec.lam_marks(t, x, marks2), axis=-1)
+
+
+def log_weight_step(logw, h, dW, dt, rate2, lam_bar):
+    """logw + h.dW - |h|^2 dt / 2 + rate2 (1 - lam_bar) dt, over a batch.
+
+    ``h`` is (..., m) and ``dW`` shared (m,) or (..., m); ``lam_bar`` is
+    None without observation jumps.  The inverse weight is the same step
+    with -h and -rate2, which are exact negations.
+    """
+    logw = (logw + np.einsum("...m,...m->...", h, dW)
+            - 0.5 * np.einsum("...m,...m->...", h, h) * dt)
+    if lam_bar is not None:
+        logw = logw + dt * rate2 * (1.0 - lam_bar)
+    return logw
 
 
 def jump_rounds(rng_counts, rng_marks, rate, dt, marks, size):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .levy import JumpEvent, JumpStream, sample_poisson_stream
+from .propagation import physical_step, thin
 from .rng import derive_seed, substream
 
 
@@ -70,24 +71,8 @@ class PathRecord:
     marks1: np.ndarray
     marks2: np.ndarray
 
-    @property
-    def obs_jumps(self):
-        return self.obs_candidates.accepted()
-
     def dt(self):
         return np.diff(self.t)
-
-    def x_lookup(self):
-        """Left-limit lookup t -> X(t-); event nodes resolve to pre-jump values."""
-        tt, XX = self.t, self.X
-
-        def lookup(q):
-            i = int(np.searchsorted(tt, q, side="left"))
-            if i < len(tt) and tt[i] == q:
-                return XX[i]
-            return XX[max(i - 1, 0)]
-
-        return lookup
 
     def event_steps(self, kind, accepted_only=False):
         idx = np.flatnonzero(self.step_kind == kind)
@@ -160,8 +145,9 @@ def simulate_path(spec, grid, x0_sampler, y0, rng_seed, *, max_norm=1e8):
     ball and ModelViolationError when lam leaves (0, 1).
     """
     n, m, d = spec.n, spec.m, spec.d
-    x = np.asarray(x0_sampler(substream(rng_seed, "x0"), 1), float).reshape(n)
-    y = np.asarray(y0, float).reshape(m).copy()
+    # a batch of one path, as propagation steps batches
+    x = np.asarray(x0_sampler(substream(rng_seed, "x0"), 1), float).reshape(1, n)
+    y = np.asarray(y0, float).reshape(1, m).copy()
 
     sig_stream = sample_poisson_stream(
         spec.nu1, grid.t0, grid.t1, derive_seed(rng_seed, "signal-jumps"),
@@ -188,7 +174,7 @@ def simulate_path(spec, grid, x0_sampler, y0, rng_seed, *, max_norm=1e8):
     step_kind = np.zeros(K, dtype=np.int8)
     step_accepted = np.zeros(K, dtype=bool)
     step_mark = np.zeros((K, mark_dim))
-    X[0], Y[0] = x, y
+    X[0], Y[0] = x[0], y[0]
 
     for k in range(K):
         t = node_t[k]
@@ -196,43 +182,24 @@ def simulate_path(spec, grid, x0_sampler, y0, rng_seed, *, max_norm=1e8):
         ev = steps[k]
         if ev is None:
             sq = np.sqrt(dt)
-            db = gauss[k, :d] * sq
-            dw = gauss[k, d:] * sq
-            b1v = np.asarray(spec.b1(t, x), float)
-            comp1 = spec.signal_jump_drift(t, x, marks1)
-            b2v = np.asarray(spec.b2(t, x, y), float)
-            # observation jumps enter compensated at the dominating rate
-            # (nu2 itself, not lam nu2), which keeps the observation's
-            # law under the reference measure free of the signal
-            comp2 = spec.obs_jump_drift_reference(t, y, marks2)
-            s1 = np.asarray(spec.sigma1(t, x), float)
-            if spec.variant == "sensor":
-                x = x + (b1v - comp1) * dt + s1 @ dw
-                y = y + (b2v - comp2) * dt + spec.mix_w @ dw + spec.mix_b @ db
-            else:
-                s0 = np.asarray(spec.sigma0(t, x), float)
-                s2 = np.asarray(spec.sigma2(t, y), float)
-                x = x + (b1v - comp1) * dt + s0 @ db + s1 @ dw
-                y = y + (b2v - comp2) * dt + s2 @ dw
-            dB[k] = db
-            dW[k] = dw
+            dB[k] = gauss[k, :d] * sq
+            dW[k] = gauss[k, d:] * sq
+            x, y = physical_step(spec, t, x, y, dt, dB[k:k + 1], dW[k:k + 1],
+                                 marks1, marks2)
         elif ev.channel == "signal":
             step_kind[k] = 1
             step_accepted[k] = True
             step_mark[k, :spec.nu1.dim] = ev.mark
-            x = x + np.asarray(spec.f1(t, x, ev.mark), float).reshape(n)
+            x = x + np.asarray(spec.f1(t, x, ev.mark[None]), float)
         else:
             step_kind[k] = 2
             step_mark[k, :spec.nu2.dim] = ev.mark
-            lam = float(spec.acceptance(t, x, ev.mark))
-            if thin_rng.uniform() < lam:
-                ev.accepted = True
-                step_accepted[k] = True
-                y = y + np.asarray(spec.f2(t, y, ev.mark), float).reshape(m)
-            else:
-                ev.accepted = False
-        X[k + 1] = x
-        Y[k + 1] = y
+            ev.accepted = bool(thin(spec, t, x, ev.mark[None], thin_rng)[0][0])
+            step_accepted[k] = ev.accepted
+            if ev.accepted:
+                y = y + np.asarray(spec.f2(t, y, ev.mark[None]), float)
+        X[k + 1] = x[0]
+        Y[k + 1] = y[0]
         norm = max(np.max(np.abs(x)), np.max(np.abs(y)))
         if not np.isfinite(norm) or norm > max_norm:
             raise DivergenceError(
@@ -262,8 +229,7 @@ def project_observation(record):
 
     events = []
     event_steps = []
-    cand_iter = [e for e in record.obs_candidates if e.accepted]
-    for ev, s in zip(cand_iter, acc_steps):
+    for ev, s in zip(record.obs_candidates.accepted(), acc_steps):
         new_pre = int(np.searchsorted(idx, s))
         events.append(JumpEvent(ev.t, ev.mark, channel="observation", accepted=True))
         event_steps.append(new_pre)

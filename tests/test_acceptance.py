@@ -39,12 +39,12 @@ from levyfilter.families import build_family, list_families
 from levyfilter.filtering import (innovation_process, ks_residual,
                                   pathwise_uniqueness_probe, zakai_filter)
 from levyfilter.girsanov import sample_reference_log_weights
-from levyfilter.levy import (compensator_integral, sample_poisson_stream,
-                             thin_by_lambda)
+from levyfilter.levy import compensator_integral, sample_poisson_stream
 from levyfilter.mollify import (energy_gap_trajectory, energy_trajectory,
                                 gronwall_constant, h_norm, mollify_measure,
                                 smoothing_checks)
 from levyfilter.oracle import kalman_bucy
+from levyfilter.propagation import thin
 from levyfilter.rng import substream
 from levyfilter.simulate import (TimeGrid, coarsen_observation,
                                  project_observation, simulate_path)
@@ -213,7 +213,11 @@ def test_criterion_6_thinning_compensator():
     for r in range(replicas):
         cand = sample_poisson_stream(spec.nu2, 0.0, 1.0, 5000 + r,
                                      channel="observation")
-        acc = thin_by_lambda(cand, spec, x_lookup, 6000 + r)
+        # each candidate at its own state, one uniform each, as
+        # simulate_path thins
+        rng = substream(6000 + r, "thinning")
+        acc = [e for e in cand
+               if thin(spec, e.t, x_lookup(e.t)[None], e.mark[None], rng)[0][0]]
         counts[r] = len(acc)
         mark_sums[r] = sum(e.mark[0] for e in acc)
     se_c = counts.std(ddof=1) / np.sqrt(replicas)

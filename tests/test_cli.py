@@ -342,3 +342,18 @@ def test_replay_requires_completed_run(tmp_path, capsys):
     assert main(["replay", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"status": "complete", "files": {"config.cfg"',
+    '{"status": "complete"}\n',
+    '["status", "complete"]\n',
+], ids=["truncated", "no-files", "not-an-object"])
+def test_replay_of_a_malformed_manifest_is_a_config_error(tmp_path, capsys,
+                                                          text):
+    out = tmp_path / "malformed"
+    out.mkdir()
+    (out / "manifest.json").write_text(text)
+    assert main(["replay", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "manifest" in err

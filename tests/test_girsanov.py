@@ -61,7 +61,7 @@ def test_brownian_part_closed_form():
         spec)
     assert lik.brownian[-1] == pytest.approx(BROWNIAN_CLOSED_FORM, abs=1e-12)
     assert np.all(lik.jump == 0.0) and np.all(lik.compensator == 0.0)
-    assert lik.log_lambda[-1] == pytest.approx(0.5, abs=1e-12)
+    assert -lik.log_lambda_inverse[-1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_jump_and_compensator_parts_closed_form():
@@ -105,7 +105,6 @@ def test_likelihood_path_decomposes():
         assert part.shape == lik.t.shape and part[0] == 0.0
     assert np.array_equal(lik.log_lambda_inverse,
                           lik.brownian + lik.jump + lik.compensator)
-    assert np.array_equal(lik.log_lambda, -lik.log_lambda_inverse)
 
 
 # --- driver reconstruction -----------------------------------------------------

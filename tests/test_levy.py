@@ -8,8 +8,10 @@ import pytest
 from levyfilter.errors import ModelViolationError
 from levyfilter.families import build_family
 from levyfilter.levy import (JumpEvent, JumpStream, compensator_integral,
-                             sample_poisson_stream, thin_by_lambda)
+                             sample_poisson_stream)
 from levyfilter.model import LevyMeasureSpec
+from levyfilter.propagation import thin
+from levyfilter.rng import substream
 
 # --- independent oracles ------------------------------------------------------
 # Constant-in-time integrands make the time-trapezoid rule exact, so these
@@ -84,25 +86,35 @@ def test_stream_degenerate_cases():
 
 # --- thinning -----------------------------------------------------------------
 
+def thin_stream(cand, spec, x, rng_seed):
+    """Accepted mask of a candidate stream, every candidate at the state x,
+    one uniform each from the seed's "thinning" substream."""
+    rng = substream(rng_seed, "thinning")
+    return np.array([thin(spec, e.t, x[None], e.mark[None], rng)[0][0]
+                     for e in cand], bool)
+
+
 def test_thinning_acceptance_fraction():
     nu = LevyMeasureSpec.uniform(0.0, 1.0, rate=50.0)
     cand = sample_poisson_stream(nu, 0.0, 10.0, 5)
     spec = lam_spec(0.3)
-    kept = thin_by_lambda(cand, spec, lambda t: np.array([0.0]), 6)
-    frac = len(kept) / len(cand)
+    kept = thin_stream(cand, spec, np.array([0.0]), 6)
+    frac = kept.sum() / len(cand)
     se = np.sqrt(0.3 * 0.7 / len(cand))
     assert abs(frac - 0.3) <= 3 * se
-    assert all(e.accepted for e in kept)
 
 
-def test_thinning_deterministic_and_subset():
+def test_thinning_deterministic_and_batch_free():
     nu = LevyMeasureSpec.gaussian(0.0, 1.0, rate=30.0)
     cand = sample_poisson_stream(nu, 0.0, 5.0, 21)
     spec = lam_spec(0.5)
-    k1 = thin_by_lambda(cand, spec, lambda t: np.array([0.0]), 8)
-    k2 = thin_by_lambda(cand, spec, lambda t: np.array([0.0]), 8)
-    assert np.array_equal(k1.times(), k2.times())
-    assert set(k1.times()).issubset(set(cand.times()))
+    k1 = thin_stream(cand, spec, np.array([0.0]), 8)
+    k2 = thin_stream(cand, spec, np.array([0.0]), 8)
+    assert np.array_equal(k1, k2) and 0 < k1.sum() < len(cand)
+    # one call on the whole batch draws the same uniforms in the same order
+    acc, lam = thin(spec, 0.0, np.zeros((len(cand), 1)), cand.marks(),
+                    substream(8, "thinning"))
+    assert np.array_equal(acc, k1) and np.all(lam == 0.5)
 
 
 def test_thinning_rejects_out_of_range_lambda():
@@ -112,7 +124,7 @@ def test_thinning_rejects_out_of_range_lambda():
     for bad in (1.5, 0.0, float("nan")):
         spec = lam_spec(bad)
         with pytest.raises(ModelViolationError):
-            thin_by_lambda(cand, spec, lambda t: np.array([0.0]), 6)
+            thin_stream(cand, spec, np.array([0.0]), 6)
 
 
 def test_lambda_check_on_a_mark_sample_finds_one_bad_value():
@@ -132,19 +144,6 @@ def test_lambda_check_on_a_mark_sample_finds_one_bad_value():
                            match=rf"{bad!r} .* x=\[0\.7\], u=\[0\.1\]"):
             mark_free.lam_marks(0.0, np.array([[0.2], [0.7], [0.9]]), marks)
     assert spec.lam_marks(0.0, x, marks[:0]).shape == (3, 0)
-
-
-def test_thinning_queries_state_at_event_times():
-    nu = LevyMeasureSpec.uniform(0.0, 1.0, rate=20.0)
-    cand = sample_poisson_stream(nu, 0.0, 2.0, 31)
-    queried = []
-
-    def lookup(t):
-        queried.append(t)
-        return np.array([0.0])
-
-    thin_by_lambda(cand, lam_spec(0.5), lookup, 6)
-    assert queried == [e.t for e in cand]
 
 
 # --- compensator quadrature ---------------------------------------------------

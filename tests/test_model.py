@@ -11,10 +11,11 @@ from levyfilter.filtering import zakai_filter
 from levyfilter.girsanov import (log_lambda_inverse,
                                  sample_model_log_inverse_weights,
                                  sample_reference_log_weights)
-from levyfilter.levy import (compensator_integral, sample_poisson_stream,
-                             thin_by_lambda)
+from levyfilter.levy import compensator_integral
 from levyfilter.model import (LevyMeasureSpec, SystemSpec, apply_generator,
                               generator_values, validate_hypotheses)
+from levyfilter.propagation import thin
+from levyfilter.rng import substream
 from levyfilter.simulate import TimeGrid, project_observation, simulate_path
 from levyfilter.testfuncs import (TestFunction, bump, constant, coordinate,
                                   hermite_window, quadratic)
@@ -456,21 +457,21 @@ def _bad_lambda_calls():
 
     def good_record():
         rec = simulate_path(good.spec, grid, prior, y0, 3)
-        assert len(rec.obs_jumps) > 0
+        assert len(rec.event_steps(2, accepted_only=True)) > 0
         return rec
 
     def jumpless_record():
         # lam is then met only through the compensator's mark mean
         sparse = build_family("uninformative", {"rate2": 1e-3})
         rec = simulate_path(sparse.spec, grid, prior, y0, 3)
-        assert len(rec.obs_jumps) == 0 and len(rec.marks2) > 0
+        assert len(rec.event_steps(2, accepted_only=True)) == 0
+        assert len(rec.marks2) > 0
         return rec
 
     return {
         "simulate_path": lambda: simulate_path(spec, grid, prior, y0, 3),
-        "thin_by_lambda": lambda: thin_by_lambda(
-            sample_poisson_stream(spec.nu2, 0.0, spec.T, 3), spec,
-            lambda t: np.array([0.25]), 4),
+        "thin": lambda: thin(spec, 0.5, np.array([[0.25]]),
+                             np.array([[0.5]]), substream(4, "thinning")),
         "compensator_integral": lambda: compensator_integral(
             spec, lambda t, u: np.ones(len(u)), lambda t: np.array([0.25]),
             0.0, 0.1, 0.05),

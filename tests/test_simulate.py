@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from levyfilter.errors import (ConfigError, DivergenceError,
                                ModelViolationError)
 from levyfilter.families import build_family
+from levyfilter.propagation import physical_step, thin
+from levyfilter.rng import substream
 from levyfilter.simulate import (TimeGrid, coarsen_observation,
                                  project_observation, read_observation,
                                  simulate_path, write_observation)
@@ -105,18 +107,59 @@ def test_observation_jump_steps_apply_f2_only_when_accepted():
         assert np.array_equal(rec.X[k + 1], rec.X[k])
 
 
-def test_x_lookup_returns_left_limit_at_jumps():
-    scen = busy_scenario()
-    grid = TimeGrid(0.0, scen.spec.T, 40)
-    rec = simulate_path(scen.spec, grid, scen.prior_sampler, scen.y0, 7)
-    lookup = rec.x_lookup()
-    k = rec.event_steps(1)[0]
-    assert np.array_equal(lookup(rec.t[k]), rec.X[k])
-    assert not np.array_equal(rec.X[k + 1], rec.X[k])
-    # mid-step query resolves to the step's left node
-    cont = np.flatnonzero(rec.step_kind == 0)[0]
-    mid = 0.5 * (rec.t[cont] + rec.t[cont + 1])
-    assert np.array_equal(lookup(mid), rec.X[cont])
+def test_thinning_replayed_on_the_record_reproduces_its_acceptances():
+    scen = busy_scenario()              # lam depends on x here
+    spec = scen.spec
+    grid = TimeGrid(0.0, spec.T, 40)
+    rec = simulate_path(spec, grid, scen.prior_sampler, scen.y0, 11)
+    rng = substream(11, "obs-thinning")
+    ks = rec.event_steps(2)
+    acc = [thin(spec, rec.t[k], rec.X[k][None],
+                rec.step_mark[k, :spec.nu2.dim][None], rng)[0][0] for k in ks]
+    assert np.array_equal(acc, rec.step_accepted[ks])
+    assert 0 < sum(acc) < len(ks)
+
+
+# --- the physical step --------------------------------------------------------
+
+def explicit_physical_step(spec, t, x, y, dt, db, dw, marks1, marks2):
+    """One path written out per variant, as the model equations read."""
+    comp1 = spec.nu1.rate * np.mean(spec.f1(t, x, marks1), axis=0)
+    comp2 = spec.nu2.rate * np.mean(spec.f2(t, y, marks2), axis=0)
+    s1 = spec.sigma1(t, x)
+    if spec.variant == "sensor":
+        return (x + (spec.b1(t, x) - comp1) * dt + s1 @ dw,
+                y + (spec.b2(t, x, y) - comp2) * dt + spec.mix_w @ dw
+                + spec.mix_b @ db)
+    return (x + (spec.b1(t, x) - comp1) * dt + spec.sigma0(t, x) @ db
+            + s1 @ dw,
+            y + (spec.b2(t, x, y) - comp2) * dt + spec.sigma2(t, y) @ dw)
+
+
+@pytest.mark.parametrize("family", ["mixed", "sensor_saturated"])
+def test_physical_step_on_a_batch_equals_one_path_at_a_time(family):
+    # state-dependent sigma0 and sigma2, which the sensor variant ignores
+    spec = replace(build_family(family).spec,
+                   sigma0=lambda t, x: 2.0 + 0.1 * np.asarray(x)[..., None],
+                   sigma2=lambda t, y: 3.0 + 0.1 * np.asarray(y)[..., None])
+    rng = np.random.default_rng(5)
+    R, t, dt = 9, 0.3, 0.01
+    x = rng.normal(size=(R, spec.n))
+    y = rng.normal(size=(R, spec.m))
+    dB = rng.normal(size=(R, spec.d)) * np.sqrt(dt)
+    dW = rng.normal(size=(R, spec.m)) * np.sqrt(dt)
+    marks1 = spec.nu1.frozen_marks(spec.mark_budget)
+    marks2 = spec.nu2.frozen_marks(spec.mark_budget)
+    xb, yb = physical_step(spec, t, x, y, dt, dB, dW, marks1, marks2)
+    assert xb.shape == (R, spec.n) and yb.shape == (R, spec.m)
+    for r in range(R):
+        x1, y1 = physical_step(spec, t, x[r:r + 1], y[r:r + 1], dt,
+                               dB[r:r + 1], dW[r:r + 1], marks1, marks2)
+        assert np.array_equal(x1[0], xb[r]) and np.array_equal(y1[0], yb[r])
+        xe, ye = explicit_physical_step(spec, t, x[r], y[r], dt, dB[r],
+                                        dW[r], marks1, marks2)
+        np.testing.assert_allclose(xb[r], xe, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(yb[r], ye, rtol=1e-14, atol=1e-15)
 
 
 # --- moments ------------------------------------------------------------------
