@@ -20,8 +20,8 @@ import numpy as np
 from .errors import DegeneracyError, ModelViolationError
 from .girsanov import reconstruct_reference_drivers
 from .model import SignalTerms, signal_terms
-from .propagation import (add_signal_jumps, batched, lam_bar,
-                          log_weight_step, reference_step)
+from .propagation import (add_signal_jumps, lam_bar, log_weight_step,
+                          reference_step)
 from .rng import substream
 
 
@@ -189,15 +189,40 @@ class GainTerms:
         return self.grad_coup + self.f_h - self.pi_F * self.pi_h
 
 
-def gain_terms(w, value, grad, h, coup):
+@dataclass
+class FunctionTerms:
+    """One test function's per-particle terms on a cloud; they read the
+    states alone."""
+
+    value: np.ndarray            # F, (N,)
+    grad_coup: np.ndarray        # grad F . coupling, (N, m)
+    generator: np.ndarray        # LF, (N,)
+    lam_bar: np.ndarray | None   # F lambda-bar, (N,); None without
+                                 # observation jumps
+
+
+def function_terms(F, x, signal, coup, lam_bar_x):
+    """F's terms on the states x (N, n), given the signal's terms on them
+    (``model.SignalTerms``), the coupling, shared (n, m) or per state
+    (N, n, m), and lambda-bar (N,) or None."""
+    N, n = x.shape
+    value = _values(F, x)
+    grad = np.asarray(F.grad(x), float).reshape(N, n)
+    return FunctionTerms(
+        value, np.einsum("...n,...nm->...m", grad, coup),
+        signal.generator(F, value, grad),
+        None if lam_bar_x is None else value * lam_bar_x)
+
+
+def gain_terms(w, terms, h):
     """Conditional-moment gain ingredients for one test function, from the
-    normalized weights (N,) and, on the cloud, F (N,), grad F (N, n), the
-    sensor function h (N, m) and the coupling (N, n, m)."""
+    normalized weights (N,), its ``FunctionTerms`` on the cloud and the
+    sensor function h (N, m)."""
     return GainTerms(
-        pi_F=float(w @ value),
+        pi_F=float(w @ terms.value),
         pi_h=w @ h,
-        grad_coup=w @ np.einsum("Nn,Nnm->Nm", grad, coup),
-        f_h=w @ (value[:, None] * h),
+        grad_coup=w @ terms.grad_coup,
+        f_h=w @ (terms.value[:, None] * h),
     )
 
 
@@ -217,16 +242,27 @@ class FunctionSummary:
 
 @dataclass
 class NodeTerms:
-    """Per-particle quantities at one node, evaluated once on the cloud and
-    shared by the moment recording and the step that follows it."""
+    """The per-particle terms at a node that read the states alone,
+    evaluated once on the cloud and shared by the moment recording and the
+    step that follows it."""
 
-    w: np.ndarray                # normalized weights, (N,)
-    h: np.ndarray                # sensor function, (N, m)
     lam_bar: np.ndarray | None   # mark mean of lambda, (N,); None without
                                  # observation jumps
-    coup: np.ndarray             # driver coupling, (N, n, m)
+    coup: np.ndarray             # driver coupling as spec.coupling returns
+                                 # it: shared (n, m) when sigma1 ignores x,
+                                 # else (N, n, m)
     signal: SignalTerms          # b1, a, f1 displacement and compensator
-    values: dict                 # test-function name -> F on the cloud, (N,)
+    functions: dict              # test-function name -> FunctionTerms
+
+
+def node_terms(spec, t, x, marks1, marks2, funcs):
+    """Evaluate a cloud's ``NodeTerms`` at time t."""
+    lam_bar_x = lam_bar(spec, t, x, marks2)
+    coup = spec.coupling(t, x)
+    signal = signal_terms(spec, t, x, marks1)
+    return NodeTerms(lam_bar_x, coup, signal,
+                     {F.name: function_terms(F, x, signal, coup, lam_bar_x)
+                      for F in funcs})
 
 
 @dataclass
@@ -268,6 +304,12 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
     multiply weights by lambda(t, x-, u).  Node moments for the requested
     test functions are recorded before each step (left-endpoint convention)
     so the residual assemblers can telescope them afterwards.
+
+    An observation-jump step keeps t and moves no particle, so the node
+    after it reuses every term that reads x alone (``NodeTerms``: lambda-bar,
+    the coupling, the signal's terms and each F, grad F . coupling, LF and
+    F lambda-bar) unless it resampled; only h, which reads y, and the
+    weighted reductions are formed again.
     """
     _keep_freed_heap()
     drivers = reconstruct_reference_drivers(obs, spec)
@@ -306,7 +348,9 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
     clouds = [] if store_clouds else None
     event_count = np.zeros(K + 1)
 
-    def record_node(k, t, y, weights):
+    def record_node(k, t, y, weights, node):
+        """Record the moments of node k; returns the normalized weights and
+        h on the cloud."""
         mass = weights.log_mass()
         if not np.isfinite(mass) or mass < np.log(mass_floor):
             raise DegeneracyError(
@@ -316,30 +360,24 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
         w = weights.normalized()
         hv = np.asarray(spec.h(t, x, y), float).reshape(N, m)
         pi_h[k] = w @ hv
-        lam_bar_x = lam_bar(spec, t, x, marks2)
-        if lam_bar_x is not None:
-            pi_lambar[k] = float(w @ lam_bar_x)
-        coup = batched(spec.coupling(t, x), N)
-        signal = signal_terms(spec, t, x, marks1)
-        values = {}
-        for F in funcs:
-            s = summ[F.name]
-            vals = _values(F, x)
-            grad = np.asarray(F.grad(x), float).reshape(N, n)
-            gain = gain_terms(w, vals, grad, hv, coup)
+        if node.lam_bar is not None:
+            pi_lambar[k] = float(w @ node.lam_bar)
+        for name, terms in node.functions.items():
+            s = summ[name]
+            gain = gain_terms(w, terms, hv)
             s.pi_F[k] = gain.pi_F
-            s.pi_LF[k] = float(w @ signal.generator(F, vals, grad))
+            s.pi_LF[k] = float(w @ terms.generator)
             s.grad_coup[k] = gain.grad_coup
             s.f_h[k] = gain.f_h
-            if lam_bar_x is None:
+            if terms.lam_bar is None:
                 s.pi_F_lambar[k] = s.pi_F[k]
             else:
-                s.pi_F_lambar[k] = float(w @ (vals * lam_bar_x))
-            values[F.name] = vals
+                s.pi_F_lambar[k] = float(w @ terms.lam_bar)
         if store_clouds:
             clouds.append(ParticleCloud(x.copy(), logw.copy()))
-        return NodeTerms(w, hv, lam_bar_x, coup, signal, values)
+        return w, hv
 
+    node = None                  # NodeTerms of the cloud x at time t
     for k in range(K):
         t = obs.t[k]
         y = obs.Y[k]
@@ -349,36 +387,39 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
             x, logw = new.x, new.logw
             resampled[k] = True
             weights = ShiftedWeights(logw)
-        node = record_node(k, t, y, weights)
+            node = None
+        if node is None:
+            node = node_terms(spec, t, x, marks1, marks2, funcs)
+        w, hv = record_node(k, t, y, weights, node)
         event_count[k + 1] = event_count[k]
         if k in ev:
             u = ev[k].mark
             lam = spec.acceptance(t, x, u).reshape(N)
-            b = float(node.w @ lam)
+            b = float(w @ lam)
             if b < spec.iota:
                 raise ModelViolationError(
                     f"conditional intensity {b:.3g} below floor {spec.iota:g} "
                     f"at t={t:g}")
             mass_left = np.exp(log_mass[k])
-            for F in funcs:
-                s = summ[F.name]
-                a = float(node.w @ (node.values[F.name] * lam))
+            for name, terms in node.functions.items():
+                s = summ[name]
+                a = float(w @ (terms.value * lam))
                 s.jump_D[k] = a / b - s.pi_F[k]
                 s.zakai_jump[k] = mass_left * (a - s.pi_F[k])
             logw = logw + np.log(lam)
             event_count[k + 1] += 1.0
         else:
-            # the cloud has not moved since record_node, so its per-particle
-            # terms are reused as they are
             dt = dt_all[k]
             dW = drivers.dW[k]
-            logw = log_weight_step(logw, node.h, dW, dt, spec.nu2.rate,
+            logw = log_weight_step(logw, hv, dW, dt, spec.nu2.rate,
                                    node.lam_bar)
             dB = rng_b.standard_normal((N, q)) * np.sqrt(dt)
-            x = reference_step(spec, node.signal, node.coup, dt, dW, dB,
-                               node.h)
+            x = reference_step(spec, node.signal, node.coup, dt, dW, dB, hv)
             x = add_signal_jumps(spec, t, x, dt, marks1, rng_c, rng_u)
-    record_node(K, obs.t[K], obs.Y[K], ShiftedWeights(logw))
+            node = None
+    if node is None:
+        node = node_terms(spec, obs.t[K], x, marks1, marks2, funcs)
+    record_node(K, obs.t[K], obs.Y[K], ShiftedWeights(logw), node)
 
     return FilterTrajectory(
         t=obs.t.copy(), dt=dt_all, dW=drivers.dW, is_jump=drivers.is_jump_step(),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvertibilityError
-from .model import signal_terms
+from .model import signal_terms, solve
 from .propagation import (add_signal_jumps, jump_rounds, lam_bar,
                           log_weight_step, observation_reference_step,
                           physical_step, reference_step, thin)
@@ -123,7 +123,7 @@ def reconstruct_reference_drivers(obs, spec):
         rhs = (obs.Y[k + 1] - y) + dt * comp
         sig = np.asarray(spec.obs_sigma(t, y), float)
         try:
-            dW[k] = np.linalg.solve(sig, rhs)
+            dW[k] = solve(sig, rhs)
         except np.linalg.LinAlgError as exc:
             raise InvertibilityError(
                 f"observation diffusion singular at t={t:g} "
@@ -192,10 +192,10 @@ def sample_reference_log_weights(spec, grid, n_paths, x0_sampler, y0, rng_seed):
                             spec.coupling(t, X), dt, dW, dXi, hv)
         Yn = observation_reference_step(spec, t, Y, dt, dW, marks2)
         if spec.nu2.rate > 0.0:
-            for mask, u in jump_rounds(rng_c, rng_u, spec.nu2.rate, dt,
+            for rows, u in jump_rounds(rng_c, rng_u, spec.nu2.rate, dt,
                                        marks2, R):
-                logw[mask] += np.log(spec.acceptance(t, X[mask], u))
-                Yn[mask] += np.asarray(spec.f2(t, Yn[mask], u), float)
+                logw[rows] += np.log(spec.acceptance(t, X[rows], u))
+                Yn[rows] += np.asarray(spec.f2(t, Yn[rows], u), float)
         X = add_signal_jumps(spec, t, Xn, dt, marks1, rng_c, rng_u)
         Y = Yn
     return logw
@@ -226,10 +226,10 @@ def sample_model_log_inverse_weights(spec, grid, n_paths, x0_sampler, y0, rng_se
                                lam_bar(spec, t, X, marks2))
         Xn, Yn = physical_step(spec, t, X, Y, dt, dB, dW, marks1, marks2)
         if spec.nu2.rate > 0.0:
-            for mask, u in jump_rounds(rng_c, rng_u, spec.nu2.rate, dt,
+            for rows, u in jump_rounds(rng_c, rng_u, spec.nu2.rate, dt,
                                        marks2, R):
-                acc, lamv = thin(spec, t, X[mask], u, rng_a)
-                sel = np.flatnonzero(mask)[acc]
+                acc, lamv = thin(spec, t, X[rows], u, rng_a)
+                sel = rows[acc]
                 logw[sel] -= np.log(lamv[acc])
                 Yn[sel] += np.asarray(spec.f2(t, Yn[sel], u[acc]), float)
         X = add_signal_jumps(spec, t, Xn, dt, marks1, rng_c, rng_u)

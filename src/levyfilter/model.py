@@ -40,7 +40,7 @@ A lam that ignores u may return the x batch shape: ``lam_marks`` is then
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -63,6 +63,20 @@ DEFAULT_CEILINGS = {
     "sigma2_inv": 1.0e5,
     "jacobian_floor": 1.0e-8,
 }
+
+
+def solve(sig, rhs):
+    """sig^{-1} rhs for sig (..., m, m) and rhs (..., m); raises
+    np.linalg.LinAlgError when sig is singular.
+
+    One 1x1 matrix for the whole batch is a division, which gives the
+    correctly rounded quotient of the per-row 1x1 solve.
+    """
+    if sig.shape == (1, 1):
+        if sig[0, 0] == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return rhs / sig[0, 0]
+    return np.linalg.solve(sig, rhs[..., None])[..., 0]
 
 
 @dataclass
@@ -216,19 +230,12 @@ class SystemSpec:
             return b2v
         sig = np.asarray(self.sigma2(t, y), float)
         try:
-            if sig.ndim == 2 and self.m == 1:
-                # one 1x1 matrix for the whole batch: a division, which gives
-                # the correctly rounded quotient of a per-row 1x1 solve
-                if sig[0, 0] == 0.0:
-                    raise np.linalg.LinAlgError("Singular matrix")
-                return b2v / sig[0, 0]
-            sol = np.linalg.solve(sig, b2v[..., None])
+            return solve(sig, b2v)
         except np.linalg.LinAlgError as exc:
             cond = float(np.linalg.cond(sig.reshape(-1, self.m, self.m)[0]))
             raise InvertibilityError(
                 f"sigma2 is singular at t={t:g} (condition number {cond:.3e})"
             ) from exc
-        return sol[..., 0]
 
     def coupling(self, t, x):
         """(n, m) loading of the reconstructed observation driver onto X."""
@@ -329,6 +336,13 @@ class GeneratorValue:
     jump_variance: float
 
 
+@cache
+def constant_hessian(hess, n):
+    """The Hessian of an F declared of degree 2, constant by that
+    declaration: ``hess`` read once at the origin of R^n, (n, n)."""
+    return np.asarray(hess(np.zeros(n)), float)
+
+
 @dataclass
 class SignalTerms:
     """The signal's coefficients on one batch of states.
@@ -360,14 +374,18 @@ class SignalTerms:
         grad F . f1 part is grad F . jump_drift / rate1.  ``F.degree`` 0 or
         1 has no jump bracket and no Hessian: only the drift is formed.
         Degree 2 has a constant Hessian H, so the bracket at each mark is
-        f1' H f1 / 2 and its mark mean is jump_second_moment : H / 2.
+        f1' H f1 / 2 and its mark mean is jump_second_moment : H / 2, with H
+        read once per F as (n, n) (``constant_hessian``).
         """
         t = self.t
         drift = np.einsum("...i,...i->...", grad, self.b1)
-        diffusion = jump = np.zeros(self.x.shape[:-1])
+        diffusion = jump = 0.0
         degree = getattr(F, "degree", None)
-        if degree not in (0, 1):
-            H = np.asarray(F.hess(self.x), float)
+        if degree in (0, 1):
+            total = drift
+        else:
+            H = (constant_hessian(F.hess, self.x.shape[-1]) if degree == 2
+                 else np.asarray(F.hess(self.x), float))
             diffusion = 0.5 * np.einsum("...ij,...ij->...", self.a, H)
             if self.disp is not None and degree == 2:
                 jump = 0.5 * self.rate1 * np.einsum(
@@ -376,10 +394,11 @@ class SignalTerms:
                 moved = F.value(self.x[..., None, :] + self.disp)
                 jump = (self.rate1 * (np.mean(moved, axis=-1) - value)
                         - np.einsum("...i,...i->...", grad, self.jump_drift))
-        total = drift + diffusion + jump
-        if not np.all(np.isfinite(total)):
-            for label, term in (("drift", drift), ("diffusion", diffusion), ("jump", jump)):
-                if not np.all(np.isfinite(term)):
+            total = drift + diffusion + jump
+        if not np.isfinite(total).all():
+            for label, term in (("drift", drift), ("diffusion", diffusion),
+                                ("jump", jump)):
+                if not np.isfinite(term).all():
                     raise NumericOverflowError(f"generator {label} term is not finite at t={t:g}")
             raise NumericOverflowError(f"generator value is not finite at t={t:g}")
         return total

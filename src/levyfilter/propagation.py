@@ -22,18 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def batched(A, size):
-    """A per-state matrix, or one matrix shared by all, as (size, ...)."""
-    A = np.asarray(A, float)
-    return np.broadcast_to(A, (size,) + A.shape) if A.ndim == 2 else A
-
-
 def loaded(A, v):
     """The noise v through the loading A, each shared or per row: (r, c)
-    or (N, r, c) against (c,) or (N, c) gives (N, r).  No loading (None)
-    contributes 0."""
-    if A is None:
-        return 0.0
+    or (N, r, c) against (c,) or (N, c) gives (N, r)."""
     return np.einsum("...rc,...c->...r", A, v)
 
 
@@ -44,7 +35,9 @@ def physical_step(spec, t, x, y, dt, dB, dW, marks1, marks2):
     ``dW`` (N, m) their Brownian increments; both jump channels enter
     compensated at their full rates (the observation at nu2, not lam nu2,
     which keeps the observation's law under the reference measure free of
-    the signal).  Returns the new (x, y).
+    the signal).  Returns the new (x, y).  A loading the variant lacks
+    (None) adds nothing; the present terms are added in the order
+    drift, noise on B, noise on W for x and drift, W, B for y.
     """
     x_on_B, x_on_W = spec.signal_noise(t, x)
     y_on_W, y_on_B = spec.observation_noise(t, y)
@@ -52,8 +45,13 @@ def physical_step(spec, t, x, y, dt, dB, dW, marks1, marks2):
                - spec.signal_jump_drift(t, x, marks1))
     drift_y = (np.asarray(spec.b2(t, x, y), float)
                - spec.obs_jump_drift_reference(t, y, marks2))
-    return (x + drift_x * dt + loaded(x_on_B, dB) + loaded(x_on_W, dW),
-            y + drift_y * dt + loaded(y_on_W, dW) + loaded(y_on_B, dB))
+    x = x + drift_x * dt
+    if x_on_B is not None:
+        x = x + loaded(x_on_B, dB)
+    y = y + drift_y * dt + loaded(y_on_W, dW)
+    if y_on_B is not None:
+        y = y + loaded(y_on_B, dB)
+    return x + loaded(x_on_W, dW), y
 
 
 def thin(spec, t, x, u, rng):
@@ -91,10 +89,12 @@ def observation_reference_step(spec, t, y, dt, dW, marks2):
 
 def lam_bar(spec, t, x, marks2):
     """Mark mean of lam on the states x (..., n): (...,); None without
-    observation jumps."""
+    observation jumps.  A lam that ignores its mark gives one column,
+    which is its own mean."""
     if spec.nu2.rate == 0.0:
         return None
-    return np.mean(spec.lam_marks(t, x, marks2), axis=-1)
+    lam = spec.lam_marks(t, x, marks2)
+    return lam[..., 0] if lam.shape[-1] == 1 else np.mean(lam, axis=-1)
 
 
 def log_weight_step(logw, h, dW, dt, rate2, lam_bar):
@@ -113,18 +113,22 @@ def log_weight_step(logw, h, dW, dt, rate2, lam_bar):
 
 def jump_rounds(rng_counts, rng_marks, rate, dt, marks, size):
     """Poisson(rate dt) jumps for each of ``size`` rows: round j yields the
-    mask of rows with at least j jumps and one mark per such row, drawn
-    from the frozen sample ``marks``, which the compensators average over."""
+    ascending indices of the rows with at least j jumps and one mark per
+    such row, drawn from the frozen sample ``marks``, which the
+    compensators average over."""
     counts = rng_counts.poisson(rate * dt, size=size)
-    for j in range(1, int(counts.max(initial=0)) + 1):
-        mask = counts >= j
-        yield mask, marks[rng_marks.integers(0, len(marks), int(mask.sum()))]
+    rows = np.flatnonzero(counts)
+    j = 1
+    while rows.size:
+        yield rows, marks[rng_marks.integers(0, len(marks), rows.size)]
+        j += 1
+        rows = rows[counts[rows] >= j]
 
 
 def add_signal_jumps(spec, t, x, dt, marks1, rng_counts, rng_marks):
     """Add one step's signal jumps f1(t, x-, u) to the batch x, in place."""
     if spec.nu1.rate > 0.0:
-        for mask, u in jump_rounds(rng_counts, rng_marks, spec.nu1.rate, dt,
+        for rows, u in jump_rounds(rng_counts, rng_marks, spec.nu1.rate, dt,
                                    marks1, x.shape[0]):
-            x[mask] += np.asarray(spec.f1(t, x[mask], u), float)
+            x[rows] += np.asarray(spec.f1(t, x[rows], u), float)
     return x

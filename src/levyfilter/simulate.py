@@ -200,7 +200,7 @@ def simulate_path(spec, grid, x0_sampler, y0, rng_seed, *, max_norm=1e8):
                 y = y + np.asarray(spec.f2(t, y, ev.mark[None]), float)
         X[k + 1] = x[0]
         Y[k + 1] = y[0]
-        norm = max(np.max(np.abs(x)), np.max(np.abs(y)))
+        norm = max(abs(x).max(), abs(y).max())
         if not np.isfinite(norm) or norm > max_norm:
             raise DivergenceError(
                 f"state norm {norm:.3e} exceeded {max_norm:.3e} at step {k}, "

@@ -13,14 +13,15 @@ from levyfilter.errors import DegeneracyError, ModelViolationError
 from levyfilter.families import build_family
 from levyfilter.filtering import (FilterTrajectory, GainTerms, ParticleCloud,
                                   ResamplePolicy, effective_sample_size,
-                                  estimate_moment, gain_terms,
+                                  estimate_moment, function_terms,
+                                  gain_terms,
                                   innovation_process, ks_residual,
                                   normalize_cloud, pathwise_uniqueness_probe,
                                   resample, write_trajectory_csv,
                                   zakai_filter, zakai_residual)
-from levyfilter.model import LevyMeasureSpec, SystemSpec, generator_values
+from levyfilter.model import (LevyMeasureSpec, SystemSpec, generator_values,
+                              signal_terms)
 from levyfilter.oracle import kalman_bucy
-from levyfilter.propagation import batched
 from levyfilter.rng import substream
 from levyfilter.simulate import TimeGrid, project_observation, simulate_path
 from levyfilter.testfuncs import bump, constant, coordinate, quadratic
@@ -73,12 +74,12 @@ def point_prior(value):
     return lambda rng, size: np.full((int(size), 1), float(value))
 
 
-def run_family(family, n_steps, n_particles, seed, *, params=None, lam=None,
-               **kw):
-    """Simulate and filter one family; ``lam`` maps its lambda to another."""
+def run_family(family, n_steps, n_particles, seed, *, params=None,
+               change=None, **kw):
+    """Simulate and filter one family; ``change`` maps its spec to another."""
     scen = build_family(family, params)
-    if lam is not None:
-        scen = replace(scen, spec=replace(scen.spec, lam=lam(scen.spec.lam)))
+    if change is not None:
+        scen = replace(scen, spec=change(scen.spec))
     grid = TimeGrid(0.0, scen.spec.T, n_steps)
     rec = simulate_path(scen.spec, grid, scen.prior_sampler, scen.y0, seed)
     obs = project_observation(rec)
@@ -163,9 +164,10 @@ def test_gain_terms_hand_values():
     spec = build_family("linear_gaussian").spec
     x = np.array([[0.0], [1.0]])
     F = coordinate(0)
-    g = gain_terms(np.full(2, 0.5), F.value(x), F.grad(x),
-                   spec.h(0.0, x, np.zeros(1)),
-                   batched(spec.coupling(0.0, x), 2))
+    signal = signal_terms(spec, 0.0, x, spec.nu1.frozen_marks(1))
+    g = gain_terms(np.full(2, 0.5),
+                   function_terms(F, x, signal, spec.coupling(0.0, x), None),
+                   spec.h(0.0, x, np.zeros(1)))
     assert g.pi_F == pytest.approx(0.5, abs=1e-14)
     assert g.pi_h == pytest.approx([0.5], abs=1e-14)
     assert g.zakai_gain() == pytest.approx([HAND_ZAKAI_GAIN], abs=1e-14)
@@ -328,30 +330,49 @@ def test_store_clouds_and_trajectory_csv(tmp_path):
         assert np.array_equal(body[:, 6 + j], traj.summaries[name].pi_F)
 
 
-def _mark_dependent_lam(lam):
-    return lambda t, x, u: lam(t, x, u) * (0.9 + 0.1 * np.asarray(u)[..., 0])
+def _mark_dependent_lam(spec):
+    lam = spec.lam
+    return replace(spec, lam=lambda t, x, u: (
+        lam(t, x, u) * (0.9 + 0.1 * np.asarray(u)[..., 0])))
 
 
-@pytest.mark.parametrize("family, lam, extra", [
-    ("mixed", None, []),
-    ("sensor_saturated", None, []),
+def _state_dependent_sigma1(spec):
+    return replace(spec, sigma1=lambda t, x: (
+        0.3 * (1.0 + 0.2 * np.tanh(np.asarray(x, float))))[..., None])
+
+
+@pytest.mark.parametrize("family, change, extra, ess_fraction", [
+    ("mixed", None, [], 0.5),
+    ("sensor_saturated", None, [], 0.5),
     # the general paths, which no bundled family takes: lambda-bar as a mean
-    # over the (N, M) mark grid, and the Monte Carlo jump bracket of an F of
-    # undeclared degree
-    ("mixed", _mark_dependent_lam, []),
-    ("mixed", None, [bump(0.0, 3.0)]),
-], ids=["mixed", "sensor_saturated", "mixed-mark_lambda", "mixed-bump"])
-def test_node_moments_equal_direct_evaluation(family, lam, extra):
+    # over the (N, M) mark grid, the Monte Carlo jump bracket of an F of
+    # undeclared degree, and a sigma1 that reads x, whose coupling is per
+    # particle, (N, n, m)
+    ("mixed", _mark_dependent_lam, [], 0.5),
+    ("mixed", None, [bump(0.0, 3.0)], 0.5),
+    ("mixed", _state_dependent_sigma1, [bump(0.0, 3.0)], 0.5),
+    # the node after an observation jump keeps the cloud's terms unless it
+    # resamples; near 1 some of those nodes resample and some do not
+    ("mixed", _mark_dependent_lam, [bump(0.0, 3.0)], 0.95),
+], ids=["mixed", "sensor_saturated", "mixed-mark_lambda", "mixed-bump",
+        "mixed-state_sigma1", "mixed-resample_after_jumps"])
+def test_node_moments_equal_direct_evaluation(family, change, extra,
+                                              ess_fraction):
     # Both jump channels on, with candidates dense enough for observation
     # events: each per-node term the filter evaluates once and shares must
     # equal, bit for bit, a fresh evaluation on the cloud stored at the node.
     scen, rec, obs, traj, funcs = run_family(
-        family, 40, 200, 53, params={"rate2": 8.0}, lam=lam,
-        test_functions=[coordinate(0), quadratic()] + extra, store_clouds=True)
+        family, 40, 200, 53, params={"rate2": 8.0}, change=change,
+        test_functions=[coordinate(0), quadratic()] + extra, store_clouds=True,
+        resample_policy=ResamplePolicy(ess_fraction))
     spec = scen.spec
     assert spec.nu1.rate > 0.0 and spec.nu2.rate > 0.0
     assert traj.event_count[-1] >= 1
     assert all(F.degree is None for F in extra)
+    after_jump = np.flatnonzero(traj.is_jump) + 1
+    if ess_fraction > 0.9:
+        # both branches at a node after a jump: terms kept, and recomputed
+        assert 0 < np.sum(traj.resampled[after_jump]) < len(after_jump)
     marks1 = spec.nu1.frozen_marks(spec.mark_budget)
     for k, cloud in enumerate(traj.clouds):
         t, y, x = obs.t[k], obs.Y[k], cloud.x
@@ -359,8 +380,10 @@ def test_node_moments_equal_direct_evaluation(family, lam, extra):
         w = cloud.normalized_weights()
         hv = np.asarray(spec.h(t, x, y), float).reshape(N, spec.m)
         lam_marks = spec.lam_marks(t, x, obs.marks2)
-        if lam is not None:
+        if change is _mark_dependent_lam:
             assert lam_marks.shape == (N, len(obs.marks2))
+        if change is _state_dependent_sigma1:
+            assert spec.coupling(t, x).shape == (N, spec.n, spec.m)
         lam_bar = np.mean(lam_marks, axis=-1)
         coup = np.broadcast_to(spec.coupling(t, x), (N, spec.n, spec.m))
         assert np.array_equal(traj.pi_h[k], w @ hv)

@@ -10,7 +10,7 @@ from levyfilter.families import build_family
 from levyfilter.levy import (JumpEvent, JumpStream, compensator_integral,
                              sample_poisson_stream)
 from levyfilter.model import LevyMeasureSpec
-from levyfilter.propagation import thin
+from levyfilter.propagation import jump_rounds, thin
 from levyfilter.rng import substream
 
 # --- independent oracles ------------------------------------------------------
@@ -115,6 +115,27 @@ def test_thinning_deterministic_and_batch_free():
     acc, lam = thin(spec, 0.0, np.zeros((len(cand), 1)), cand.marks(),
                     substream(8, "thinning"))
     assert np.array_equal(acc, k1) and np.all(lam == 0.5)
+
+
+@pytest.mark.parametrize("rate_dt", [0.0, 0.05, 2.5])
+def test_jump_rounds_match_a_boolean_mask_reference(rate_dt):
+    # the reference is the mask form: round j takes the rows with at least
+    # j jumps, in row order, and draws one mark index for each
+    marks = np.arange(12.0)[:, None]
+    counts = substream(4, "counts").poisson(rate_dt, size=500)
+    rng_marks = substream(4, "marks")
+    want = []
+    for j in range(1, int(counts.max(initial=0)) + 1):
+        mask = counts >= j
+        want.append((np.flatnonzero(mask),
+                     marks[rng_marks.integers(0, len(marks), int(mask.sum()))]))
+    got = list(jump_rounds(substream(4, "counts"), substream(4, "marks"),
+                           rate_dt, 1.0, marks, 500))
+    assert len(got) == len(want) == int(counts.max(initial=0))
+    for (rows, u), (want_rows, want_u) in zip(got, want):
+        assert np.array_equal(rows, want_rows)
+        assert np.all(np.diff(rows) > 0)
+        assert np.array_equal(u, want_u)
 
 
 def test_thinning_rejects_out_of_range_lambda():
