@@ -2,7 +2,7 @@
 """Paired benchmark runs of a base revision against this checkout.
 
 Usage: python3 scripts/ab_pairs.py --base REV --workload W --seed S
-           --metric M [--pairs 10] [--seconds 45]
+           [--metric M] [--pairs 10] [--seconds 45]
 
 REV is exported with `git archive`, and this checkout's files (tracked and
 untracked, less what .gitignore names, with their uncommitted edits) are
@@ -18,9 +18,12 @@ least nine tenths of the pairs on the claimed metric M (a tie wins for
 neither side), and its median must beat the base's by more than the
 distance between the base's quartiles; every other end-to-end metric's
 median must be no worse than the base's by more than its bound, and the
-change may fail no larger share of operations. Bounds and directions are
-read from BENCHMARK.json. Exit status 0 when the verdict holds, 1 when it
-does not.
+change may fail no larger share of operations. Without --metric no gain
+is claimed, and only the last two rules apply. A metric whose base
+quartile distance, relative to the base median, exceeds its bound is
+"unresolved", which fails the verdict, unless every change run is better
+than every base run. Bounds and directions are read from BENCHMARK.json.
+Exit status 0 when the verdict holds, 1 when it does not.
 """
 
 import argparse
@@ -88,13 +91,13 @@ def wins(base, change, better):
 
 
 def verdict(base_runs, change_runs, claim, end_to_end):
-    """The rule for a claimed gain on paired runs.
+    """The rule for a claimed gain, or for no regression, on paired runs.
 
     ``base_runs`` and ``change_runs`` are the JSON objects perfbench
-    printed, pair by pair; ``claim`` names the claimed metric;
-    ``end_to_end`` is BENCHMARK.json's list of metrics, each with its
-    ``name``, ``better`` ("higher" or "lower") and ``bound``.  Returns
-    (holds, one line per finding).
+    printed, pair by pair; ``claim`` names the claimed metric, or is None
+    when no gain is claimed; ``end_to_end`` is BENCHMARK.json's list of
+    metrics, each with its ``name``, ``better`` ("higher" or "lower") and
+    ``bound``.  Returns (holds, one line per finding).
     """
     pairs = len(base_runs)
     lines = []
@@ -115,10 +118,19 @@ def verdict(base_runs, change_runs, claim, end_to_end):
                 f"against the base's quartile distance {b3 - b1:.6g}")
         else:
             worse = -gain / abs(b_med) if b_med else 0.0
-            ok = worse <= bound
+            spread = (b3 - b1) / abs(b_med) if b_med else 0.0
+            sign = 1.0 if better == "higher" else -1.0
+            all_better = (min(sign * c for c in change)
+                          > max(sign * b for b in base))
+            if worse > bound:
+                word, ok = "beyond its bound", False
+            elif spread > bound and not all_better:
+                word, ok = "unresolved", False
+            else:
+                word, ok = "within its bound", True
             lines.append(
-                f"{name}: {'within' if ok else 'beyond'} its bound: "
-                f"{worse:+.3f} worse (bound {bound})")
+                f"{name}: {word}: {worse:+.3f} worse (base spread "
+                f"{spread:.3f}, bound {bound})")
         holds = holds and ok
 
     def failed_share(runs):
@@ -137,14 +149,16 @@ def main(argv=None):
     parser.add_argument("--base", required=True, help="git revision")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--metric", required=True,
-                        help="the end-to-end metric claimed to improve")
+    parser.add_argument("--metric",
+                        help="the end-to-end metric claimed to improve; "
+                             "without it no gain is claimed")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=45.0)
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         end_to_end = json.load(fh)["end_to_end"]
-    if args.metric not in [m["name"] for m in end_to_end]:
+    names = [m["name"] for m in end_to_end]
+    if args.metric is not None and args.metric not in names:
         parser.error(f"{args.metric!r} is not an end-to-end metric of "
                      f"BENCHMARK.json")
 

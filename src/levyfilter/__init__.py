@@ -16,8 +16,8 @@ from .errors import (ConfigError, DegeneracyError, DivergenceError,
                      NumericOverflowError, ReplayMismatchError)
 from .families import FAMILIES, Scenario, build_family, list_families
 from .filtering import (FilterTrajectory, ParticleCloud, ResamplePolicy,
-                        effective_sample_size, estimate_moment, gain_terms,
-                        innovation_process, ks_residual, normalize_cloud,
+                        estimate_moment, gain_terms, innovation_process,
+                        ks_residual, normalize_cloud,
                         pathwise_uniqueness_probe, resample, zakai_filter,
                         zakai_residual)
 from .girsanov import (LikelihoodPath, ReferenceDrivers, log_lambda_inverse,
@@ -26,8 +26,8 @@ from .girsanov import (LikelihoodPath, ReferenceDrivers, log_lambda_inverse,
                        sample_reference_log_weights)
 from .levy import (JumpEvent, JumpStream, compensator_integral,
                    sample_poisson_stream)
-from .model import (LevyMeasureSpec, SystemSpec, apply_generator,
-                    generator_values, validate_hypotheses)
+from .model import (LevyMeasureSpec, SystemSpec, generator_values,
+                    validate_hypotheses)
 from .mollify import (MollifierField, QuadratureGrid, auto_grid, build_grid,
                       energy_distance, energy_trajectory, energy_gap_trajectory,
                       gronwall_constant,

@@ -32,6 +32,15 @@ SCHEMA = {
 
 _FIELD_FOR_KEY = {key: key.replace(".", "_") for key in SCHEMA}
 
+# key -> (least, greatest) value a run can use
+RANGES = {
+    "n_steps": (1, math.inf),
+    "n_particles": (1, math.inf),
+    "replicas": (1, math.inf),
+    "hypothesis_budget": (2, math.inf),
+    "ess_fraction": (0.0, 1.0),
+}
+
 
 @dataclass
 class ScenarioConfig:
@@ -106,7 +115,14 @@ def parse_config(text):
                 "plus param.<name>")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen[key] = _parse_value(key, SCHEMA[key][0], raw, lineno)
+        value = _parse_value(key, SCHEMA[key][0], raw, lineno)
+        lo, hi = RANGES.get(key, (None, None))
+        if lo is not None and not lo <= value <= hi:
+            allowed = (f"at least {lo}" if hi == math.inf
+                       else f"in [{lo}, {hi}]")
+            raise ConfigError(
+                f"line {lineno}: key {key!r} must be {allowed}, got {raw!r}")
+        seen[key] = value
 
     kwargs = {}
     for key, (tag, default) in SCHEMA.items():

@@ -90,11 +90,6 @@ class ShiftedWeights:
         return self.e / self.sum
 
 
-def effective_sample_size(logw):
-    """(sum w)^2 / sum w^2, computed stably in log space."""
-    return ShiftedWeights(logw).ess
-
-
 @dataclass
 class ParticleCloud:
     """Particle locations with unnormalized log-weights."""
@@ -214,13 +209,14 @@ def function_terms(F, x, signal, coup, lam_bar_x):
         None if lam_bar_x is None else value * lam_bar_x)
 
 
-def gain_terms(w, terms, h):
+def gain_terms(w, terms, h, pi_h):
     """Conditional-moment gain ingredients for one test function, from the
-    normalized weights (N,), its ``FunctionTerms`` on the cloud and the
-    sensor function h (N, m)."""
+    normalized weights (N,), its ``FunctionTerms`` on the cloud, the
+    sensor function h (N, m) and its cloud mean pi_h = w @ h (m,), which a
+    node forms once for all its test functions."""
     return GainTerms(
         pi_F=float(w @ terms.value),
-        pi_h=w @ h,
+        pi_h=pi_h,
         grad_coup=w @ terms.grad_coup,
         f_h=w @ (terms.value[:, None] * h),
     )
@@ -364,7 +360,7 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
             pi_lambar[k] = float(w @ node.lam_bar)
         for name, terms in node.functions.items():
             s = summ[name]
-            gain = gain_terms(w, terms, hv)
+            gain = gain_terms(w, terms, hv, pi_h[k])
             s.pi_F[k] = gain.pi_F
             s.pi_LF[k] = float(w @ terms.generator)
             s.grad_coup[k] = gain.grad_coup

@@ -56,13 +56,16 @@ SENSOR = "sensor"
 # part of the model rather than of any one run.
 MARK_QUADRATURE_SEED = 0x6D61726B
 
-DEFAULT_CEILINGS = {
+# The hypothesis screen's fixed ceilings, and the box in x and in y that its
+# probe points are drawn from.
+CEILINGS = {
     "lipschitz": 1.0e3,
     "growth": 1.0e3,
     "bound": 1.0e3,
     "sigma2_inv": 1.0e5,
     "jacobian_floor": 1.0e-8,
 }
+PROBE_BOX = (-5.0, 5.0)
 
 
 def solve(sig, rhs):
@@ -328,14 +331,6 @@ class SystemSpec:
         return self.nu2.rate * np.mean(f2v, axis=-2)
 
 
-@dataclass
-class GeneratorValue:
-    """Generator evaluation with the Monte Carlo variance of its jump part."""
-
-    value: float
-    jump_variance: float
-
-
 @cache
 def constant_hessian(hess, n):
     """The Hessian of an F declared of degree 2, constant by that
@@ -424,22 +419,6 @@ def generator_values(spec, F, t, x, marks):
         F, F.value(x), np.asarray(F.grad(x), float))
 
 
-def apply_generator(spec, F, t, x, marks=None, mark_seed=None):
-    """Generator of the signal applied to F at one point x, with the Monte
-    Carlo variance of its jump part over the mark sample."""
-    x = np.asarray(x, float).reshape(spec.n)
-    if marks is None:
-        marks = spec.nu1.frozen_marks(spec.mark_budget, mark_seed)
-    terms = signal_terms(spec, t, x, marks)
-    value, grad = F.value(x), np.asarray(F.grad(x), float)
-    jvar = 0.0
-    if terms.disp is not None:
-        # F(x + f1) - F(x) - grad F . f1 at each frozen mark
-        bracket = F.value(x + terms.disp) - value - terms.disp @ grad
-        jvar = (spec.nu1.rate**2) * np.var(bracket, axis=-1) / bracket.shape[-1]
-    return GeneratorValue(float(terms.generator(F, value, grad)), float(jvar))
-
-
 # ---------------------------------------------------------------------------
 # assumption validators
 # ---------------------------------------------------------------------------
@@ -487,8 +466,10 @@ class HypothesisReport:
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
-def _probe_points(rng, lo, hi, dim, count):
-    """Random box samples plus structured probes (origin, near-origin, corners)."""
+def _probe_points(rng, dim, count):
+    """Random samples of ``PROBE_BOX`` plus structured probes (origin,
+    near-origin, corners)."""
+    lo, hi = PROBE_BOX
     pts = rng.uniform(lo, hi, size=(count, dim))
     probes = [np.zeros(dim)]
     for i in range(dim):
@@ -500,277 +481,238 @@ def _probe_points(rng, lo, hi, dim, count):
     return np.vstack([pts, np.array(probes)])
 
 
-def validate_hypotheses(spec, sample_budget, rng_seed, *, box_x=(-5.0, 5.0),
-                        box_y=(-5.0, 5.0), ceilings=None):
+def validate_hypotheses(spec, sample_budget, rng_seed):
     """Numerically screen the standing assumptions on the coefficients.
 
-    Lipschitz-type conditions are checked through worst sampled difference
-    ratios against configurable ceilings; boundedness and invertibility are
-    checked pointwise on random box samples augmented with structured
-    probes (origin, +-1e-6 unit vectors, box corners).  Every failure
-    carries a concrete witness point.  A non-finite or raising coefficient
-    is reported as a failure, never as a crash.
+    The probe points are random samples of the fixed box ``PROBE_BOX``, in
+    x and in y, plus structured probes (origin, +-1e-6 unit vectors, box
+    corners), each with its own t.  Lipschitz-type conditions are checked
+    through the worst sampled difference ratio, boundedness and
+    invertibility pointwise, each against its fixed ceiling in
+    ``CEILINGS``.  Each coefficient is evaluated once per probe set, and
+    every check that reads it shares those values.  Every failure carries a
+    concrete witness point.  A non-finite or raising coefficient fails each
+    check that reads it, and never crashes the screen.
     """
     if sample_budget < 2:
         raise ValueError("sample_budget must be at least 2")
-    ceil = dict(DEFAULT_CEILINGS)
-    ceil.update(ceilings or {})
     rng = substream(rng_seed, "hypotheses")
     B = int(sample_budget)
     n, m = spec.n, spec.m
+    rate1, rate2 = spec.nu1.rate, spec.nu2.rate
 
     ts = rng.uniform(0.0, spec.T, size=B)
-    X1 = _probe_points(rng, box_x[0], box_x[1], n, B)
-    X2 = _probe_points(rng, box_x[0], box_x[1], n, B)[::-1].copy()
-    Y1 = _probe_points(rng, box_y[0], box_y[1], m, B)
-    Y2 = _probe_points(rng, box_y[0], box_y[1], m, B)[::-1].copy()
+    X1 = _probe_points(rng, n, B)
+    X2 = _probe_points(rng, n, B)[::-1].copy()
+    Y1 = _probe_points(rng, m, B)
+    Y2 = _probe_points(rng, m, B)[::-1].copy()
     P = X1.shape[0]
     tP = np.resize(ts, P)
     marks1 = spec.nu1.frozen_marks(spec.mark_budget, rng_seed)
     marks2 = spec.nu2.frozen_marks(spec.mark_budget, rng_seed + 1)
+    probes = {"x1": X1, "x2": X2, "y1": Y1, "y2": Y2, "y0": np.zeros((P, m)),
+              "x1 rows": X1[:, None, :], "marks1": [marks1] * P}
+    dist_x = np.linalg.norm(X1 - X2, axis=1)
+    dist_y = np.linalg.norm(Y1 - Y2, axis=1)
+    ok_x, ok_y = dist_x > 1e-9, dist_y > 1e-9   # the pairs that are apart
 
-    checks = []
+    # An exception is not cached: each check that reads a raising
+    # coefficient raises it again, inside its own guard.
+    @cache
+    def at(name, *which):
+        """Coefficient ``name`` on the probe sets ``which``, each point at
+        its own t, stacked: (P, ...)."""
+        fn = getattr(spec, name)
+        return np.array([np.asarray(fn(t, *z), float)
+                         for t, *z in zip(tP, *(probes[w] for w in which))])
 
-    def guarded(name, bound, fn, note=""):
-        try:
-            worst, witness, extra = fn()
-        except Exception as exc:  # validator must not crash on bad coefficients
-            checks.append(HypothesisCheck(name, P, float("inf"), bound, False,
-                                          {"error": repr(exc)}, note))
-            return
-        if not np.isfinite(worst):
-            checks.append(HypothesisCheck(name, P, float("inf"), bound, False,
-                                          witness, note or "non-finite value"))
-            return
-        checks.append(HypothesisCheck(name, P, float(worst), bound,
-                                      bool(worst <= bound), witness, extra or note))
+    @cache
+    def at_marks(name, which):
+        """f1 (on x) or f2 (on y) at every point of a probe set and every
+        frozen mark, all at the first t: (P, M, dim)."""
+        z = probes[which][:, None, :]
+        marks = marks1 if name == "f1" else marks2
+        # + 0*z forces the full shape when the coefficient ignores its state
+        fn = getattr(spec, name)
+        return np.asarray(fn(tP[0], z, marks), float) + 0.0 * z
 
-    def _pairwise(fvals1, fvals2, power=1):
-        diff = np.linalg.norm((fvals1 - fvals2).reshape(P, -1), axis=1)
-        dist = np.linalg.norm(X1 - X2, axis=1)
-        ok = dist > 1e-9
-        return diff[ok] ** power / dist[ok] ** power, ok
+    @cache
+    def lam():
+        """lam at the x1 points and every frozen mark, at the first t; read
+        unchecked, so a value outside (0, 1) is reported, not raised."""
+        return np.asarray(spec.lam(tP[0], X1[:, None, :], marks2), float)
+
+    def norms(v):
+        return np.linalg.norm(v.reshape(P, -1), axis=1)
+
+    def ratios(name, which, dist, ok, power=1):
+        """|v(pair) - v(pair')|^power / dist^power at the pairs ``ok``, for
+        v the coefficient ``name`` on the two probe sets ``which``."""
+        diff = norms(at(name, *which[0]) - at(name, *which[1]))
+        return diff[ok] ** power / dist[ok] ** power
+
+    def worst_pair(blocks, ok, **points):
+        """The largest ratio over blocks of ratios at the pairs ``ok``, with
+        the probe points of its pair."""
+        allr = np.concatenate(blocks)
+        i = int(np.argmax(allr))
+        pair = np.flatnonzero(ok)[i % int(np.sum(ok))]
+        return allr[i], {k: v[pair] for k, v in points.items()}, ""
+
+    def worst_point(vals, **points):
+        i = int(np.argmax(vals))
+        return vals[i], {k: v[i] for k, v in points.items()}, ""
 
     # --- signal coefficient checks ---
 
-    def chk_signal_lipschitz():
-        ratios = []
-        b11 = np.array([spec.b1(t, x) for t, x in zip(tP, X1)])
-        b12 = np.array([spec.b1(t, x) for t, x in zip(tP, X2)])
-        r, ok = _pairwise(b11, b12)
-        ratios.append(r)
-        s01 = np.array([np.ravel(spec.sigma0(t, x)) for t, x in zip(tP, X1)])
-        s02 = np.array([np.ravel(spec.sigma0(t, x)) for t, x in zip(tP, X2)])
-        ratios.append(_pairwise(s01, s02, power=2)[0])
-        s11 = np.array([np.ravel(spec.sigma1(t, x)) for t, x in zip(tP, X1)])
-        s12 = np.array([np.ravel(spec.sigma1(t, x)) for t, x in zip(tP, X2)])
-        ratios.append(_pairwise(s11, s12, power=2)[0])
-        if spec.nu1.rate > 0.0:
-            # + 0*x forces the full (P, M, n) shape when f1 ignores x
-            d1 = np.asarray(spec.f1(tP[0], X1[:, None, :], marks1),
-                            float) + 0.0 * X1[:, None, :]
-            d2 = np.asarray(spec.f1(tP[0], X2[:, None, :], marks1),
-                            float) + 0.0 * X2[:, None, :]
-            dist = np.linalg.norm(X1 - X2, axis=1)
-            ok2 = dist > 1e-9
-            for p in (2, 4):
-                mom = spec.nu1.rate * np.mean(
-                    np.linalg.norm(d1 - d2, axis=-1) ** p, axis=-1)
-                ratios.append(mom[ok2] / dist[ok2] ** p)
-        allr = np.concatenate(ratios)
-        i = int(np.argmax(allr))
-        k = i % int(np.sum(ok))
-        idx = np.flatnonzero(ok)[k]
-        return np.max(allr), {"t": tP[idx], "x1": X1[idx], "x2": X2[idx]}, ""
+    def signal_pairs(power, jump_blocks):
+        """Difference ratios of b1, and of sigma0 and sigma1 to ``power``,
+        plus ``jump_blocks`` of the f1 gap |f1(x1) - f1(x2)| (P, M)."""
+        xs = (("x1",), ("x2",))
+        blocks = [ratios("b1", xs, dist_x, ok_x),
+                  ratios("sigma0", xs, dist_x, ok_x, power),
+                  ratios("sigma1", xs, dist_x, ok_x, power)]
+        if rate1 > 0.0:
+            blocks += jump_blocks(np.linalg.norm(
+                at_marks("f1", "x1") - at_marks("f1", "x2"), axis=-1))
+        return worst_pair(blocks, ok_x, t=tP, x1=X1, x2=X2)
 
-    def chk_signal_growth():
-        vals = []
-        for t, x in zip(tP, X1):
-            tot = (np.sum(np.asarray(spec.b1(t, x)) ** 2)
-                   + np.sum(np.asarray(spec.sigma0(t, x)) ** 2)
-                   + np.sum(np.asarray(spec.sigma1(t, x)) ** 2))
-            if spec.nu1.rate > 0.0:
-                disp = np.asarray(spec.f1(t, x[None, :], marks1), float)
-                tot += spec.nu1.rate * np.mean(np.sum(disp**2, axis=-1))
-            vals.append(tot / (1.0 + np.linalg.norm(x)) ** 2)
-        vals = np.asarray(vals)
-        i = int(np.argmax(vals))
-        return vals[i], {"t": tP[i], "x": X1[i]}, ""
+    def signal_lipschitz():
+        return signal_pairs(2, lambda gap: [
+            rate1 * np.mean(gap ** p, axis=-1)[ok_x] / dist_x[ok_x] ** p
+            for p in (2, 4)])
 
-    def chk_signal_lipschitz_strong():
-        ratios = []
-        b11 = np.array([spec.b1(t, x) for t, x in zip(tP, X1)])
-        b12 = np.array([spec.b1(t, x) for t, x in zip(tP, X2)])
-        ratios.append(_pairwise(b11, b12)[0])
-        s01 = np.array([np.ravel(spec.sigma0(t, x)) for t, x in zip(tP, X1)])
-        s02 = np.array([np.ravel(spec.sigma0(t, x)) for t, x in zip(tP, X2)])
-        ratios.append(_pairwise(s01, s02)[0])
-        s11 = np.array([np.ravel(spec.sigma1(t, x)) for t, x in zip(tP, X1)])
-        s12 = np.array([np.ravel(spec.sigma1(t, x)) for t, x in zip(tP, X2)])
-        ratios.append(_pairwise(s11, s12)[0])
-        if spec.nu1.rate > 0.0:
-            d1 = np.asarray(spec.f1(tP[0], X1[:, None, :], marks1),
-                            float) + 0.0 * X1[:, None, :]
-            d2 = np.asarray(spec.f1(tP[0], X2[:, None, :], marks1),
-                            float) + 0.0 * X2[:, None, :]
-            dist = np.linalg.norm(X1 - X2, axis=1)
-            ok2 = dist > 1e-9
-            worstmark = np.max(np.linalg.norm(d1 - d2, axis=-1), axis=-1)
-            ratios.append(worstmark[ok2] / dist[ok2])
-        allr = np.concatenate(ratios)
-        dist = np.linalg.norm(X1 - X2, axis=1)
-        idx = np.flatnonzero(dist > 1e-9)[int(np.argmax(allr)) % int(np.sum(dist > 1e-9))]
-        return np.max(allr), {"t": tP[idx], "x1": X1[idx], "x2": X2[idx]}, ""
+    def signal_lipschitz_strong():
+        return signal_pairs(1, lambda gap: [
+            np.max(gap, axis=-1)[ok_x] / dist_x[ok_x]])
 
-    def chk_signal_bounded():
-        vals = []
-        for t, x in zip(tP, X1):
-            tot = (np.linalg.norm(np.asarray(spec.b1(t, x)))
-                   + np.linalg.norm(np.asarray(spec.sigma0(t, x)))
-                   + np.linalg.norm(np.asarray(spec.sigma1(t, x))))
-            if spec.nu1.rate > 0.0:
-                disp = np.asarray(spec.f1(t, x[None, :], marks1), float)
-                tot = max(tot, np.max(np.linalg.norm(disp, axis=-1)))
-            vals.append(tot)
-        vals = np.asarray(vals)
-        i = int(np.argmax(vals))
-        return vals[i], {"t": tP[i], "x": X1[i]}, ""
+    def signal_growth():
+        tot = (np.sum(at("b1", "x1").reshape(P, -1) ** 2, axis=1)
+               + np.sum(at("sigma0", "x1").reshape(P, -1) ** 2, axis=1)
+               + np.sum(at("sigma1", "x1").reshape(P, -1) ** 2, axis=1))
+        if rate1 > 0.0:
+            disp = at("f1", "x1 rows", "marks1")
+            tot = tot + rate1 * np.mean(np.sum(disp**2, axis=-1), axis=-1)
+        return worst_point(tot / (1.0 + np.linalg.norm(X1, axis=1)) ** 2,
+                           t=tP, x=X1)
 
-    def chk_signal_jump_invertible():
-        if spec.nu1.rate == 0.0:
+    def signal_bounded():
+        tot = (norms(at("b1", "x1")) + norms(at("sigma0", "x1"))
+               + norms(at("sigma1", "x1")))
+        if rate1 > 0.0:
+            disp = at("f1", "x1 rows", "marks1")
+            tot = np.maximum(tot, np.max(np.linalg.norm(disp, axis=-1),
+                                         axis=-1))
+        return worst_point(tot, t=tP, x=X1)
+
+    def signal_jump_invertible():
+        if rate1 == 0.0:
             return 0.0, {}, "signal jumps disabled"
         eps = 1e-5
-        worst = 0.0
-        wit = {}
-        for t, x in zip(tP[:64], X1[:64]):
-            for u in marks1[:8]:
-                J = np.zeros((n, n))
-                for j in range(n):
-                    e = np.zeros(n)
-                    e[j] = eps
-                    fp = np.asarray(spec.f1(t, (x + e)[None, :], u[None, :]), float)
-                    fm = np.asarray(spec.f1(t, (x - e)[None, :], u[None, :]), float)
-                    J[:, j] = (fp - fm).ravel() / (2 * eps)
-                det = abs(np.linalg.det(J + np.eye(n)))
-                ratio = 1.0 / max(det, 1e-300)
-                if ratio > worst:
-                    worst = ratio
-                    wit = {"t": t, "x": x, "u": u, "det": det}
-        return worst, wit, ""
+        u = marks1[:8]
+        J = np.zeros((min(P, 64), len(u), n, n))
+        for p, (t, x) in enumerate(zip(tP[:64], X1[:64])):
+            for j in range(n):
+                e = np.zeros(n)
+                e[j] = eps
+                fp = np.asarray(spec.f1(t, (x + e)[None, :], u), float)
+                fm = np.asarray(spec.f1(t, (x - e)[None, :], u), float)
+                J[p, :, :, j] = (np.broadcast_to(fp - fm, (len(u), n))
+                                 / (2 * eps))
+        det = np.abs(np.linalg.det(J + np.eye(n)))
+        ratio = 1.0 / np.maximum(det, 1e-300)
+        p, k = np.unravel_index(np.argmax(ratio), ratio.shape)
+        return ratio[p, k], {"t": tP[p], "x": X1[p], "u": u[k],
+                             "det": det[p, k]}, ""
 
     # --- observation coefficient checks ---
 
-    def chk_obs_coeff_lipschitz():
-        ratios = []
-        dist = np.linalg.norm(Y1 - Y2, axis=1)
-        ok = dist > 1e-9
-        s21 = np.array([np.ravel(spec.sigma2(t, y)) for t, y in zip(tP, Y1)])
-        s22 = np.array([np.ravel(spec.sigma2(t, y)) for t, y in zip(tP, Y2)])
-        diff = np.linalg.norm(s21 - s22, axis=1)
-        ratios.append(diff[ok] ** 2 / dist[ok] ** 2)
-        if spec.nu2.rate > 0.0:
-            g1 = np.asarray(spec.f2(tP[0], Y1[:, None, :], marks2),
-                            float) + 0.0 * Y1[:, None, :]
-            g2 = np.asarray(spec.f2(tP[0], Y2[:, None, :], marks2),
-                            float) + 0.0 * Y2[:, None, :]
-            mom = spec.nu2.rate * np.mean(np.linalg.norm(g1 - g2, axis=-1) ** 2, axis=-1)
-            ratios.append(mom[ok] / dist[ok] ** 2)
-        allr = np.concatenate(ratios)
-        idx = np.flatnonzero(ok)[int(np.argmax(allr)) % int(np.sum(ok))]
-        return np.max(allr), {"t": tP[idx], "y1": Y1[idx], "y2": Y2[idx]}, ""
+    def obs_coeff_lipschitz():
+        blocks = [ratios("sigma2", (("y1",), ("y2",)), dist_y, ok_y, 2)]
+        if rate2 > 0.0:
+            gap = np.linalg.norm(at_marks("f2", "y1") - at_marks("f2", "y2"),
+                                 axis=-1)
+            blocks.append(rate2 * np.mean(gap ** 2, axis=-1)[ok_y]
+                          / dist_y[ok_y] ** 2)
+        return worst_pair(blocks, ok_y, t=tP, y1=Y1, y2=Y2)
 
-    def chk_obs_bounded_invertible():
-        worst = 0.0
-        wit = {}
-        note = ""
-        inv_ceil = ceil["sigma2_inv"]
-        for t, x, y in zip(tP, X1, Y1):
-            b2v = np.linalg.norm(np.asarray(spec.b2(t, x, y)))
-            s20 = np.linalg.norm(np.asarray(spec.sigma2(t, np.zeros(m))))
-            cand = max(b2v / ceil["bound"], s20 / ceil["bound"])
-            sig = np.asarray(spec.sigma2(t, y), float).reshape(m, m)
-            det = np.linalg.det(sig)
-            if det == 0.0 or not np.isfinite(det):
-                return float("inf"), {"t": t, "y": y, "det": det}, "sigma2 singular"
-            inv_norm = np.linalg.norm(np.linalg.inv(sig))
-            cand = max(cand, inv_norm / inv_ceil)
-            if cand > worst:
-                worst = cand
-                wit = {"t": t, "x": x, "y": y, "inv_norm": inv_norm}
-        if spec.nu2.rate > 0.0:
-            f20 = np.asarray(spec.f2(0.0, np.zeros(m)[None, :], marks2), float)
-            mom = spec.nu2.rate * np.mean(np.sum(f20**2, axis=-1))
-            if not np.isfinite(mom):
-                return float("inf"), {"moment": mom}, "f2 second moment at y=0 not finite"
-            note = f"f2 second moment at y=0: {mom:.6g}"
+    def obs_bounded_invertible():
+        bound = CEILINGS["bound"]
+        size = np.maximum(norms(at("b2", "x1", "y1")) / bound,
+                          norms(at("sigma2", "y0")) / bound)
+        sig = at("sigma2", "y1").reshape(P, m, m)
+        det = np.linalg.det(sig)
+        singular = np.flatnonzero((det == 0.0) | ~np.isfinite(det))
+        if singular.size:
+            i = singular[0]
+            return float("inf"), {"t": tP[i], "y": Y1[i], "det": det[i]}, ""
+        inv_norm = norms(np.linalg.inv(sig))
         # normalized: pass iff <= 1
+        worst, wit, note = worst_point(
+            np.maximum(size, inv_norm / CEILINGS["sigma2_inv"]),
+            t=tP, x=X1, y=Y1, inv_norm=inv_norm)
+        if rate2 > 0.0:
+            f20 = np.asarray(spec.f2(0.0, np.zeros(m)[None, :], marks2), float)
+            mom = rate2 * np.mean(np.sum(f20**2, axis=-1))
+            if not np.isfinite(mom):
+                return float("inf"), {"moment": mom}, ""
+            note = f"f2 second moment at y=0: {mom:.6g}"
         return worst, wit, note
 
-    def chk_obs_drift_x_lipschitz():
-        b21 = np.array([spec.b2(t, x1, y) for t, x1, y in zip(tP, X1, Y1)])
-        b22 = np.array([spec.b2(t, x2, y) for t, x2, y in zip(tP, X2, Y1)])
-        dist = np.linalg.norm(X1 - X2, axis=1)
-        ok = dist > 1e-9
-        diff = np.linalg.norm(b21 - b22, axis=1)
-        r = diff[ok] / dist[ok]
-        idx = np.flatnonzero(ok)[int(np.argmax(r))]
-        return np.max(r), {"t": tP[idx], "x1": X1[idx], "x2": X2[idx], "y": Y1[idx]}, ""
+    def obs_drift_x_lipschitz():
+        return worst_pair(
+            [ratios("b2", (("x1", "y1"), ("x2", "y1")), dist_x, ok_x)],
+            ok_x, t=tP, x1=X1, x2=X2, y=Y1)
 
-    def chk_lambda_lower():
-        if spec.nu2.rate == 0.0:
-            return 1.0, {}, "observation jumps disabled"
-        lv = np.asarray(spec.lam(tP[0], X1[:, None, :], marks2), float)
-        i = int(np.argmin(np.min(lv, axis=-1)))
-        j = int(np.argmin(lv[i]))
-        return float(np.min(lv)), {"t": tP[0], "x": X1[i], "u": marks2[j]}, ""
+    # --- jump intensity checks ---
 
-    def chk_lambda_upper():
-        if spec.nu2.rate == 0.0:
+    def lambda_extreme(pick, disabled):
+        if rate2 == 0.0:
+            return disabled, {}, "observation jumps disabled"
+        lv = lam()
+        i, j = np.unravel_index(pick(lv), lv.shape)
+        return lv[i, j], {"t": tP[0], "x": X1[i], "u": marks2[j]}, ""
+
+    def lambda_integrable():
+        if rate2 == 0.0:
             return 0.0, {}, "observation jumps disabled"
-        lv = np.asarray(spec.lam(tP[0], X1[:, None, :], marks2), float)
-        i = int(np.argmax(np.max(lv, axis=-1)))
-        j = int(np.argmax(lv[i]))
-        return float(np.max(lv)), {"t": tP[0], "x": X1[i], "u": marks2[j]}, ""
-
-    def chk_lambda_integrable():
-        if spec.nu2.rate == 0.0:
-            return 0.0, {}, "observation jumps disabled"
-        lv = np.asarray(spec.lam(tP[0], X1[:, None, :], marks2), float)
-        lo = np.min(lv, axis=0)  # pointwise-in-mark lower envelope over states
-        lo = np.clip(lo, 1e-300, None)
-        val = spec.nu2.rate * np.mean((1.0 - lo) ** 2 / lo)
+        # pointwise-in-mark lower envelope over states
+        lo = np.clip(np.min(lam(), axis=0), 1e-300, None)
         j = int(np.argmin(lo))
-        return float(val), {"u": marks2[j], "envelope": float(lo[j])}, ""
+        return (rate2 * np.mean((1.0 - lo) ** 2 / lo),
+                {"u": marks2[j], "envelope": lo[j]}, "")
 
-    guarded("signal_lipschitz", ceil["lipschitz"], chk_signal_lipschitz)
-    guarded("signal_growth", ceil["growth"], chk_signal_growth)
-    guarded("signal_lipschitz_strong", ceil["lipschitz"], chk_signal_lipschitz_strong)
-    guarded("signal_bounded", ceil["bound"], chk_signal_bounded)
-    guarded("signal_jump_invertible", 1.0 / ceil["jacobian_floor"], chk_signal_jump_invertible)
-    guarded("obs_coeff_lipschitz", ceil["lipschitz"], chk_obs_coeff_lipschitz)
-    guarded("obs_bounded_invertible", 1.0, chk_obs_bounded_invertible)
-    guarded("obs_drift_x_lipschitz", ceil["lipschitz"], chk_obs_drift_x_lipschitz)
+    def check(name, bound, fn, passes=None, note=""):
+        """Run one check; pass iff worst <= bound unless ``passes`` says."""
+        try:
+            worst, witness, extra = fn()
+        except Exception as exc:  # a bad coefficient must not crash the screen
+            return HypothesisCheck(name, P, float("inf"), bound, False,
+                                   {"error": repr(exc)}, note)
+        if not np.isfinite(worst):
+            return HypothesisCheck(name, P, float("inf"), bound, False,
+                                   witness, note or "non-finite value")
+        passed = worst <= bound if passes is None else passes(worst)
+        return HypothesisCheck(name, P, float(worst), bound, bool(passed),
+                               witness, extra or note)
 
-    # intensity bounds: pass/fail semantics are two-sided, handled directly;
-    # lam is read unchecked, so a value outside (0, 1) is reported, not raised
-    try:
-        lo_val, lo_wit, lo_note = chk_lambda_lower()
-        hi_val, hi_wit, hi_note = chk_lambda_upper()
-        int_val, int_wit, int_note = chk_lambda_integrable()
-        checks.append(HypothesisCheck(
-            "jump_intensity_lower", P, float(lo_val), spec.iota,
-            bool(np.isfinite(lo_val) and lo_val > spec.iota), lo_wit,
-            lo_note or "pass iff min lam > iota"))
-        checks.append(HypothesisCheck(
-            "jump_intensity_upper", P, float(hi_val), 1.0,
-            bool(np.isfinite(hi_val) and hi_val < 1.0), hi_wit,
-            hi_note or "pass iff max lam < 1"))
-        checks.append(HypothesisCheck(
-            "jump_intensity_integrable", P, float(int_val), float("inf"),
-            bool(np.isfinite(int_val)), int_wit,
-            int_note or "(1-lam)^2/lam integral against nu2"))
-    except Exception as exc:
-        checks.append(HypothesisCheck("jump_intensity_lower", P, float("inf"),
-                                      spec.iota, False, {"error": repr(exc)}))
-
-    return HypothesisReport(checks)
+    lipschitz = CEILINGS["lipschitz"]
+    return HypothesisReport([
+        check("signal_lipschitz", lipschitz, signal_lipschitz),
+        check("signal_growth", CEILINGS["growth"], signal_growth),
+        check("signal_lipschitz_strong", lipschitz, signal_lipschitz_strong),
+        check("signal_bounded", CEILINGS["bound"], signal_bounded),
+        check("signal_jump_invertible", 1.0 / CEILINGS["jacobian_floor"],
+              signal_jump_invertible),
+        check("obs_coeff_lipschitz", lipschitz, obs_coeff_lipschitz),
+        check("obs_bounded_invertible", 1.0, obs_bounded_invertible),
+        check("obs_drift_x_lipschitz", lipschitz, obs_drift_x_lipschitz),
+        check("jump_intensity_lower", spec.iota,
+              lambda: lambda_extreme(np.argmin, 1.0),
+              lambda worst: worst > spec.iota, "pass iff min lam > iota"),
+        check("jump_intensity_upper", 1.0,
+              lambda: lambda_extreme(np.argmax, 0.0),
+              lambda worst: worst < 1.0, "pass iff max lam < 1"),
+        check("jump_intensity_integrable", float("inf"), lambda_integrable,
+              note="(1-lam)^2/lam integral against nu2"),
+    ])

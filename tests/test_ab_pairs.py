@@ -86,3 +86,35 @@ def test_lower_is_better_claim():
                                 runs(BASE_STEPS, change_run), "run_s",
                                 END_TO_END)
     assert holds
+
+
+def test_no_claim_applies_only_the_regression_and_failure_rules():
+    # no metric is claimed, so a change that wins nothing still holds
+    holds, lines = ab_pairs.verdict(runs(BASE_STEPS, BASE_RUN),
+                                    runs(BASE_STEPS, BASE_RUN), None,
+                                    END_TO_END)
+    assert holds
+    assert [line.split(":")[1].strip() for line in lines[:2]] == [
+        "within its bound", "within its bound"]
+    assert not ab_pairs.verdict(runs(BASE_STEPS, BASE_RUN),
+                                runs(BASE_STEPS, BASE_RUN, failed=1), None,
+                                END_TO_END)[0]
+
+
+# Base run_s 1.0..1.9: quartiles 1.225 and 1.675 about the median 1.45, a
+# spread of 0.31 of the median, wider than the bound 0.25.
+WIDE_RUN = [1.0 + 0.1 * i for i in range(10)]
+
+
+@pytest.mark.parametrize("change_run, word, holds", [
+    (WIDE_RUN, "unresolved", False),
+    # every change run faster than every base run
+    ([0.9] * 10, "within its bound", True),
+])
+def test_a_base_spread_wider_than_the_bound_is_unresolved(change_run, word,
+                                                          holds):
+    got, lines = ab_pairs.verdict(runs(BASE_STEPS, WIDE_RUN),
+                                  runs(BASE_STEPS, change_run), None,
+                                  END_TO_END)
+    assert got is holds
+    assert lines[1].startswith(f"run_s: {word}:")

@@ -120,6 +120,15 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "y")]) == 2
 
 
+def test_out_of_range_value_exits_2_with_one_message_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE_CFG + "hypothesis_budget = 1\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: line 6: key 'hypothesis_budget' must be "
+                   "at least 2, got '1'\n")
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_hypothesis_violation_exits_3_and_leaves_running_marker(
         tmp_path, capsys):
     cfg = write_cfg(tmp_path, """\

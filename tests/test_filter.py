@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from levyfilter.errors import DegeneracyError, ModelViolationError
 from levyfilter.families import build_family
 from levyfilter.filtering import (FilterTrajectory, GainTerms, ParticleCloud,
-                                  ResamplePolicy, effective_sample_size,
+                                  ResamplePolicy, ShiftedWeights,
                                   estimate_moment, function_terms,
                                   gain_terms,
                                   innovation_process, ks_residual,
@@ -103,11 +103,11 @@ def test_cloud_moments_closed_form():
 
 
 def test_effective_sample_size_closed_forms():
-    assert effective_sample_size(np.zeros(50)) == pytest.approx(50.0)
+    assert ShiftedWeights(np.zeros(50)).ess == pytest.approx(50.0)
     assert hand_cloud().ess() == pytest.approx(HAND_ESS, abs=1e-12)
-    assert effective_sample_size(np.array([0.0, -1000.0])) == \
+    assert ShiftedWeights(np.array([0.0, -1000.0])).ess == \
         pytest.approx(1.0, abs=1e-12)
-    assert effective_sample_size(np.full(3, -np.inf)) == 0.0
+    assert ShiftedWeights(np.full(3, -np.inf)).ess == 0.0
 
 
 def test_normalize_cloud():
@@ -165,9 +165,9 @@ def test_gain_terms_hand_values():
     x = np.array([[0.0], [1.0]])
     F = coordinate(0)
     signal = signal_terms(spec, 0.0, x, spec.nu1.frozen_marks(1))
-    g = gain_terms(np.full(2, 0.5),
-                   function_terms(F, x, signal, spec.coupling(0.0, x), None),
-                   spec.h(0.0, x, np.zeros(1)))
+    w, h = np.full(2, 0.5), spec.h(0.0, x, np.zeros(1))
+    g = gain_terms(w, function_terms(F, x, signal, spec.coupling(0.0, x),
+                                     None), h, w @ h)
     assert g.pi_F == pytest.approx(0.5, abs=1e-14)
     assert g.pi_h == pytest.approx([0.5], abs=1e-14)
     assert g.zakai_gain() == pytest.approx([HAND_ZAKAI_GAIN], abs=1e-14)

@@ -12,8 +12,8 @@ from levyfilter.girsanov import (log_lambda_inverse,
                                  sample_model_log_inverse_weights,
                                  sample_reference_log_weights)
 from levyfilter.levy import compensator_integral
-from levyfilter.model import (LevyMeasureSpec, SystemSpec, apply_generator,
-                              generator_values, validate_hypotheses)
+from levyfilter.model import (LevyMeasureSpec, SystemSpec, generator_values,
+                              validate_hypotheses)
 from levyfilter.propagation import thin
 from levyfilter.rng import substream
 from levyfilter.simulate import TimeGrid, project_observation, simulate_path
@@ -95,12 +95,41 @@ def scalar_spec(b1=lambda t, x: -x, sigma0=1.0, sigma1=1.0, b2=None,
 
 # --- hypothesis screening -----------------------------------------------------
 
-def test_validate_all_pass_on_lipschitz_bounded_spec():
-    report = validate_hypotheses(scalar_spec(), 200, 42)
+def _two_dim_screen_spec():
+    # n = m = 2 with off-diagonal drift, both jump channels on and a lam
+    # that reads x, so every check has a witness with state coordinates
+    A = np.array([[-1.0, 0.5], [-0.3, -0.8]])
+    return SystemSpec(
+        n=2, m=2, d=2,
+        b1=lambda t, x: np.asarray(x) @ A.T,
+        sigma0=lambda t, x: np.broadcast_to(
+            np.array([[0.4, 0.1], [0.0, 0.3]]), np.shape(x)[:-1] + (2, 2)),
+        sigma1=lambda t, x: np.broadcast_to(
+            np.array([[0.2, 0.0], [-0.1, 0.3]]), np.shape(x)[:-1] + (2, 2)),
+        f1=lambda t, x, u: 0.1 * u + 0.0 * np.asarray(x),
+        b2=lambda t, x, y: np.tanh(x) + 0.0 * np.asarray(y),
+        sigma2=lambda t, y: np.broadcast_to(
+            np.diag([1.0, 2.0]), np.shape(y)[:-1] + (2, 2)),
+        f2=lambda t, y, u: 0.2 * u + 0.0 * np.asarray(y),
+        lam=lambda t, x, u: 0.5 + 0.3 * np.tanh(np.asarray(x)[..., 0]),
+        nu1=LevyMeasureSpec.gaussian(0.1, 0.8, rate=1.3, dim=2),
+        nu2=LevyMeasureSpec.uniform(-1.0, 1.0, rate=2.0, dim=2), T=1.0)
+
+
+@pytest.mark.parametrize("make_spec", [scalar_spec, _two_dim_screen_spec],
+                         ids=["scalar", "two_dim"])
+def test_validate_all_pass_on_lipschitz_bounded_spec(make_spec):
+    spec = make_spec()
+    report = validate_hypotheses(spec, 200, 42)
     assert report.passed
     assert len(report.checks) == 11
     assert all(c.worst >= 0.0 or not np.isfinite(c.worst)
                for c in report.checks)
+    for c in report.checks:
+        for key, value in c.witness.items():
+            if key in ("x", "x1", "x2", "y", "y1", "y2"):
+                assert np.shape(value) == ((spec.n,) if key[0] == "x"
+                                           else (spec.m,))
 
 
 def test_validate_flags_singular_sigma2_with_witness():
@@ -117,12 +146,14 @@ def test_validate_flags_unbounded_below_intensity():
         z = np.asarray(x)[..., 0] + 0.0 * np.asarray(u)[..., 0]
         return 1.0 / (1.0 + np.exp(-z))
 
+    # in the probe box [-5, 5] the least lam is sigmoid(-5), about 0.0067
     spec = scalar_spec(lam=sigmoid, nu2=LevyMeasureSpec.uniform(0., 1., 1.0),
-                       iota=1e-6)
-    report = validate_hypotheses(spec, 400, 42, box_x=(-25.0, 5.0))
+                       iota=1e-2)
+    report = validate_hypotheses(spec, 400, 42)
     check = report["jump_intensity_lower"]
     assert not check.passed
-    assert check.witness is not None
+    assert check.worst < spec.iota
+    assert check.witness["x"] == -5.0
 
 
 def test_validate_deterministic_in_seed():
@@ -139,29 +170,83 @@ def test_validate_reports_raising_coefficient_as_failure():
     report = validate_hypotheses(scalar_spec(b1=bad_b1), 50, 1)
     assert not report.passed
     failed = report.failures()
-    assert failed and all(c.witness is not None for c in failed)
+    # each check that reads b1 fails, each with its own error witness
+    assert [c.name for c in failed] == [
+        "signal_lipschitz", "signal_growth", "signal_lipschitz_strong",
+        "signal_bounded"]
+    assert all(c.witness == {"error": "FloatingPointError('boom')"}
+               for c in failed)
+
+
+def test_validate_reports_raising_lambda_in_all_three_intensity_checks():
+    def bad_lam(t, x, u):
+        raise FloatingPointError("boom")
+
+    report = validate_hypotheses(
+        replace(build_family("mixed").spec, lam=bad_lam), 50, 1)
+    assert len(report.checks) == 11
+    assert [c.name for c in report.failures()] == [
+        "jump_intensity_lower", "jump_intensity_upper",
+        "jump_intensity_integrable"]
+    assert all(c.witness == {"error": "FloatingPointError('boom')"}
+               for c in report.failures())
+
+
+def test_validate_flags_nan_drift_at_the_box_corners():
+    # b2 is NaN only at |x| = 5, which the corner probes reach
+    spec = scalar_spec(b2=lambda t, x, y: np.where(
+        np.abs(x) >= 5.0, np.nan, np.clip(x, -5.0, 5.0)) + 0.0 * y)
+    check = validate_hypotheses(spec, 200, 42)["obs_bounded_invertible"]
+    assert not check.passed
+    assert not np.isfinite(check.worst)
+    assert abs(check.witness["x"]) == 5.0
+
+
+def test_validate_evaluates_each_coefficient_once_per_probe_set():
+    spec = build_family("mixed").spec
+    calls = {}
+
+    def counted(name):
+        fn = getattr(spec, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    names = ("b1", "sigma0", "sigma1", "lam")
+    report = validate_hypotheses(
+        replace(spec, **{k: counted(k) for k in names}), 200, 5)
+    P = report.checks[0].samples
+    assert P == 205
+    assert calls == {"b1": 2 * P, "sigma0": 2 * P, "sigma1": 2 * P, "lam": 1}
 
 
 # --- generator ----------------------------------------------------------------
 
+def _generator_at(spec, F, t, x):
+    """The generator of F at one point, over the spec's frozen marks."""
+    return float(generator_values(spec, F, t, np.asarray(x, float),
+                                  spec.nu1.frozen_marks(spec.mark_budget)))
+
+
 def test_generator_annihilates_constants_exactly():
     spec = scalar_spec(nu1=LevyMeasureSpec.gaussian(0.0, 1.0, rate=2.0))
-    g = apply_generator(spec, constant(3.0), 0.3, np.array([0.7]))
-    assert g.value == 0.0
+    assert _generator_at(spec, constant(3.0), 0.3, [0.7]) == 0.0
 
 
 def test_generator_pure_drift():
     spec = scalar_spec(b1=lambda t, x: np.full(np.shape(x), 2.0),
                        sigma0=0.0, sigma1=0.0)
-    g = apply_generator(spec, coordinate(0), 0.0, np.array([1.5]))
-    assert g.value == pytest.approx(2.0, abs=1e-12)
+    assert _generator_at(spec, coordinate(0), 0.0, [1.5]) == \
+        pytest.approx(2.0, abs=1e-12)
 
 
 def test_generator_pure_diffusion():
     spec = scalar_spec(b1=lambda t, x: np.zeros(np.shape(x)),
                        sigma0=1.0, sigma1=0.0)
-    g = apply_generator(spec, quadratic(), 0.0, np.array([0.3]))
-    assert g.value == pytest.approx(1.0, abs=1e-12)
+    assert _generator_at(spec, quadratic(), 0.0, [0.3]) == \
+        pytest.approx(1.0, abs=1e-12)
 
 
 def test_generator_point_mass_jump_bracket():
@@ -169,24 +254,9 @@ def test_generator_point_mass_jump_bracket():
                        sigma0=0.0, sigma1=0.0,
                        f1=lambda t, x, u: u + 0.0 * np.asarray(x),
                        nu1=LevyMeasureSpec.point_mass(1.0, rate=1.0))
-    g = apply_generator(spec, quadratic(), 0.0, np.array([2.0]))
     # F(x+1) - F(x) - F'(x)*1 = 1 for F = x^2, for any x
-    assert g.value == pytest.approx(1.0, abs=1e-12)
-    assert g.jump_variance == pytest.approx(0.0, abs=1e-15)
-
-
-def test_generator_jump_variance_closed_form():
-    # F = x^2 and f1 = c u: the jump bracket (x + cu)^2 - x^2 - 2x cu is
-    # c^2 u^2 at every mark, so its Monte Carlo variance over the M frozen
-    # marks is rate^2 var(c^2 u^2) / M.
-    c, rate = 0.4, 1.5
-    spec = scalar_spec(nu1=LevyMeasureSpec.gaussian(0.2, 0.9, rate=rate),
-                       f1=lambda t, x, u: c * u + 0.0 * np.asarray(x))
-    marks = spec.nu1.frozen_marks(spec.mark_budget)
-    want = rate**2 * np.var(c**2 * marks[:, 0] ** 2) / len(marks)
-    g = apply_generator(spec, quadratic(), 0.1, np.array([0.7]), marks)
-    assert want > 0.0
-    assert g.jump_variance == pytest.approx(want, rel=1e-12)
+    assert _generator_at(spec, quadratic(), 0.0, [2.0]) == \
+        pytest.approx(1.0, abs=1e-12)
 
 
 def test_generator_linearity_with_shared_marks():
