@@ -368,7 +368,13 @@ def build_family(name, params=None):
     except KeyError:
         known = ", ".join(sorted(FAMILIES))
         raise ConfigError(f"unknown family {name!r}; known families: {known}")
-    return builder(params)
+    try:
+        return builder(params)
+    except ValueError as exc:
+        # a value the model rejects: name the family and the parameters set
+        given = "".join(f", param.{k} = {v}"
+                        for k, v in (params or {}).items())
+        raise ConfigError(f"family {name!r}{given}: {exc}") from exc
 
 
 def list_families():

@@ -12,7 +12,7 @@ moments recorded at every node during the run.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -101,10 +101,6 @@ class ParticleCloud:
         self.x = np.atleast_2d(np.asarray(self.x, float))
         self.logw = np.asarray(self.logw, float).reshape(self.x.shape[0])
 
-    @property
-    def n_particles(self):
-        return self.x.shape[0]
-
     def weights(self):
         return ShiftedWeights(self.logw)
 
@@ -117,32 +113,6 @@ class ParticleCloud:
 
     def ess(self):
         return self.weights().ess
-
-    def copy(self):
-        return ParticleCloud(self.x.copy(), self.logw.copy())
-
-
-def normalize_cloud(cloud):
-    """Shift log-weights so the mean weight is one; no-op when it already is."""
-    shift = cloud.log_mass()
-    if shift == 0.0:
-        return cloud
-    return ParticleCloud(cloud.x, cloud.logw - shift)
-
-
-def _values(F, x):
-    fn = getattr(F, "value", F)
-    return np.asarray(fn(x), float).reshape(x.shape[0])
-
-
-def estimate_moment(cloud, F, normalized=True):
-    """Cloud moment of F: conditional mean, or unnormalized when requested."""
-    vals = _values(F, cloud.x)
-    m = np.max(cloud.logw)
-    e = np.exp(cloud.logw - m)
-    if normalized:
-        return float(np.dot(e, vals) / e.sum())
-    return float(np.exp(m) * np.dot(e, vals) / cloud.n_particles)
 
 
 def resample(x, weights, rng):
@@ -201,7 +171,7 @@ def function_terms(F, x, signal, coup, lam_bar_x):
     (``model.SignalTerms``), the coupling, shared (n, m) or per state
     (N, n, m), and lambda-bar (N,) or None."""
     N, n = x.shape
-    value = _values(F, x)
+    value = np.asarray(F.value(x), float).reshape(N)
     grad = np.asarray(F.grad(x), float).reshape(N, n)
     return FunctionTerms(
         value, np.einsum("...n,...nm->...m", grad, coup),
@@ -275,14 +245,9 @@ class FilterTrajectory:
     pi_lambar: np.ndarray
     rate2: float
     summaries: dict
-    n_particles: int
-    rng_seed: int
     resampled: np.ndarray
     clouds: list | None = None
     event_count: np.ndarray | None = None
-
-    def summary(self, name):
-        return self.summaries[name]
 
     def mass(self):
         return np.exp(self.log_mass)
@@ -308,7 +273,7 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
     weighted reductions are formed again.
     """
     _keep_freed_heap()
-    drivers = reconstruct_reference_drivers(obs, spec)
+    dW_all = reconstruct_reference_drivers(obs, spec)
     N = int(n_particles)
     n, m = spec.n, spec.m
     K = len(obs.t) - 1
@@ -320,8 +285,8 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
     rng_c = substream(rng_seed, "particle-jump-counts")
     rng_u = substream(rng_seed, "particle-jump-marks")
     q = spec.indep_dim()
-    ev = drivers.step_event()
-    dt_all = drivers.dt()
+    ev = obs.step_event()
+    dt_all = obs.dt()
 
     funcs = list(test_functions)
     names = [F.name for F in funcs]
@@ -406,7 +371,7 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
             event_count[k + 1] += 1.0
         else:
             dt = dt_all[k]
-            dW = drivers.dW[k]
+            dW = dW_all[k]
             logw = log_weight_step(logw, hv, dW, dt, spec.nu2.rate,
                                    node.lam_bar)
             dB = rng_b.standard_normal((N, q)) * np.sqrt(dt)
@@ -417,11 +382,13 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
         node = node_terms(spec, obs.t[K], x, marks1, marks2, funcs)
     record_node(K, obs.t[K], obs.Y[K], ShiftedWeights(logw), node)
 
+    is_jump = np.zeros(K, bool)
+    is_jump[obs.event_steps] = True
     return FilterTrajectory(
-        t=obs.t.copy(), dt=dt_all, dW=drivers.dW, is_jump=drivers.is_jump_step(),
+        t=obs.t.copy(), dt=dt_all, dW=dW_all, is_jump=is_jump,
         log_mass=log_mass, ess=ess_arr, pi_h=pi_h, pi_lambar=pi_lambar,
-        rate2=spec.nu2.rate, summaries=summ, n_particles=N, rng_seed=rng_seed,
-        resampled=resampled, clouds=clouds, event_count=event_count)
+        rate2=spec.nu2.rate, summaries=summ, resampled=resampled,
+        clouds=clouds, event_count=event_count)
 
 
 def _node_gain(traj, s, k):
@@ -505,28 +472,6 @@ def innovation_process(traj):
         else:
             comp[k + 1] = comp[k] + 1.0
     return InnovationRecord(traj.t.copy(), dW_bar, cont, comp)
-
-
-def pathwise_uniqueness_probe(spec, obs, n_particles, prior_sampler,
-                              seed_a, seed_b, functions=None):
-    """Sup distance between two filter runs over a probe moment family.
-
-    Equal seeds must return exactly zero; independent seeds measure the
-    cloud-to-cloud spread of the conditional moments.
-    """
-    from .testfuncs import coordinate, quadratic
-
-    if functions is None:
-        functions = [coordinate(i, spec.n) for i in range(spec.n)]
-        functions.append(quadratic(spec.n))
-    kw = dict(test_functions=functions)
-    ta = zakai_filter(spec, obs, n_particles, prior_sampler, seed_a, **kw)
-    tb = zakai_filter(spec, obs, n_particles, prior_sampler, seed_b, **kw)
-    dist = 0.0
-    for F in functions:
-        dist = max(dist, float(np.max(np.abs(
-            ta.summaries[F.name].pi_F - tb.summaries[F.name].pi_F))))
-    return dist
 
 
 def write_trajectory_csv(traj, path):

@@ -73,35 +73,9 @@ def log_lambda_inverse(record, spec):
     return LikelihoodPath(record.t.copy(), brown, jump, comp)
 
 
-@dataclass
-class ReferenceDrivers:
-    """Observation-measurable drivers on the observation grid.
-
-    ``dW[k]`` is the reconstructed reference Brownian increment over step
-    k (zero on jump steps); jump steps carry exactly one event each.
-    """
-
-    t: np.ndarray
-    dW: np.ndarray
-    event_steps: np.ndarray
-    events: list
-    rate2: float
-    marks2: np.ndarray
-
-    def dt(self):
-        return np.diff(self.t)
-
-    def is_jump_step(self):
-        out = np.zeros(len(self.t) - 1, bool)
-        out[self.event_steps] = True
-        return out
-
-    def step_event(self):
-        return {int(k): e for e, k in zip(self.events, self.event_steps)}
-
-
 def reconstruct_reference_drivers(obs, spec):
-    """Invert the reference observation dynamics for the Brownian driver.
+    """Invert the reference observation dynamics for the Brownian driver:
+    the (K, m) increments dW on the record's grid.
 
     Per continuous step:  dW = obs_sigma(t, Y_t)^{-1} (dY + dt * int f2 nu2),
     using the record's frozen marks for the compensator; jump steps (zero
@@ -112,7 +86,7 @@ def reconstruct_reference_drivers(obs, spec):
     m = obs.Y.shape[1]
     dW = np.zeros((K, m))
     dt_all = obs.dt()
-    jump_steps = set(int(k) for k in obs.event_steps)
+    jump_steps = obs.step_event()
     for k in range(K):
         if k in jump_steps:
             continue
@@ -128,31 +102,30 @@ def reconstruct_reference_drivers(obs, spec):
             raise InvertibilityError(
                 f"observation diffusion singular at t={t:g} "
                 f"(condition number {np.linalg.cond(sig):.3e})") from exc
-    return ReferenceDrivers(obs.t.copy(), dW, np.asarray(obs.event_steps, int),
-                            list(obs.events), spec.nu2.rate, obs.marks2)
+    return dW
 
 
-def resynthesize_observation(drivers, spec, y0):
-    """Re-integrate the reference observation dynamics from its drivers.
+def resynthesize_observation(obs, dW, spec, y0):
+    """Re-integrate the reference observation dynamics from the Brownian
+    increments dW on the grid and jump events of ``obs``.
 
-    Returns the (K+1, m) node values; with drivers reconstructed from an
-    ObservationRecord this reproduces its Y path up to float roundoff.
+    Returns the (K+1, m) node values; with dW reconstructed from ``obs``
+    this reproduces its Y path up to float roundoff.
     """
-    K = len(drivers.t) - 1
-    m = drivers.dW.shape[1]
+    K = len(obs.t) - 1
+    m = dW.shape[1]
     Y = np.empty((K + 1, m))
     Y[0] = np.asarray(y0, float).reshape(m)
-    dt_all = drivers.dt()
-    ev = drivers.step_event()
+    dt_all = obs.dt()
+    ev = obs.step_event()
     for k in range(K):
-        t = drivers.t[k]
+        t = obs.t[k]
         y = Y[k]
         if k in ev:
             Y[k + 1] = y + np.asarray(spec.f2(t, y, ev[k].mark), float).reshape(m)
         else:
             Y[k + 1] = observation_reference_step(
-                spec, t, Y[k:k + 1], dt_all[k], drivers.dW[k:k + 1],
-                drivers.marks2)[0]
+                spec, t, Y[k:k + 1], dt_all[k], dW[k:k + 1], obs.marks2)[0]
     return Y
 
 

@@ -8,12 +8,16 @@ accepted stream has compensator ``lam(t, x, u) dt nu2(du)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericOverflowError
+from .errors import ConfigError, NumericOverflowError
 from .rng import substream
+
+# The most events a stream may expect, rate * (t1 - t0): each event is a
+# Python object and a refined grid step, so far more would exhaust memory.
+MAX_EXPECTED_EVENTS = 1e6
 
 
 @dataclass
@@ -70,38 +74,43 @@ def sample_poisson_stream(nu, t0, t1, rng_seed, channel="signal"):
 
     Event count is Poisson(rate * (t1 - t0)), event times are uniform on
     [t0, t1) and sorted, marks are independent draws from the mark law.
-    Identical seeds produce bit-identical streams.
+    Identical seeds produce bit-identical streams.  An expected count
+    above ``MAX_EXPECTED_EVENTS`` is a ConfigError, raised before any draw.
     """
     t0, t1 = float(t0), float(t1)
     if t1 < t0:
         raise ValueError("need t1 >= t0")
     if nu.rate < 0.0 or not np.isfinite(nu.rate):
         raise ValueError(f"invalid stream rate {nu.rate}")
+    expected = nu.rate * (t1 - t0)
+    if expected > MAX_EXPECTED_EVENTS:
+        raise ConfigError(
+            f"{channel} jump stream expects {expected:.3g} events, above the "
+            f"ceiling of {MAX_EXPECTED_EVENTS:.0e}; lower its rate")
     rng = substream(rng_seed, "poisson", channel)
     if nu.rate == 0.0 or t1 == t0:
         return JumpStream([], t0, t1, nu.rate, int(rng_seed), channel)
-    count = int(rng.poisson(nu.rate * (t1 - t0)))
+    count = int(rng.poisson(expected))
     times = np.sort(rng.uniform(t0, t1, size=count))
     marks = np.asarray(nu.sampler(rng, count), float).reshape(count, nu.dim)
     events = [JumpEvent(float(t), u, channel=channel) for t, u in zip(times, marks)]
     return JumpStream(events, t0, t1, nu.rate, int(rng_seed), channel)
 
 
-def compensator_integral(spec, g, x_lookup, t0, t1, step, marks=None, mark_seed=None):
+def compensator_integral(spec, g, x_lookup, t0, t1, step):
     """Time-trapezoid, mark-Monte-Carlo quadrature of
 
         int_{t0}^{t1} int g(t, u) lam(t, x(t-), u) nu2(du) dt.
 
-    ``marks`` defaults to the spec's frozen mark sample.  Deterministic for
-    fixed inputs; non-finite integrands raise NumericOverflowError.
+    The marks are the spec's frozen mark sample.  Deterministic for fixed
+    inputs; non-finite integrands raise NumericOverflowError.
     """
     t0, t1 = float(t0), float(t1)
     if t1 < t0:
         raise ValueError("need t1 >= t0")
     if spec.nu2.rate == 0.0 or t1 == t0:
         return 0.0
-    if marks is None:
-        marks = spec.nu2.frozen_marks(spec.mark_budget, mark_seed)
+    marks = spec.nu2.frozen_marks(spec.mark_budget)
     steps = max(1, int(np.ceil((t1 - t0) / float(step))))
     ts = np.linspace(t0, t1, steps + 1)
     vals = np.empty(steps + 1)

@@ -39,7 +39,7 @@ A lam that ignores u may return the x batch shape: ``lam_marks`` is then
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable
 
@@ -96,7 +96,6 @@ class LevyMeasureSpec:
     dim: int
     rate: float
     sampler: Callable = None
-    moments: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.dim = int(self.dim)
@@ -105,23 +104,10 @@ class LevyMeasureSpec:
             raise ValueError(f"jump rate must be finite and >= 0, got {self.rate}")
         if self.rate > 0.0 and self.sampler is None:
             raise ValueError("a positive-rate jump measure needs a mark sampler")
-        for key, val in self.moments.items():
-            if not np.isfinite(val):
-                raise ValueError(f"declared moment {key!r} must be finite")
 
     @classmethod
     def none(cls, dim=1):
         return cls(dim=dim, rate=0.0, sampler=None)
-
-    @classmethod
-    def point_mass(cls, value, rate):
-        value = np.atleast_1d(np.asarray(value, float))
-
-        def sampler(rng, size):
-            return np.broadcast_to(value, (size, value.size)).copy()
-
-        return cls(dim=value.size, rate=rate, sampler=sampler,
-                   moments={"second_moment": float(np.sum(value**2))})
 
     @classmethod
     def gaussian(cls, mean, scale, rate, dim=1):
@@ -131,13 +117,15 @@ class LevyMeasureSpec:
         def sampler(rng, size):
             return rng.normal(mean, scale, size=(size, dim))
 
-        return cls(dim=dim, rate=rate, sampler=sampler,
-                   moments={"second_moment": dim * (mean**2 + scale**2)})
+        return cls(dim=dim, rate=rate, sampler=sampler)
 
     @classmethod
     def uniform(cls, lo, hi, rate, dim=1):
         lo = float(lo)
         hi = float(hi)
+        if not lo < hi:
+            raise ValueError(f"mark bounds need lo < hi, got lo={lo:g}, "
+                             f"hi={hi:g}")
 
         def sampler(rng, size):
             return rng.uniform(lo, hi, size=(size, dim))
@@ -192,7 +180,7 @@ class SystemSpec:
         if not (0.0 < self.iota < 1.0):
             raise ValueError("iota must lie in (0, 1)")
         if self.T <= 0.0:
-            raise ValueError("terminal time must be positive")
+            raise ValueError(f"terminal time T must be positive, got {self.T}")
         if self.variant == SENSOR:
             if self.mix_w is None or self.mix_b is None:
                 raise ValueError("sensor variant needs mix_w and mix_b")
@@ -645,7 +633,8 @@ def validate_hypotheses(spec, sample_budget, rng_seed):
         singular = np.flatnonzero((det == 0.0) | ~np.isfinite(det))
         if singular.size:
             i = singular[0]
-            return float("inf"), {"t": tP[i], "y": Y1[i], "det": det[i]}, ""
+            return (float("inf"), {"t": tP[i], "y": Y1[i], "det": det[i]},
+                    "sigma2 singular")
         inv_norm = norms(np.linalg.inv(sig))
         # normalized: pass iff <= 1
         worst, wit, note = worst_point(
@@ -655,7 +644,8 @@ def validate_hypotheses(spec, sample_budget, rng_seed):
             f20 = np.asarray(spec.f2(0.0, np.zeros(m)[None, :], marks2), float)
             mom = rate2 * np.mean(np.sum(f20**2, axis=-1))
             if not np.isfinite(mom):
-                return float("inf"), {"moment": mom}, ""
+                return (float("inf"), {"moment": mom},
+                        "f2 second moment at y=0 not finite")
             note = f"f2 second moment at y=0: {mom:.6g}"
         return worst, wit, note
 
@@ -691,7 +681,8 @@ def validate_hypotheses(spec, sample_budget, rng_seed):
                                    {"error": repr(exc)}, note)
         if not np.isfinite(worst):
             return HypothesisCheck(name, P, float("inf"), bound, False,
-                                   witness, note or "non-finite value")
+                                   witness,
+                                   extra or note or "non-finite value")
         passed = worst <= bound if passes is None else passes(worst)
         return HypothesisCheck(name, P, float(worst), bound, bool(passed),
                                witness, extra or note)

@@ -23,6 +23,8 @@ from .errors import ConfigError
 PAD_MULT = 8.0
 SPACING_DIV = 8.0
 MAX_NODES = 2 ** 22
+CHUNK = 1 << 14          # grid nodes smoothed per block
+SKIP_FRAC = 0.1          # share of the span before growth rates are read
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class QuadratureGrid:
         return w.ravel()
 
 
-def build_grid(lo, hi, spacing, max_nodes=MAX_NODES):
+def build_grid(lo, hi, spacing):
     lo = np.atleast_1d(np.asarray(lo, float))
     hi = np.atleast_1d(np.asarray(hi, float))
     if lo.shape != hi.shape or np.any(hi <= lo):
@@ -77,21 +79,21 @@ def build_grid(lo, hi, spacing, max_nodes=MAX_NODES):
     for a, b in zip(lo, hi):
         count = int(np.ceil((b - a) / spacing)) + 1
         total *= count
-        if total > max_nodes:
+        if total > MAX_NODES:
             raise ConfigError(
-                f"quadrature grid would need more than {max_nodes} nodes; "
+                f"quadrature grid would need more than {MAX_NODES} nodes; "
                 "increase eps or shrink the domain")
         axes.append(a + (b - a) * np.arange(count) / (count - 1))
     return QuadratureGrid(tuple(np.asarray(a) for a in axes))
 
 
-def auto_grid(points, eps, max_nodes=MAX_NODES):
+def auto_grid(points, eps):
     """Grid covering the points with the standard padding and spacing."""
     pts = np.atleast_2d(np.asarray(points, float))
     root = np.sqrt(eps)
     lo = pts.min(axis=0) - PAD_MULT * root
     hi = pts.max(axis=0) + PAD_MULT * root
-    return build_grid(lo, hi, root / SPACING_DIV, max_nodes=max_nodes)
+    return build_grid(lo, hi, root / SPACING_DIV)
 
 
 @dataclass
@@ -101,9 +103,6 @@ class MollifierField:
     eps: float
     grid: QuadratureGrid
     values: np.ndarray
-
-    def integral(self):
-        return float(self.grid.weights() @ self.values)
 
 
 def mollified_density(points, weights, eps, x):
@@ -117,7 +116,7 @@ def mollified_density(points, weights, eps, x):
     return norm * (np.exp(-d2 / (2.0 * eps)) @ w)
 
 
-def mollify_measure(points, weights, eps, grid=None, chunk=1 << 14):
+def mollify_measure(points, weights, eps, grid=None):
     """Smooth a weighted particle set onto a quadrature grid."""
     if eps <= 0.0:
         raise ConfigError(f"bandwidth must be positive, got {eps!r}")
@@ -128,62 +127,23 @@ def mollify_measure(points, weights, eps, grid=None, chunk=1 << 14):
         raise ConfigError("grid dimension does not match the points")
     nodes = grid.nodes()
     vals = np.empty(nodes.shape[0])
-    for start in range(0, nodes.shape[0], chunk):
-        block = nodes[start:start + chunk]
-        vals[start:start + chunk] = mollified_density(pts, weights, eps, block)
+    for start in range(0, nodes.shape[0], CHUNK):
+        block = nodes[start:start + CHUNK]
+        vals[start:start + CHUNK] = mollified_density(pts, weights, eps, block)
     return MollifierField(eps, grid, vals)
 
 
-def _axis_kernel(axis, eps, weighted=True, target=None):
-    """1-D Gaussian kernel matrix target x axis with trapezoid weights."""
-    if target is None:
-        target = axis
-    diff = target[:, None] - axis[None, :]
-    K = (2.0 * np.pi * eps) ** -0.5 * np.exp(-diff * diff / (2.0 * eps))
-    if weighted:
-        if len(axis) == 1:
-            wa = np.ones(1)
-        else:
-            dx = axis[1] - axis[0]
-            wa = np.full(len(axis), dx)
-            wa[0] *= 0.5
-            wa[-1] *= 0.5
-        K = K * wa[None, :]
-    return K
-
-
-def _heat_apply(grid, values, delta, target_grid=None):
-    """Apply the Gaussian convolution axis by axis (separable kernel)."""
-    if target_grid is None:
-        target_grid = grid
+def _heat_apply(grid, values, delta):
+    """Apply the Gaussian convolution axis by axis (separable kernel), each
+    axis a kernel matrix with the grid's trapezoid weights."""
     v = np.asarray(values, float).reshape(grid.shape)
-    for i in range(grid.dim):
-        K = _axis_kernel(grid.axes[i], delta, target=target_grid.axes[i])
+    for i, axis in enumerate(grid.axes):
+        diff = axis[:, None] - axis[None, :]
+        K = ((2.0 * np.pi * delta) ** -0.5
+             * np.exp(-diff * diff / (2.0 * delta))
+             * grid.axis_weights(i)[None, :])
         v = np.moveaxis(np.tensordot(K, np.moveaxis(v, i, 0), axes=(1, 0)), 0, i)
     return v.ravel()
-
-
-def _extend_axis(axis, pad):
-    dx = axis[1] - axis[0] if len(axis) > 1 else 1.0
-    k = int(np.ceil(pad / dx))
-    left = axis[0] - dx * np.arange(k, 0, -1)
-    right = axis[-1] + dx * np.arange(1, k + 1)
-    return np.concatenate([left, axis, right])
-
-
-def mollify_function(F, eps, grid):
-    """Smooth a function: (S_eps F)(x) on the grid nodes.
-
-    The integral runs over the grid extended by the standard padding so
-    that boundary nodes still see the full effective support of the
-    kernel.
-    """
-    pad = PAD_MULT * np.sqrt(eps)
-    big = QuadratureGrid(tuple(_extend_axis(a, pad) for a in grid.axes))
-    fn = getattr(F, "value", F)
-    fv = np.asarray(fn(big.nodes()), float).reshape(big.n_nodes)
-    vals = _heat_apply(big, fv, eps, target_grid=grid)
-    return MollifierField(eps, grid, vals)
 
 
 def h_norm(field):
@@ -244,7 +204,7 @@ def smoothing_checks(points, weights, eps, F):
             "semigroup": semigroup}
 
 
-def energy_trajectory(traj, eps, grid=None):
+def energy_trajectory(traj, eps):
     """Squared H-norm of the mollified unnormalized cloud at every node.
 
     ``traj`` must have been produced with ``store_clouds=True``; the weights
@@ -255,9 +215,7 @@ def energy_trajectory(traj, eps, grid=None):
     if not traj.clouds:
         raise ConfigError("trajectory carries no clouds; "
                           "run the filter with store_clouds=True")
-    if grid is None:
-        allpts = np.concatenate([c.x for c in traj.clouds], axis=0)
-        grid = auto_grid(allpts, eps)
+    grid = auto_grid(np.concatenate([c.x for c in traj.clouds]), eps)
     out = np.empty(len(traj.clouds))
     for k, c in enumerate(traj.clouds):
         w = c.normalized_weights() * np.exp(c.log_mass())
@@ -265,23 +223,7 @@ def energy_trajectory(traj, eps, grid=None):
     return out
 
 
-def energy_gap_trajectory(clouds_a, clouds_b, times, eps, grid=None):
-    """Squared energy distance between two cloud sequences at each node."""
-    if len(clouds_a) != len(clouds_b) or len(clouds_a) != len(times):
-        raise ConfigError("cloud sequences and times must share their length")
-    if grid is None:
-        allpts = np.concatenate(
-            [c.x for c in clouds_a] + [c.x for c in clouds_b], axis=0)
-        grid = auto_grid(allpts, eps)
-    out = np.empty(len(times))
-    for k, (ca, cb) in enumerate(zip(clouds_a, clouds_b)):
-        d = energy_distance(ca.x, ca.normalized_weights(),
-                            cb.x, cb.normalized_weights(), eps, grid=grid)
-        out[k] = d * d
-    return out
-
-
-def gronwall_constant(times, energies, skip_frac=0.1):
+def gronwall_constant(times, energies):
     """Smallest exponential rate bounding the energy growth from its start.
 
     Returns max over t beyond the initial skip window of
@@ -292,7 +234,7 @@ def gronwall_constant(times, energies, skip_frac=0.1):
     if E[0] <= 0.0:
         raise ConfigError("initial energy must be positive for a growth rate")
     span = t[-1] - t[0]
-    mask = t >= t[0] + skip_frac * span
+    mask = t >= t[0] + SKIP_FRAC * span
     mask[0] = False
     if not np.any(mask):
         raise ConfigError("no nodes beyond the skip window")

@@ -11,7 +11,7 @@ and predictable without any implicit solves.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,11 +102,8 @@ class ObservationRecord:
         return np.diff(self.t)
 
     def step_event(self):
-        """Map step index -> event, None for continuous steps."""
-        out = {}
-        for ev, k in zip(self.events, self.event_steps):
-            out[int(k)] = ev
-        return out
+        """Map the index of each jump step to its event."""
+        return {int(k): ev for ev, k in zip(self.events, self.event_steps)}
 
 
 def _merged_grid(base, events):
@@ -288,12 +285,6 @@ def _write_marks(writer, label, marks):
                     + [_fmt(v) for v in marks.ravel()])
 
 
-def _read_marks(row):
-    rows, cols = int(row[1]), int(row[2])
-    vals = np.array([float(v) for v in row[3:3 + rows * cols]])
-    return vals.reshape(rows, cols)
-
-
 def write_observation(obs, path):
     m = obs.Y.shape[1]
     md = obs.marks2.shape[1] if obs.marks2.size else 1
@@ -315,27 +306,3 @@ def write_observation(obs, path):
             else:
                 row += ["", 0] + [""] * md
             w.writerow(row)
-
-
-def read_observation(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    meta_row = rows[0]
-    meta = {meta_row[i]: meta_row[i + 1] for i in range(1, len(meta_row) - 1, 2)}
-    m = int(meta["m"])
-    md = int(meta["mark_dim"])
-    marks2 = _read_marks(rows[1])
-    body = rows[3:]
-    t = np.array([float(r[0]) for r in body])
-    Y = np.array([[float(v) for v in r[1:1 + m]] for r in body])
-    events = []
-    event_steps = []
-    for r in body:
-        if r[1 + m + 1] == "1":
-            k = int(r[1 + m])
-            mark = np.array([float(v) for v in r[3 + m:3 + m + md]])
-            events.append(JumpEvent(t[k], mark, channel="observation", accepted=True))
-            event_steps.append(k)
-    grid = TimeGrid(float(meta["t0"]), float(meta["t1"]), int(meta["n_steps"]))
-    return ObservationRecord(grid, t, Y, events, np.asarray(event_steps, int),
-                             marks2, source_seed=int(meta["seed"]))

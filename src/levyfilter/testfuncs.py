@@ -219,7 +219,11 @@ def make_test_function(text, n=1):
         if kind == "const":
             return constant(float(parts[1]) if len(parts) > 1 else 1.0, n=n)
         if kind == "coord":
-            return coordinate(int(parts[1]) if len(parts) > 1 else 0, n=n)
+            i = int(parts[1]) if len(parts) > 1 else 0
+            if not 0 <= i < n:
+                raise ConfigError(f"test function {text!r}: coordinate "
+                                  f"index {i} outside 0..{n - 1}")
+            return coordinate(i, n=n)
         if kind == "quad":
             return quadratic(n=n)
         if kind == "bump":

@@ -36,11 +36,10 @@ import numpy as np
 from conftest import observed_scenario, record_acceptance, rms
 from levyfilter.cli import main as cli_main
 from levyfilter.families import build_family, list_families
-from levyfilter.filtering import (innovation_process, ks_residual,
-                                  pathwise_uniqueness_probe, zakai_filter)
+from levyfilter.filtering import innovation_process, ks_residual, zakai_filter
 from levyfilter.girsanov import sample_reference_log_weights
 from levyfilter.levy import compensator_integral, sample_poisson_stream
-from levyfilter.mollify import (energy_gap_trajectory, energy_trajectory,
+from levyfilter.mollify import (energy_distance, energy_trajectory,
                                 gronwall_constant, h_norm, mollify_measure,
                                 smoothing_checks)
 from levyfilter.oracle import kalman_bucy
@@ -271,16 +270,26 @@ def test_criterion_8_pathwise_uniqueness_probe():
                       store_clouds=True)
     tb = zakai_filter(mix.spec, obs, 400, mix.prior_sampler, 9,
                       store_clouds=True)
-    gaps = energy_gap_trajectory(ta.clouds, tb.clouds, obs.t, eps=0.5)
-    equal_seed = float(np.max(gaps))
-    probe_same = pathwise_uniqueness_probe(
-        mix.spec, obs, 400, mix.prior_sampler, 9, 9)
+    equal_seed = max(energy_distance(ca.x, ca.normalized_weights(),
+                                     cb.x, cb.normalized_weights(), 0.5)
+                     for ca, cb in zip(ta.clouds, tb.clouds))
 
+    def sup_distance(n_particles, seed_a, seed_b):
+        """Sup over nodes and over x and x^2 of the gap between the pi(F)
+        of two filter runs."""
+        funcs = [coordinate(0), quadratic()]
+        a, b = (zakai_filter(mix.spec, obs, n_particles, mix.prior_sampler,
+                             seed, test_functions=funcs)
+                for seed in (seed_a, seed_b))
+        return max(float(np.max(np.abs(a.summaries[F.name].pi_F
+                                       - b.summaries[F.name].pi_F)))
+                   for F in funcs)
+
+    probe_same = sup_distance(400, 9, 9)
     medians = []
     for n_particles in (1000, 2000, 4000):
-        dists = [pathwise_uniqueness_probe(
-            mix.spec, obs, n_particles, mix.prior_sampler,
-            9100 + 7 * r, 9600 + 11 * r) for r in range(10)]
+        dists = [sup_distance(n_particles, 9100 + 7 * r, 9600 + 11 * r)
+                 for r in range(10)]
         medians.append(float(np.median(dists)))
     passed = (equal_seed == 0.0 and probe_same == 0.0
               and medians[0] > medians[1] > medians[2])

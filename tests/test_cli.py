@@ -129,6 +129,23 @@ def test_out_of_range_value_exits_2_with_one_message_line(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("line, named", [
+    ("param.T = -1", "param.T = -1.0"),
+    ("param.rate2 = -3", "param.rate2 = -3.0"),
+    ("param.mark_lo = 2", "param.mark_lo = 2.0"),
+    ("test_functions = coord:5", "'coord:5'"),
+], ids=["T", "rate2", "mark_lo", "coord_index"])
+def test_bad_model_value_exits_2_with_one_message_line(tmp_path, capsys,
+                                                       line, named):
+    cfg = write_cfg(tmp_path, "family = uninformative\nn_steps = 20\n"
+                    f"n_particles = 50\n{line}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_hypothesis_violation_exits_3_and_leaves_running_marker(
         tmp_path, capsys):
     cfg = write_cfg(tmp_path, """\

@@ -6,19 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from levyfilter.errors import DegeneracyError, ModelViolationError
 from levyfilter.families import build_family
-from levyfilter.filtering import (FilterTrajectory, GainTerms, ParticleCloud,
-                                  ResamplePolicy, ShiftedWeights,
-                                  estimate_moment, function_terms,
-                                  gain_terms,
-                                  innovation_process, ks_residual,
-                                  normalize_cloud, pathwise_uniqueness_probe,
-                                  resample, write_trajectory_csv,
-                                  zakai_filter, zakai_residual)
+from levyfilter.filtering import (ParticleCloud, ResamplePolicy,
+                                  ShiftedWeights, function_terms, gain_terms,
+                                  innovation_process, ks_residual, resample,
+                                  write_trajectory_csv, zakai_filter,
+                                  zakai_residual)
 from levyfilter.model import (LevyMeasureSpec, SystemSpec, generator_values,
                               signal_terms)
 from levyfilter.oracle import kalman_bucy
@@ -93,13 +88,9 @@ def run_family(family, n_steps, n_particles, seed, *, params=None,
 
 def test_cloud_moments_closed_form():
     c = hand_cloud()
-    assert estimate_moment(c, coordinate(0)) == pytest.approx(HAND_PI_X,
-                                                              abs=1e-14)
-    assert estimate_moment(c, coordinate(0), normalized=False) == \
-        pytest.approx(HAND_RHO_X, abs=1e-14)
-    # plain callables are accepted too
-    assert estimate_moment(c, lambda x: x[:, 0]) == pytest.approx(HAND_PI_X,
-                                                                  abs=1e-14)
+    pi_x = c.normalized_weights() @ c.x[:, 0]
+    assert pi_x == pytest.approx(HAND_PI_X, abs=1e-14)
+    assert np.exp(c.log_mass()) * pi_x == pytest.approx(HAND_RHO_X, abs=1e-14)
 
 
 def test_effective_sample_size_closed_forms():
@@ -108,16 +99,6 @@ def test_effective_sample_size_closed_forms():
     assert ShiftedWeights(np.array([0.0, -1000.0])).ess == \
         pytest.approx(1.0, abs=1e-12)
     assert ShiftedWeights(np.full(3, -np.inf)).ess == 0.0
-
-
-def test_normalize_cloud():
-    c = hand_cloud()
-    nc = normalize_cloud(c)
-    assert nc.log_mass() == pytest.approx(0.0, abs=1e-14)
-    assert estimate_moment(nc, coordinate(0)) == pytest.approx(HAND_PI_X,
-                                                               abs=1e-14)
-    fresh = ParticleCloud(np.zeros((4, 1)), np.zeros(4))
-    assert normalize_cloud(fresh) is fresh
 
 
 def test_resample_preserves_mass_and_matches_weights():
@@ -143,21 +124,6 @@ def test_resample_policy_thresholds():
     assert not ResamplePolicy(0.0).should_fire(skewed.ess(), 10)
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), a=st.floats(-5.0, 5.0),
-       b=st.floats(-5.0, 5.0))
-def test_estimate_moment_linearity_property(seed, a, b):
-    rng = np.random.default_rng(seed)
-    c = ParticleCloud(rng.normal(size=(40, 1)), rng.normal(size=40))
-    F, G = quadratic(), coordinate(0)
-    combo = lambda x: a * F.value(x) + b * G.value(x)
-    for normalized in (True, False):
-        lhs = estimate_moment(c, combo, normalized=normalized)
-        rhs = (a * estimate_moment(c, F, normalized=normalized)
-               + b * estimate_moment(c, G, normalized=normalized))
-        assert lhs == pytest.approx(rhs, abs=1e-9 * (1 + abs(a) + abs(b)))
-
-
 # --- gain terms ----------------------------------------------------------------
 
 def test_gain_terms_hand_values():
@@ -178,20 +144,16 @@ def test_gain_terms_hand_values():
 
 def test_filter_deterministic_and_probe_zero():
     scen, rec, obs, t1, funcs = run_family("jump_free", 40, 200, 51)
+    same = zakai_filter(scen.spec, obs, 200, scen.prior_sampler, 52,
+                        test_functions=funcs)
     t2 = zakai_filter(scen.spec, obs, 200, scen.prior_sampler, 53,
                       test_functions=funcs)
-    assert np.array_equal(t1.log_mass,
-                          zakai_filter(scen.spec, obs, 200,
-                                       scen.prior_sampler, 52,
-                                       test_functions=funcs).log_mass)
-    same = pathwise_uniqueness_probe(scen.spec, obs, 200,
-                                     scen.prior_sampler, 9, 9)
-    assert same == 0.0
-    diff = pathwise_uniqueness_probe(scen.spec, obs, 200,
-                                     scen.prior_sampler, 9, 10)
-    assert diff > 0.0
-    assert not np.array_equal(t1.summaries[funcs[0].name].pi_F,
-                              t2.summaries[funcs[0].name].pi_F)
+    assert np.array_equal(t1.log_mass, same.log_mass)
+    for F in funcs:
+        assert np.array_equal(t1.summaries[F.name].pi_F,
+                              same.summaries[F.name].pi_F)
+        assert not np.array_equal(t1.summaries[F.name].pi_F,
+                                  t2.summaries[F.name].pi_F)
 
 
 def test_duplicate_function_names_raise():

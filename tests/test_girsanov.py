@@ -114,13 +114,13 @@ def test_drivers_recover_girsanov_shifted_brownian():
     grid = TimeGrid(0.0, scen.spec.T, 60)
     rec = simulate_path(scen.spec, grid, scen.prior_sampler, scen.y0, 29)
     obs = project_observation(rec)
-    drv = reconstruct_reference_drivers(obs, scen.spec)
+    dW = reconstruct_reference_drivers(obs, scen.spec)
     # no jump channels: grids coincide and dWtilde = dW + h dt pathwise
-    assert np.array_equal(drv.t, rec.t)
+    assert np.array_equal(obs.t, rec.t)
     dt = rec.dt()
     h = np.array([scen.spec.h(rec.t[k], rec.X[k], rec.Y[k])
                   for k in range(len(dt))])
-    assert np.max(np.abs(drv.dW - (rec.dW + h * dt[:, None]))) <= 1e-12
+    assert np.max(np.abs(dW - (rec.dW + h * dt[:, None]))) <= 1e-12
 
 
 def test_drivers_zero_on_jump_steps_and_resynthesis_roundtrip():
@@ -129,11 +129,10 @@ def test_drivers_zero_on_jump_steps_and_resynthesis_roundtrip():
     rec = simulate_path(scen.spec, grid, scen.prior_sampler, scen.y0, 31)
     obs = project_observation(rec)
     assert len(obs.events) > 0
-    drv = reconstruct_reference_drivers(obs, scen.spec)
-    jumps = drv.is_jump_step()
-    assert jumps.sum() == len(obs.events)
-    assert np.all(drv.dW[jumps] == 0.0)
-    Y_re = resynthesize_observation(drv, scen.spec, scen.y0)
+    dW = reconstruct_reference_drivers(obs, scen.spec)
+    assert dW.shape == (len(obs.t) - 1, scen.spec.m)
+    assert np.all(dW[obs.event_steps] == 0.0)
+    Y_re = resynthesize_observation(obs, dW, scen.spec, scen.y0)
     assert np.max(np.abs(Y_re - obs.Y)) <= 1e-10
 
 

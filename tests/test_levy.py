@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from levyfilter.errors import ModelViolationError
+from levyfilter.errors import ConfigError, ModelViolationError
 from levyfilter.families import build_family
-from levyfilter.levy import (JumpEvent, JumpStream, compensator_integral,
-                             sample_poisson_stream)
+from levyfilter.levy import (MAX_EXPECTED_EVENTS, JumpEvent, JumpStream,
+                             compensator_integral, sample_poisson_stream)
 from levyfilter.model import LevyMeasureSpec
 from levyfilter.propagation import jump_rounds, thin
 from levyfilter.rng import substream
@@ -82,6 +82,15 @@ def test_stream_degenerate_cases():
     assert len(sample_poisson_stream(nu, 1.0, 1.0, 1)) == 0
     with pytest.raises(ValueError):
         sample_poisson_stream(nu, 1.0, 0.0, 1)
+
+    # an expected count above the ceiling is refused before any draw
+    def sampler(rng, size):
+        raise AssertionError("marks drawn for a refused stream")
+
+    for rate, t1 in ((1e12, 1.0), (0.5 * MAX_EXPECTED_EVENTS + 1.0, 2.0)):
+        with pytest.raises(ConfigError, match="observation jump stream"):
+            sample_poisson_stream(LevyMeasureSpec(1, rate, sampler), 0.0, t1,
+                                  1, channel="observation")
 
 
 # --- thinning -----------------------------------------------------------------

@@ -138,7 +138,18 @@ def test_validate_flags_singular_sigma2_with_witness():
     report = validate_hypotheses(spec, 200, 42)
     check = report["obs_bounded_invertible"]
     assert not check.passed
-    assert check.witness is not None
+    assert check.witness["det"] == 0.0
+    assert check.note == "sigma2 singular"
+
+
+def test_validate_notes_a_non_finite_f2_moment():
+    spec = replace(scalar_spec(nu2=LevyMeasureSpec.uniform(0.0, 1.0, 1.0)),
+                   f2=lambda t, y, u: np.inf + 0.0 * (y + u))
+    with np.errstate(invalid="ignore"):    # inf - inf in its Lipschitz check
+        report = validate_hypotheses(spec, 200, 42)
+    check = report["obs_bounded_invertible"]
+    assert not check.passed and not np.isfinite(check.witness["moment"])
+    assert check.note == "f2 second moment at y=0 not finite"
 
 
 def test_validate_flags_unbounded_below_intensity():
@@ -253,7 +264,8 @@ def test_generator_point_mass_jump_bracket():
     spec = scalar_spec(b1=lambda t, x: np.zeros(np.shape(x)),
                        sigma0=0.0, sigma1=0.0,
                        f1=lambda t, x, u: u + 0.0 * np.asarray(x),
-                       nu1=LevyMeasureSpec.point_mass(1.0, rate=1.0))
+                       nu1=LevyMeasureSpec(1, 1.0, lambda rng, size:
+                                           np.ones((size, 1))))
     # F(x+1) - F(x) - F'(x)*1 = 1 for F = x^2, for any x
     assert _generator_at(spec, quadratic(), 0.0, [2.0]) == \
         pytest.approx(1.0, abs=1e-12)
@@ -509,11 +521,15 @@ def test_sensor_variant_mixing_must_be_unitary():
 
 def test_levy_measure_moment_bookkeeping():
     nu = LevyMeasureSpec.gaussian(0.5, 2.0, rate=3.0)
-    assert nu.moments["second_moment"] == pytest.approx(0.25 + 4.0)
+    assert (nu.dim, nu.rate) == (1, 3.0)
+    assert nu.frozen_marks(64).shape == (64, 1)
+    assert np.array_equal(nu.frozen_marks(64), nu.frozen_marks(64))
     assert LevyMeasureSpec.none().rate == 0.0
     assert LevyMeasureSpec.none().frozen_marks(64).shape == (0, 1)
     with pytest.raises(ValueError):
-        LevyMeasureSpec.point_mass(1.0, rate=-2.0)
+        LevyMeasureSpec.gaussian(0.5, 2.0, rate=-2.0)
+    with pytest.raises(ValueError, match="lo < hi"):
+        LevyMeasureSpec.uniform(2.0, 1.2, rate=1.0)
 
 
 # --- acceptance probability check ---------------------------------------------

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from levyfilter.errors import ConfigError
 from levyfilter.filtering import ParticleCloud
 from levyfilter.mollify import (auto_grid, build_grid, energy_distance,
-                                energy_gap_trajectory, energy_trajectory,
-                                gronwall_constant, h_norm, mollified_density,
-                                mollify_function, mollify_measure,
+                                energy_trajectory, gronwall_constant, h_norm,
+                                mollified_density, mollify_measure,
                                 smoothing_checks)
 
 # --- independent oracles ------------------------------------------------------
@@ -21,7 +20,6 @@ from levyfilter.mollify import (auto_grid, build_grid, energy_distance,
 #   ||S_eps delta_a||^2            = 1 / (2 sqrt(pi eps))
 #   <S_eps delta_a, S_eps delta_b> = exp(-(a-b)^2/(4 eps)) / (2 sqrt(pi eps))
 #   ||S_eps(a d_u + b d_v)||^2     = (a^2+b^2+2ab e^{-(u-v)^2/4eps})/(2 sqrt(pi eps))
-#   S_eps(x^2)(x)                  = x^2 + eps
 #   dist(delta_0, delta_2; eps=1)  = sqrt((1 - e^{-1}) / sqrt(pi))
 DELTA_NORM_EPS1 = 0.28209479177387814        # 1 / (2 sqrt(pi))
 DELTA_NORM_EPS2 = 0.19947114020071635        # 1 / (2 sqrt(2 pi))
@@ -61,7 +59,7 @@ def test_two_point_norm_closed_form():
 def test_mass_preserved_and_density_peak():
     pts, w = random_cloud(3)
     f = mollify_measure(pts, w, 0.6)
-    assert f.integral() == pytest.approx(w.sum(), abs=1e-10)
+    assert f.grid.weights() @ f.values == pytest.approx(w.sum(), abs=1e-10)
     dens = mollified_density(np.array([[0.0]]), np.array([1.0]), 1.0,
                              np.array([[0.0]]))
     assert dens[0] == pytest.approx(ATOM_DENSITY_EPS1, abs=1e-14)
@@ -82,13 +80,6 @@ def test_energy_distance_closed_form_and_scaling():
     base = energy_distance(pa, wa, pb, wb, 0.7)
     scaled = energy_distance(pa, 2.0 * wa, pb, 2.0 * wb, 0.7)
     assert scaled == pytest.approx(2.0 * base, rel=1e-10)
-
-
-def test_function_smoothing_quadratic_closed_form():
-    grid = build_grid([-2.0], [2.0], 0.05)
-    field = mollify_function(lambda x: np.sum(x * x, axis=-1), 0.5, grid)
-    nodes = grid.nodes()[:, 0]
-    assert np.max(np.abs(field.values - (nodes**2 + 0.5))) <= 1e-10
 
 
 # --- kernel identities ----------------------------------------------------------
@@ -159,16 +150,6 @@ def test_energy_trajectory_point_mass_closed_form():
 def test_energy_trajectory_requires_clouds():
     with pytest.raises(ConfigError):
         energy_trajectory(SimpleNamespace(clouds=None), 1.0)
-
-
-def test_energy_gap_trajectory_zero_on_identical_clouds():
-    clouds = [ParticleCloud(np.random.default_rng(s).normal(size=(15, 1)),
-                            np.zeros(15)) for s in range(3)]
-    gaps = energy_gap_trajectory(clouds, [c.copy() for c in clouds],
-                                 [0.0, 0.5, 1.0], 0.9)
-    assert np.max(np.abs(gaps)) <= 1e-12
-    with pytest.raises(ConfigError):
-        energy_gap_trajectory(clouds, clouds[:2], [0.0, 0.5, 1.0], 0.9)
 
 
 def test_gronwall_constant_exponential_closed_form():

@@ -1,5 +1,6 @@
 """Path simulation: grid refinement, jump handling, moments, serialization."""
 
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,8 @@ from levyfilter.families import build_family
 from levyfilter.propagation import physical_step, thin
 from levyfilter.rng import substream
 from levyfilter.simulate import (TimeGrid, coarsen_observation,
-                                 project_observation, read_observation,
-                                 simulate_path, write_observation)
+                                 project_observation, simulate_path,
+                                 write_observation)
 
 # --- independent oracles ------------------------------------------------------
 
@@ -273,15 +274,28 @@ def test_observation_roundtrip_csv(tmp_path):
     obs = project_observation(rec)
     p = tmp_path / "obs.csv"
     write_observation(obs, p)
-    back = read_observation(p)
-    assert np.array_equal(back.t, obs.t)
-    assert np.array_equal(back.Y, obs.Y)
-    assert np.array_equal(back.event_steps, obs.event_steps)
-    assert np.array_equal(back.marks2, obs.marks2)
-    assert back.source_seed == obs.source_seed
-    assert np.array_equal(np.array([e.t for e in back.events]),
-                          np.array([e.t for e in obs.events]))
-    assert np.array_equal(np.stack([e.mark for e in back.events]),
+    with open(p, newline="") as fh:
+        meta, marks2, header, *body = csv.reader(fh)
+    m, md = obs.Y.shape[1], obs.marks2.shape[1]
+    meta = dict(zip(meta[1::2], meta[2::2]))
+    assert (int(meta["m"]), int(meta["mark_dim"]), int(meta["seed"]),
+            float(meta["t0"]), float(meta["t1"]), int(meta["n_steps"]),
+            int(meta["n_events"])) == (m, md, obs.source_seed, grid.t0,
+                                       grid.t1, grid.n_steps, len(obs.events))
+    assert marks2[:3] == ["#marks2", str(len(obs.marks2)), str(md)]
+    assert np.array_equal(np.array(marks2[3:], float).reshape(-1, md),
+                          obs.marks2)
+    assert header == (["t"] + [f"y_{i}" for i in range(m)]
+                      + ["event_step", "event"]
+                      + [f"mark_{i}" for i in range(md)])
+    t = np.array([r[0] for r in body], float)
+    assert np.array_equal(t, obs.t)
+    assert np.array_equal(np.array([r[1:1 + m] for r in body], float), obs.Y)
+    events = [r for r in body if r[2 + m] == "1"]
+    steps = [int(r[1 + m]) for r in events]
+    assert len(events) > 0 and np.array_equal(steps, obs.event_steps)
+    assert np.array_equal(t[steps], [e.t for e in obs.events])
+    assert np.array_equal(np.array([r[3 + m:] for r in events], float),
                           np.stack([e.mark for e in obs.events]))
 
 
