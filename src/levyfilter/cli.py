@@ -56,10 +56,10 @@ def _prior_mc_moments(spec, scen, n_steps, n_samples, seed, funcs):
     marks1 = spec.nu1.frozen_marks(spec.mark_budget)
     for k in range(n_steps):
         t = k * dt
-        db = rng_g.standard_normal((R, spec.indep_dim())) * np.sqrt(dt)
+        db = rng_g.standard_normal((R, spec.d)) * np.sqrt(dt)
         dw = rng_g.standard_normal((R, spec.m)) * np.sqrt(dt)
         x = reference_step(spec, signal_terms(spec, t, x, marks1),
-                           spec.coupling(t, x), dt, dw, db)
+                           np.asarray(spec.sigma1(t, x), float), dt, dw, db)
         x = add_signal_jumps(spec, t, x, dt, marks1, rng_c, rng_u)
     out = {}
     for F in funcs:
@@ -97,10 +97,17 @@ def _write_manifest(out_dir, payload):
 
 
 def _scenario(cfg):
-    """The configured scenario and its test functions."""
+    """The configured scenario and its test functions, which must have
+    distinct names."""
     scen = build_family(cfg.family, cfg.params)
-    return scen, [make_test_function(name, scen.spec.n)
-                  for name in cfg.function_names()]
+    funcs = [make_test_function(name, scen.spec.n)
+             for name in cfg.function_names()]
+    names = [F.name for F in funcs]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"test function {name!r} is given twice in "
+                              f"test_functions = {cfg.test_functions}")
+    return scen, funcs
 
 
 def _run_replica(cfg, seed_r, out_dir, index):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .model import FEEDBACK, SENSOR, LevyMeasureSpec, SystemSpec
+from .model import LevyMeasureSpec, SystemSpec
 from .oracle import LinearSpec
 
 
@@ -30,16 +30,6 @@ class Scenario:
     description: str
     params: dict = field(default_factory=dict)
     linear: LinearSpec | None = None
-
-
-def _gaussian_prior(mean, std):
-    mean = float(mean)
-    std = float(std)
-
-    def sampler(rng, size):
-        return mean + std * rng.standard_normal((int(size), 1))
-
-    return sampler
 
 
 def _zero_jump(t, s, u):
@@ -74,9 +64,27 @@ def _sigmoid_lam(lam0, slope):
 
     def lam(t, x, u):
         x = np.asarray(x, float)
-        return lam0 + span / (1.0 + np.exp(-slope * x[..., 0]))
+        # far out on the lam0 side exp overflows to inf, which gives lam0
+        with np.errstate(over="ignore"):
+            return lam0 + span / (1.0 + np.exp(-slope * x[..., 0]))
 
     return lam
+
+
+def _linear_drift(a):
+    """The drift b1(t, x) = a x."""
+    def b1(t, x):
+        return a * np.asarray(x, float)
+
+    return b1
+
+
+def _mark_jump(scale):
+    """A jump f(t, s, u) proportional to its mark u."""
+    def f(t, s, u):
+        return scale * np.asarray(u, float)
+
+    return f
 
 
 def _const_lam(value):
@@ -86,6 +94,28 @@ def _const_lam(value):
     return lam
 
 
+def _scalar(name, p, doc, b1, b2, s0, s1, r, f1=_zero_jump, f2=_zero_jump,
+            lam=None, nu1=None, nu2=None, linear=None):
+    """The Scenario of a scalar family (n = m = d = 1): drifts b1 and b2,
+    constant noise loadings sigma0 = s0, sigma1 = s1 and sigma2 = r, no
+    jumps unless given, lambda = 0.5 unless given, and the Gaussian prior
+    of p's prior_mean and prior_std."""
+    mean, std = p["prior_mean"], p["prior_std"]
+
+    def prior(rng, size):
+        return mean + std * rng.standard_normal((int(size), 1))
+
+    spec = SystemSpec(
+        n=1, m=1, d=1,
+        b1=b1, sigma0=_const_matrix(s0), sigma1=_const_matrix(s1),
+        f1=f1, b2=b2, sigma2=_const_matrix(r), f2=f2,
+        lam=_const_lam(0.5) if lam is None else lam,
+        nu1=LevyMeasureSpec.none() if nu1 is None else nu1,
+        nu2=LevyMeasureSpec.none() if nu2 is None else nu2,
+        T=p["T"], name=name)
+    return Scenario(name, spec, prior, np.array([p["y0"]]), doc, p, linear)
+
+
 def _linear_gaussian(params=None):
     """Linear drifts with a sensor gain saturated far outside the
     operating range; the correlated-gain Kalman recursion is exact here."""
@@ -93,25 +123,15 @@ def _linear_gaussian(params=None):
                       prior_mean=0.0, prior_std=1.0, y0=0.0, T=1.0),
                  params, "linear_gaussian")
 
-    def b1(t, x):
-        return p["a"] * np.asarray(x, float)
-
     def b2(t, x, y):
         return p["gain"] * np.clip(np.asarray(x, float), -p["clip"], p["clip"])
 
-    spec = SystemSpec(
-        n=1, m=1, d=1,
-        b1=b1, sigma0=_const_matrix(p["s0"]), sigma1=_const_matrix(p["s1"]),
-        f1=_zero_jump, b2=b2, sigma2=_const_matrix(p["r"]), f2=_zero_jump,
-        lam=_const_lam(0.5),
-        nu1=LevyMeasureSpec.none(), nu2=LevyMeasureSpec.none(),
-        T=p["T"], variant=FEEDBACK, name="linear_gaussian")
     linear = LinearSpec(A=p["a"], Sigma0=p["s0"], Sigma1=p["s1"],
                         H=p["gain"], R=p["r"], x0_mean=[p["prior_mean"]],
                         x0_cov=p["prior_std"] ** 2)
-    return Scenario("linear_gaussian", spec,
-                    _gaussian_prior(p["prior_mean"], p["prior_std"]),
-                    np.array([p["y0"]]), _linear_gaussian.__doc__, p, linear)
+    return _scalar("linear_gaussian", p, _linear_gaussian.__doc__,
+                   _linear_drift(p["a"]), b2, p["s0"], p["s1"], p["r"],
+                   linear=linear)
 
 
 def _affine(params=None):
@@ -128,16 +148,8 @@ def _affine(params=None):
     def b2(t, x, y):
         return p["gain"] * np.asarray(x, float) + p["offset"]
 
-    spec = SystemSpec(
-        n=1, m=1, d=1,
-        b1=b1, sigma0=_const_matrix(p["s0"]), sigma1=_const_matrix(p["s1"]),
-        f1=_zero_jump, b2=b2, sigma2=_const_matrix(p["r"]), f2=_zero_jump,
-        lam=_const_lam(0.5),
-        nu1=LevyMeasureSpec.none(), nu2=LevyMeasureSpec.none(),
-        T=p["T"], variant=FEEDBACK, name="affine")
-    return Scenario("affine", spec,
-                    _gaussian_prior(p["prior_mean"], p["prior_std"]),
-                    np.array([p["y0"]]), _affine.__doc__, p)
+    return _scalar("affine", p, _affine.__doc__, b1, b2,
+                   p["s0"], p["s1"], p["r"])
 
 
 def _saturated_affine(params=None):
@@ -155,16 +167,8 @@ def _saturated_affine(params=None):
         xc = np.clip(np.asarray(x, float), -p["clip"], p["clip"])
         return p["gain"] * xc + p["offset"]
 
-    spec = SystemSpec(
-        n=1, m=1, d=1,
-        b1=b1, sigma0=_const_matrix(p["s0"]), sigma1=_const_matrix(p["s1"]),
-        f1=_zero_jump, b2=b2, sigma2=_const_matrix(p["r"]), f2=_zero_jump,
-        lam=_const_lam(0.5),
-        nu1=LevyMeasureSpec.none(), nu2=LevyMeasureSpec.none(),
-        T=p["T"], variant=FEEDBACK, name="saturated_affine")
-    return Scenario("saturated_affine", spec,
-                    _gaussian_prior(p["prior_mean"], p["prior_std"]),
-                    np.array([p["y0"]]), _saturated_affine.__doc__, p)
+    return _scalar("saturated_affine", p, _saturated_affine.__doc__, b1, b2,
+                   p["s0"], p["s1"], p["r"])
 
 
 def _trig(params=None):
@@ -180,16 +184,7 @@ def _trig(params=None):
     def b2(t, x, y):
         return p["beta"] * np.sin(np.asarray(x, float))
 
-    spec = SystemSpec(
-        n=1, m=1, d=1,
-        b1=b1, sigma0=_const_matrix(p["s0"]), sigma1=_const_matrix(p["s1"]),
-        f1=_zero_jump, b2=b2, sigma2=_const_matrix(p["r"]), f2=_zero_jump,
-        lam=_const_lam(0.5),
-        nu1=LevyMeasureSpec.none(), nu2=LevyMeasureSpec.none(),
-        T=p["T"], variant=FEEDBACK, name="trig")
-    return Scenario("trig", spec,
-                    _gaussian_prior(p["prior_mean"], p["prior_std"]),
-                    np.array([p["y0"]]), _trig.__doc__, p)
+    return _scalar("trig", p, _trig.__doc__, b1, b2, p["s0"], p["s1"], p["r"])
 
 
 def _uninformative(params=None):
@@ -200,27 +195,15 @@ def _uninformative(params=None):
                       prior_mean=0.3, prior_std=0.8, y0=0.0, T=1.0),
                  params, "uninformative")
 
-    def b1(t, x):
-        return p["a"] * np.asarray(x, float)
-
     def b2(t, x, y):
         x = np.asarray(x, float)
         return p["beta"] + 0.0 * x
 
-    def f2(t, y, u):
-        return p["jump2"] * np.asarray(u, float)
-
-    spec = SystemSpec(
-        n=1, m=1, d=1,
-        b1=b1, sigma0=_const_matrix(p["s0"]), sigma1=_const_matrix(0.0),
-        f1=_zero_jump, b2=b2, sigma2=_const_matrix(p["r"]), f2=f2,
+    return _scalar(
+        "uninformative", p, _uninformative.__doc__, _linear_drift(p["a"]),
+        b2, p["s0"], 0.0, p["r"], f2=_mark_jump(p["jump2"]),
         lam=_const_lam(p["lam0"]),
-        nu1=LevyMeasureSpec.none(),
-        nu2=LevyMeasureSpec.uniform(p["mark_lo"], p["mark_hi"], p["rate2"]),
-        T=p["T"], variant=FEEDBACK, name="uninformative")
-    return Scenario("uninformative", spec,
-                    _gaussian_prior(p["prior_mean"], p["prior_std"]),
-                    np.array([p["y0"]]), _uninformative.__doc__, p)
+        nu2=LevyMeasureSpec.uniform(p["mark_lo"], p["mark_hi"], p["rate2"]))
 
 
 def _jump_free(params=None):
@@ -230,22 +213,11 @@ def _jump_free(params=None):
                       prior_mean=0.0, prior_std=1.0, y0=0.0, T=0.5),
                  params, "jump_free")
 
-    def b1(t, x):
-        return p["a"] * np.asarray(x, float)
-
     def b2(t, x, y):
         return p["beta"] * np.arctan(np.asarray(x, float))
 
-    spec = SystemSpec(
-        n=1, m=1, d=1,
-        b1=b1, sigma0=_const_matrix(p["s0"]), sigma1=_const_matrix(p["s1"]),
-        f1=_zero_jump, b2=b2, sigma2=_const_matrix(p["r"]), f2=_zero_jump,
-        lam=_const_lam(0.5),
-        nu1=LevyMeasureSpec.none(), nu2=LevyMeasureSpec.none(),
-        T=p["T"], variant=FEEDBACK, name="jump_free")
-    return Scenario("jump_free", spec,
-                    _gaussian_prior(p["prior_mean"], p["prior_std"]),
-                    np.array([p["y0"]]), _jump_free.__doc__, p)
+    return _scalar("jump_free", p, _jump_free.__doc__, _linear_drift(p["a"]),
+                   b2, p["s0"], p["s1"], p["r"])
 
 
 def _jump_only(params=None):
@@ -256,26 +228,14 @@ def _jump_only(params=None):
                       prior_mean=0.0, prior_std=1.0, y0=0.0, T=0.5),
                  params, "jump_only")
 
-    def b1(t, x):
-        return p["a"] * np.asarray(x, float)
-
     def b2(t, x, y):
         return 0.0 * np.asarray(x, float)
 
-    def f2(t, y, u):
-        return p["jump2"] * np.asarray(u, float)
-
-    spec = SystemSpec(
-        n=1, m=1, d=1,
-        b1=b1, sigma0=_const_matrix(p["s0"]), sigma1=_const_matrix(p["s1"]),
-        f1=_zero_jump, b2=b2, sigma2=_const_matrix(p["r"]), f2=f2,
+    return _scalar(
+        "jump_only", p, _jump_only.__doc__, _linear_drift(p["a"]), b2,
+        p["s0"], p["s1"], p["r"], f2=_mark_jump(p["jump2"]),
         lam=_sigmoid_lam(p["lam0"], p["slope"]),
-        nu1=LevyMeasureSpec.none(),
-        nu2=LevyMeasureSpec.uniform(p["mark_lo"], p["mark_hi"], p["rate2"]),
-        T=p["T"], variant=FEEDBACK, name="jump_only")
-    return Scenario("jump_only", spec,
-                    _gaussian_prior(p["prior_mean"], p["prior_std"]),
-                    np.array([p["y0"]]), _jump_only.__doc__, p)
+        nu2=LevyMeasureSpec.uniform(p["mark_lo"], p["mark_hi"], p["rate2"]))
 
 
 def _mixed(params=None):
@@ -287,29 +247,15 @@ def _mixed(params=None):
                       prior_mean=0.0, prior_std=1.0, y0=0.0, T=1.0),
                  params, "mixed")
 
-    def b1(t, x):
-        return p["a"] * np.asarray(x, float)
-
-    def f1(t, x, u):
-        return p["jump1"] * np.asarray(u, float)
-
     def b2(t, x, y):
         return p["beta"] * np.arctan(np.asarray(x, float))
 
-    def f2(t, y, u):
-        return p["jump2"] * np.asarray(u, float)
-
-    spec = SystemSpec(
-        n=1, m=1, d=1,
-        b1=b1, sigma0=_const_matrix(p["s0"]), sigma1=_const_matrix(p["s1"]),
-        f1=f1, b2=b2, sigma2=_const_matrix(p["r"]), f2=f2,
-        lam=_sigmoid_lam(p["lam0"], p["slope"]),
+    return _scalar(
+        "mixed", p, _mixed.__doc__, _linear_drift(p["a"]), b2,
+        p["s0"], p["s1"], p["r"], f1=_mark_jump(p["jump1"]),
+        f2=_mark_jump(p["jump2"]), lam=_sigmoid_lam(p["lam0"], p["slope"]),
         nu1=LevyMeasureSpec.gaussian(0.0, 1.0, p["rate1"]),
-        nu2=LevyMeasureSpec.uniform(p["mark_lo"], p["mark_hi"], p["rate2"]),
-        T=p["T"], variant=FEEDBACK, name="mixed")
-    return Scenario("mixed", spec,
-                    _gaussian_prior(p["prior_mean"], p["prior_std"]),
-                    np.array([p["y0"]]), _mixed.__doc__, p)
+        nu2=LevyMeasureSpec.uniform(p["mark_lo"], p["mark_hi"], p["rate2"]))
 
 
 def _sensor_saturated(params=None):
@@ -321,32 +267,21 @@ def _sensor_saturated(params=None):
                       prior_mean=0.0, prior_std=1.0, y0=0.0, T=0.75),
                  params, "sensor_saturated")
 
-    def b1(t, x):
-        return p["a"] * np.asarray(x, float)
-
-    def f1(t, x, u):
-        return p["jump1"] * np.asarray(u, float)
-
     def b2(t, x, y):
         return p["beta"] * np.arctan(np.asarray(x, float))
 
-    def f2(t, y, u):
-        return p["jump2"] * np.asarray(u, float)
-
-    spec = SystemSpec(
-        n=1, m=1, d=1,
-        b1=b1, sigma0=_const_matrix(0.0), sigma1=_const_matrix(p["s1"]),
-        f1=f1, b2=b2, sigma2=_const_matrix(1.0), f2=f2,
+    # The signal noise s1 dV and the observation noise cos(theta) dV
+    # + sin(theta) dV', for independent V and V', in the model's basis:
+    # W = cos(theta) V + sin(theta) V' and B = sin(theta) V - cos(theta) V'
+    # are independent, and V = cos(theta) W + sin(theta) B.
+    return _scalar(
+        "sensor_saturated", p, _sensor_saturated.__doc__,
+        _linear_drift(p["a"]), b2,
+        p["s1"] * abs(np.sin(p["theta"])), p["s1"] * np.cos(p["theta"]), 1.0,
+        f1=_mark_jump(p["jump1"]), f2=_mark_jump(p["jump2"]),
         lam=_sigmoid_lam(p["lam0"], p["slope"]),
         nu1=LevyMeasureSpec.gaussian(0.0, 1.0, p["rate1"]),
-        nu2=LevyMeasureSpec.uniform(p["mark_lo"], p["mark_hi"], p["rate2"]),
-        T=p["T"], variant=SENSOR,
-        mix_w=np.array([[np.cos(p["theta"])]]),
-        mix_b=np.array([[np.sin(p["theta"])]]),
-        name="sensor_saturated")
-    return Scenario("sensor_saturated", spec,
-                    _gaussian_prior(p["prior_mean"], p["prior_std"]),
-                    np.array([p["y0"]]), _sensor_saturated.__doc__, p)
+        nu2=LevyMeasureSpec.uniform(p["mark_lo"], p["mark_hi"], p["rate2"]))
 
 
 FAMILIES = {

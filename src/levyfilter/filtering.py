@@ -214,9 +214,8 @@ class NodeTerms:
 
     lam_bar: np.ndarray | None   # mark mean of lambda, (N,); None without
                                  # observation jumps
-    coup: np.ndarray             # driver coupling as spec.coupling returns
-                                 # it: shared (n, m) when sigma1 ignores x,
-                                 # else (N, n, m)
+    coup: np.ndarray             # driver coupling sigma1: shared (n, m)
+                                 # when sigma1 ignores x, else (N, n, m)
     signal: SignalTerms          # b1, a, f1 displacement and compensator
     functions: dict              # test-function name -> FunctionTerms
 
@@ -224,7 +223,7 @@ class NodeTerms:
 def node_terms(spec, t, x, marks1, marks2, funcs):
     """Evaluate a cloud's ``NodeTerms`` at time t."""
     lam_bar_x = lam_bar(spec, t, x, marks2)
-    coup = spec.coupling(t, x)
+    coup = np.asarray(spec.sigma1(t, x), float)
     signal = signal_terms(spec, t, x, marks1)
     return NodeTerms(lam_bar_x, coup, signal,
                      {F.name: function_terms(F, x, signal, coup, lam_bar_x)
@@ -284,7 +283,6 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
     rng_b = substream(rng_seed, "particle-brownian")
     rng_c = substream(rng_seed, "particle-jump-counts")
     rng_u = substream(rng_seed, "particle-jump-marks")
-    q = spec.indep_dim()
     ev = obs.step_event()
     dt_all = obs.dt()
 
@@ -374,7 +372,7 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
             dW = dW_all[k]
             logw = log_weight_step(logw, hv, dW, dt, spec.nu2.rate,
                                    node.lam_bar)
-            dB = rng_b.standard_normal((N, q)) * np.sqrt(dt)
+            dB = rng_b.standard_normal((N, spec.d)) * np.sqrt(dt)
             x = reference_step(spec, node.signal, node.coup, dt, dW, dB, hv)
             x = add_signal_jumps(spec, t, x, dt, marks1, rng_c, rng_u)
             node = None

@@ -77,10 +77,10 @@ def reconstruct_reference_drivers(obs, spec):
     """Invert the reference observation dynamics for the Brownian driver:
     the (K, m) increments dW on the record's grid.
 
-    Per continuous step:  dW = obs_sigma(t, Y_t)^{-1} (dY + dt * int f2 nu2),
+    Per continuous step:  dW = sigma2(t, Y_t)^{-1} (dY + dt * int f2 nu2),
     using the record's frozen marks for the compensator; jump steps (zero
     length, one event) contribute dW = 0.  Raises InvertibilityError with
-    the condition number when obs_sigma is singular.
+    the condition number when sigma2 is singular.
     """
     K = len(obs.t) - 1
     m = obs.Y.shape[1]
@@ -95,7 +95,7 @@ def reconstruct_reference_drivers(obs, spec):
         dt = dt_all[k]
         comp = spec.obs_jump_drift_reference(t, y, obs.marks2)
         rhs = (obs.Y[k + 1] - y) + dt * comp
-        sig = np.asarray(spec.obs_sigma(t, y), float)
+        sig = np.asarray(spec.sigma2(t, y), float)
         try:
             dW[k] = solve(sig, rhs)
         except np.linalg.LinAlgError as exc:
@@ -152,17 +152,17 @@ def sample_reference_log_weights(spec, grid, n_paths, x0_sampler, y0, rng_seed):
     rng_u = substream(rng_seed, "jump-marks")
     nodes = grid.nodes()
     dt = grid.dt
-    q = spec.indep_dim()
     sq = np.sqrt(dt)
     for k in range(grid.n_steps):
         t = nodes[k]
         dW = rng_g.standard_normal((R, m)) * sq
-        dXi = rng_g.standard_normal((R, q)) * sq
+        dXi = rng_g.standard_normal((R, spec.d)) * sq
         hv = np.asarray(spec.h(t, X, Y), float).reshape(R, m)
         logw = log_weight_step(logw, hv, dW, dt, spec.nu2.rate,
                                lam_bar(spec, t, X, marks2))
         Xn = reference_step(spec, signal_terms(spec, t, X, marks1),
-                            spec.coupling(t, X), dt, dW, dXi, hv)
+                            np.asarray(spec.sigma1(t, X), float), dt, dW,
+                            dXi, hv)
         Yn = observation_reference_step(spec, t, Y, dt, dW, marks2)
         if spec.nu2.rate > 0.0:
             for rows, u in jump_rounds(rng_c, rng_u, spec.nu2.rate, dt,

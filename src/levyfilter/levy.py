@@ -56,14 +56,6 @@ class JumpStream:
     def __iter__(self):
         return iter(self.events)
 
-    def times(self):
-        return np.array([e.t for e in self.events])
-
-    def marks(self):
-        if not self.events:
-            return np.zeros((0, 1))
-        return np.stack([e.mark for e in self.events])
-
     def accepted(self):
         return JumpStream([e for e in self.events if e.accepted],
                          self.t0, self.t1, self.rate, self.seed, self.channel)

@@ -8,19 +8,11 @@ A ``SystemSpec`` holds the coefficient functions of the coupled pair
 where B and W are independent Brownian motions, the signal-jump measure is
 compensated Poisson with finite intensity nu1, and observation jumps are a
 thinned Poisson stream: candidates arrive with intensity nu2 and are kept
-with state-dependent probability ``lam(t, x, u) in (0, 1)``.
-
-Two couplings are supported.  The default ("feedback") variant is the one
-above: the observation noise sigma2 dW and the signal's sigma1 dW share W,
-and b2/f2 may depend on the current observation value.  The "sensor"
-variant instead reads
-
-    dX = b1 dt + sigma1 dW + jumps(f1, nu1)
-    dY = b2 dt + mix_w dW + mix_b dB + jumps(f2, lam * nu2)
-
-with constant mixing matrices satisfying mix_w mix_w* + mix_b mix_b* = I,
-so the observation noise is a standard Brownian motion correlated with the
-signal's driver.  ``sigma0``/``sigma2`` are ignored in that variant.
+with state-dependent probability ``lam(t, x, u) in (0, 1)``.  The signal
+and the observation share W through sigma1 and sigma2, and b2/f2 may depend
+on the current observation value.  This is the one model form: a noise
+written in another Brownian basis is rewritten into it (the
+``sensor_saturated`` family).
 
 Vectorized call conventions (leading batch dimensions broadcast):
 
@@ -48,9 +40,6 @@ import numpy as np
 from .errors import (InvertibilityError, ModelViolationError,
                      NumericOverflowError)
 from .rng import substream
-
-FEEDBACK = "feedback"
-SENSOR = "sensor"
 
 # Default seed for the frozen mark samples; fixed so the mark quadrature is
 # part of the model rather than of any one run.
@@ -167,58 +156,24 @@ class SystemSpec:
     nu1: LevyMeasureSpec
     nu2: LevyMeasureSpec
     T: float
-    variant: str = FEEDBACK
-    mix_w: np.ndarray = None
-    mix_b: np.ndarray = None
     iota: float = 1e-3
     mark_budget: int = 64
     name: str = ""
 
     def __post_init__(self):
-        if self.variant not in (FEEDBACK, SENSOR):
-            raise ValueError(f"unknown variant {self.variant!r}")
         if not (0.0 < self.iota < 1.0):
             raise ValueError("iota must lie in (0, 1)")
         if self.T <= 0.0:
             raise ValueError(f"terminal time T must be positive, got {self.T}")
-        if self.variant == SENSOR:
-            if self.mix_w is None or self.mix_b is None:
-                raise ValueError("sensor variant needs mix_w and mix_b")
-            self.mix_w = np.asarray(self.mix_w, float).reshape(self.m, self.m)
-            self.mix_b = np.asarray(self.mix_b, float).reshape(self.m, self.d)
-            gram = self.mix_w @ self.mix_w.T + self.mix_b @ self.mix_b.T
-            if np.max(np.abs(gram - np.eye(self.m))) > 1e-12:
-                raise ValueError("mix_w mix_w* + mix_b mix_b* must equal the identity")
-            # factor of I - mix_w* mix_w, the covariance of the part of W
-            # that the observation does not reveal
-            resid = np.eye(self.m) - self.mix_w.T @ self.mix_w
-            vals, vecs = np.linalg.eigh(resid)
-            vals = np.clip(vals, 0.0, None)
-            self._indep_chol = vecs @ np.diag(np.sqrt(vals))
-        else:
-            self._indep_chol = None
-
-    # -- variant-independent surface used by the propagation/weighting code --
-
-    def obs_sigma(self, t, y):
-        """Diffusion matrix of the observation in its driving Brownian motion."""
-        if self.variant == SENSOR:
-            y = np.asarray(y, float)
-            return np.broadcast_to(np.eye(self.m), y.shape[:-1] + (self.m, self.m))
-        return np.asarray(self.sigma2(t, np.asarray(y, float)), float)
 
     def h(self, t, x, y):
-        """Sensor function entering the likelihood weight.
-
-        Feedback variant: sigma2(t, y)^{-1} b2(t, x, y).  Sensor variant:
-        b2(t, x, y) itself.  Raises InvertibilityError when sigma2 is
-        singular, reporting the condition number.
+        """Sensor function entering the likelihood weight:
+        sigma2(t, y)^{-1} b2(t, x, y).  Raises InvertibilityError when
+        sigma2 is singular, reporting the condition number.
         """
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         b2v = np.asarray(self.b2(t, x, y), float)
-        if self.variant == SENSOR:
-            return b2v
         sig = np.asarray(self.sigma2(t, y), float)
         try:
             return solve(sig, b2v)
@@ -228,47 +183,14 @@ class SystemSpec:
                 f"sigma2 is singular at t={t:g} (condition number {cond:.3e})"
             ) from exc
 
-    def coupling(self, t, x):
-        """(n, m) loading of the reconstructed observation driver onto X."""
-        s1 = np.asarray(self.sigma1(t, np.asarray(x, float)), float)
-        if self.variant == SENSOR:
-            return s1 @ self.mix_w.T
-        return s1
-
-    def indep_factor(self, t, x):
-        """Loading of particle-independent Gaussian noise onto X."""
-        x = np.asarray(x, float)
-        if self.variant == SENSOR:
-            s1 = np.asarray(self.sigma1(t, x), float)
-            return s1 @ self._indep_chol
-        return np.asarray(self.sigma0(t, x), float)
-
-    def indep_dim(self):
-        return self.m if self.variant == SENSOR else self.d
-
-    def signal_noise(self, t, x):
-        """Loadings of the signal's physical noise on B and on W; the
-        sensor variant has none on B (None)."""
-        x = np.asarray(x, float)
-        s1 = np.asarray(self.sigma1(t, x), float)
-        if self.variant == SENSOR:
-            return None, s1
-        return np.asarray(self.sigma0(t, x), float), s1
-
-    def observation_noise(self, t, y):
-        """Loadings of the observation's physical noise on W and on B; the
-        feedback variant has none on B (None)."""
-        if self.variant == SENSOR:
-            return self.mix_w, self.mix_b
-        return np.asarray(self.sigma2(t, np.asarray(y, float)), float), None
-
     def diffusion_matrix(self, t, x):
-        """Full diffusion matrix a(t,x) of the signal generator."""
-        on_B, on_W = self.signal_noise(t, x)
-        a = np.einsum("...ik,...jk->...ij", on_W, on_W)
-        if on_B is not None:
-            a = a + np.einsum("...ik,...jk->...ij", on_B, on_B)
-        return a
+        """Full diffusion matrix a(t,x) = sigma1 sigma1' + sigma0 sigma0'
+        of the signal generator."""
+        x = np.asarray(x, float)
+        on_W = np.asarray(self.sigma1(t, x), float)
+        on_B = np.asarray(self.sigma0(t, x), float)
+        return (np.einsum("...ik,...jk->...ij", on_W, on_W)
+                + np.einsum("...ik,...jk->...ij", on_B, on_B))
 
     # -- frozen-mark compensator helpers --
 
@@ -673,9 +595,12 @@ def validate_hypotheses(spec, sample_budget, rng_seed):
                 {"u": marks2[j], "envelope": lo[j]}, "")
 
     def check(name, bound, fn, passes=None, note=""):
-        """Run one check; pass iff worst <= bound unless ``passes`` says."""
+        """Run one check; pass iff worst <= bound unless ``passes`` says.
+        A value that overflows or is invalid (inf - inf) makes the worst
+        value non-finite, which fails the check, so numpy need not warn."""
         try:
-            worst, witness, extra = fn()
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                worst, witness, extra = fn()
         except Exception as exc:  # a bad coefficient must not crash the screen
             return HypothesisCheck(name, P, float("inf"), bound, False,
                                    {"error": repr(exc)}, note)

@@ -138,7 +138,6 @@ def mc_conditional_oracle(spec, obs, n_paths, prior_sampler, rng_seed, F):
     gen_j = substream(rng_seed, "oracle-jumps")
     marks1 = spec.nu1.frozen_marks(spec.mark_budget)
     marks2 = obs.marks2
-    q = spec.indep_dim()
 
     for k in range(K):
         t = obs.t[k]
@@ -150,7 +149,7 @@ def mc_conditional_oracle(spec, obs, n_paths, prior_sampler, rng_seed, F):
             continue
         dt = obs.t[k + 1] - obs.t[k]
         comp_ref = spec.obs_jump_drift_reference(t, y, marks2)
-        sig = np.asarray(spec.obs_sigma(t, y), float)
+        sig = np.asarray(spec.sigma2(t, y), float)
         dw = np.linalg.solve(sig, (obs.Y[k + 1] - y) + dt * comp_ref)
 
         hv = np.asarray(spec.h(t, x, y), float).reshape(R, m)
@@ -159,16 +158,16 @@ def mc_conditional_oracle(spec, obs, n_paths, prior_sampler, rng_seed, F):
             lam_bar = np.mean(spec.lam_marks(t, x, marks2), axis=-1)
             logw += dt * spec.nu2.rate * (1.0 - lam_bar)
 
-        coup = spec.coupling(t, x)
+        coup = np.asarray(spec.sigma1(t, x), float)
         if coup.ndim == 2:
             coup = np.broadcast_to(coup, (R,) + coup.shape)
-        indep = spec.indep_factor(t, x)
+        indep = np.asarray(spec.sigma0(t, x), float)
         if indep.ndim == 2:
             indep = np.broadcast_to(indep, (R,) + indep.shape)
         drift = (np.asarray(spec.b1(t, x), float).reshape(R, n)
                  - np.einsum("Rnm,Rm->Rn", coup, hv)
                  - spec.signal_jump_drift(t, x, marks1))
-        db = gen.standard_normal((R, q)) * np.sqrt(dt)
+        db = gen.standard_normal((R, spec.d)) * np.sqrt(dt)
         x = (x + drift * dt + coup @ dw
              + np.einsum("Rnq,Rq->Rn", indep, db))
         if spec.nu1.rate > 0.0:

@@ -1,14 +1,13 @@
 """The steps of the model under both measures, each written once.
 
-Physical measure: the pair steps as x + (b1 - int f1 nu1) dt + noise and
-y + (b2 - int f2 nu2) dt + noise, with loadings that depend on the variant
-(``SystemSpec.signal_noise``/``observation_noise``), and each observation
+Physical measure: the pair steps as x + (b1 - int f1 nu1) dt + sigma0 dB
++ sigma1 dW and y + (b2 - int f2 nu2) dt + sigma2 dW, and each observation
 candidate is kept with probability lam (``thin``).
 
 Reference measure (Kallianpur-Striebel): the observation is a driftless
 Brownian motion plus jumps at the full rate nu2, and a batch of signal
-states steps as x + (b1 - coupling h - int f1 nu1) dt + coupling dW
-+ indep dB, then jumps.  The weight that carries it back gains
+states steps as x + (b1 - sigma1 h - int f1 nu1) dt + sigma1 dW
++ sigma0 dB, then jumps.  The weight that carries it back gains
 h.dW - |h|^2 dt/2 + rate2 (1 - lambda-bar) dt per step
 (``log_weight_step``) and log lam at each accepted jump.
 
@@ -35,22 +34,18 @@ def physical_step(spec, t, x, y, dt, dB, dW, marks1, marks2):
     ``dW`` (N, m) their Brownian increments; both jump channels enter
     compensated at their full rates (the observation at nu2, not lam nu2,
     which keeps the observation's law under the reference measure free of
-    the signal).  Returns the new (x, y).  A loading the variant lacks
-    (None) adds nothing; the present terms are added in the order
-    drift, noise on B, noise on W for x and drift, W, B for y.
+    the signal).  Every coefficient is read at the step's left point.
+    Returns the new (x, y).
     """
-    x_on_B, x_on_W = spec.signal_noise(t, x)
-    y_on_W, y_on_B = spec.observation_noise(t, y)
+    x_on_B = np.asarray(spec.sigma0(t, x), float)
+    x_on_W = np.asarray(spec.sigma1(t, x), float)
+    y_on_W = np.asarray(spec.sigma2(t, y), float)
     drift_x = (np.asarray(spec.b1(t, x), float)
                - spec.signal_jump_drift(t, x, marks1))
     drift_y = (np.asarray(spec.b2(t, x, y), float)
                - spec.obs_jump_drift_reference(t, y, marks2))
-    x = x + drift_x * dt
-    if x_on_B is not None:
-        x = x + loaded(x_on_B, dB)
+    x = x + drift_x * dt + loaded(x_on_B, dB)
     y = y + drift_y * dt + loaded(y_on_W, dW)
-    if y_on_B is not None:
-        y = y + loaded(y_on_B, dB)
     return x + loaded(x_on_W, dW), y
 
 
@@ -65,11 +60,11 @@ def thin(spec, t, x, u, rng):
 def reference_step(spec, signal, coup, dt, dW, dB, h=None):
     """One Euler step of the states ``signal.x`` (N, n); returns the new ones.
 
-    ``signal`` (``model.SignalTerms``) and ``coup``, shared (n, m) or
-    (N, n, m), hold b1, the jump compensator drift and the coupling
-    already evaluated on the states.  Without the sensor function ``h`` (N, m), as for a prior, the
-    drift has no coupling term.  ``dW`` is shared (m,) or per state (N, m);
-    the independent noise ``dB`` is (N, q).
+    ``signal`` (``model.SignalTerms``) and ``coup``, sigma1 shared (n, m)
+    or (N, n, m), hold b1, the jump compensator drift and the coupling
+    already evaluated on the states.  Without the sensor function ``h``
+    (N, m), as for a prior, the drift has no coupling term.  ``dW`` is
+    shared (m,) or per state (N, m); the independent noise ``dB`` is (N, d).
     """
     x = signal.x
     drift = signal.b1.reshape(x.shape)
@@ -77,13 +72,13 @@ def reference_step(spec, signal, coup, dt, dW, dB, h=None):
         drift = drift - loaded(coup, h)
     drift = drift - signal.jump_drift
     return (x + drift * dt + loaded(coup, dW)
-            + loaded(spec.indep_factor(signal.t, x), dB))
+            + loaded(np.asarray(spec.sigma0(signal.t, x), float), dB))
 
 
 def observation_reference_step(spec, t, y, dt, dW, marks2):
     """One continuous step of the observations y (N, m) under the
     reference measure: driftless, with the jumps compensated at nu2."""
-    return (y + loaded(spec.obs_sigma(t, y), dW)
+    return (y + loaded(np.asarray(spec.sigma2(t, y), float), dW)
             - dt * spec.obs_jump_drift_reference(t, y, marks2))
 
 

@@ -161,6 +161,8 @@ def hermite_window(degrees=2, n=1, scale=1.0):
         degs = [int(k) for k in degrees]
         if len(degs) != n:
             raise ValueError("need one degree per coordinate")
+    if min(degs) < 0:
+        raise ValueError(f"Hermite degrees must be >= 0, got {degs}")
     s = float(scale)
 
     def _all_parts(x):

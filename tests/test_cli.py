@@ -1,20 +1,23 @@
 """Command-line surface: run/replay/validate/list-families, exit codes,
 manifest hashing, acceptance gates."""
 
+import contextlib
 import hashlib
+import io
 import json
 import multiprocessing
 import os
-from dataclasses import replace
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyfilter import __version__
-from levyfilter.cli import _prior_mc_moments, main
-from levyfilter.config import config_to_text, parse_config
-from levyfilter.families import build_family
-from levyfilter.testfuncs import make_test_function
+from levyfilter.cli import main
+from levyfilter.config import SCHEMA, config_to_text, parse_config
+from levyfilter.families import FAMILIES, build_family
 
 BASE_CFG = """\
 family = trig
@@ -125,7 +128,7 @@ def test_out_of_range_value_exits_2_with_one_message_line(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err == ("config error: line 6: key 'hypothesis_budget' must be "
-                   "at least 2, got '1'\n")
+                   "in [2, 100000], got '1'\n")
     assert not (tmp_path / "x").exists()
 
 
@@ -134,7 +137,11 @@ def test_out_of_range_value_exits_2_with_one_message_line(tmp_path, capsys):
     ("param.rate2 = -3", "param.rate2 = -3.0"),
     ("param.mark_lo = 2", "param.mark_lo = 2.0"),
     ("test_functions = coord:5", "'coord:5'"),
-], ids=["T", "rate2", "mark_lo", "coord_index"])
+    ("test_functions = hermite:-1", "'hermite:-1'"),
+    ("test_functions = coord:0,coord:0", "'coord:0' is given twice"),
+    ("hypothesis_budget = 100000000000", "'hypothesis_budget'"),
+], ids=["T", "rate2", "mark_lo", "coord_index", "hermite_degree",
+        "duplicate_function", "hypothesis_budget"])
 def test_bad_model_value_exits_2_with_one_message_line(tmp_path, capsys,
                                                        line, named):
     cfg = write_cfg(tmp_path, "family = uninformative\nn_steps = 20\n"
@@ -144,6 +151,50 @@ def test_bad_model_value_exits_2_with_one_message_line(tmp_path, capsys,
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert named in err and "Traceback" not in err
     assert not (tmp_path / "x").exists()
+
+
+def hostile_settings():
+    """(family, settings) pairs: one schema or param.* key of the family at
+    a time set to 0, -1 or 1e12 (10^11 too for an integer key, and bad
+    test-function specs for test_functions), plus swapped mark bounds.
+    Each value is refused by a config range, the 1e6 event ceiling or the
+    hypothesis screen, or runs at the base config's 5 steps and 20
+    particles."""
+    out = []
+    for family in FAMILIES:
+        params = sorted(build_family(family).params)
+        for key in list(SCHEMA) + [f"param.{p}" for p in params]:
+            values = ["0", "-1", "1e12"]
+            if SCHEMA.get(key, ("float",))[0] == "int":
+                values.append(str(10**11))
+            if key == "test_functions":
+                values += ["hermite:-1", "coord:5", "coord:0,coord:0"]
+            out += [(family, {key: v}) for v in values]
+        if "mark_lo" in params:
+            out.append((family, {"param.mark_lo": "1.2",
+                                 "param.mark_hi": "0.8"}))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(hostile_settings()))
+def test_hostile_config_never_gives_a_traceback(case):
+    family, overrides = case
+    base = {"family": family, "n_steps": "5", "n_particles": "20"}
+    text = "".join(f"{k} = {v}\n" for k, v in {**base, **overrides}.items())
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", cfg,
+                         "--out", os.path.join(tmp, "out")])
+    message = err.getvalue()
+    assert code in (0, 2, 3, 4, 5), (text, message)
+    assert message.count("\n") == (code != 0), (text, message)
+    assert "Traceback" not in message
 
 
 def test_run_hypothesis_violation_exits_3_and_leaves_running_marker(
@@ -210,16 +261,6 @@ n_particles = 800
     for name, entry in rep["reduction"].items():
         assert entry["z"] <= 4.0
         assert entry["prior_se"] > 0.0
-
-
-def test_prior_mc_ignores_sigma0_in_the_sensor_variant():
-    # the sensor variant ignores sigma0 (its signal noise is sigma1 dW);
-    # a nonzero sigma0 must leave the prior moments unchanged, bit for bit
-    scen = build_family("sensor_saturated")
-    funcs = [make_test_function(name, 1) for name in ("coord:0", "quad")]
-    loud = replace(scen.spec, sigma0=lambda t, x: np.array([[2.0]]))
-    args = (scen, 50, 2000, 7, funcs)
-    assert _prior_mc_moments(loud, *args) == _prior_mc_moments(scen.spec, *args)
 
 
 SMALL = ("seed = {seed}\nn_steps = {steps}\nn_particles = {particles}\n"

@@ -62,13 +62,13 @@ def test_comments_blanks_and_params_parse():
     ("family = trig\nn_steps = 1\nn_particles = 5\n"
      "param.a = 1\nparam.a = 2\n", "duplicate key"),
     ("family = trig\nn_steps = 0\nn_particles = 5\n",
-     "line 2: key 'n_steps' must be at least 1, got '0'"),
+     r"line 2: key 'n_steps' must be in \[1, 1000000\], got '0'"),
     ("family = trig\nn_steps = 1\nn_particles = 0\n",
-     "line 3: key 'n_particles' must be at least 1"),
+     r"line 3: key 'n_particles' must be in \[1, 1000000\]"),
     ("family = trig\nn_steps = 1\nn_particles = 5\nreplicas = 0\n",
-     "line 4: key 'replicas' must be at least 1"),
+     r"line 4: key 'replicas' must be in \[1, 10000\]"),
     ("family = trig\nn_steps = 1\nn_particles = 5\nhypothesis_budget = 1\n",
-     "line 4: key 'hypothesis_budget' must be at least 2"),
+     r"line 4: key 'hypothesis_budget' must be in \[2, 100000\]"),
     ("family = trig\nn_steps = 1\nn_particles = 5\ness_fraction = -1\n",
      r"line 4: key 'ess_fraction' must be in \[0\.0, 1\.0\]"),
     ("family = trig\nn_steps = 1\nn_particles = 5\ness_fraction = 1.5\n",

@@ -88,11 +88,15 @@ def test_gaussian_prior_sampler_moments():
 
 
 def test_sensor_family_mixing_is_unitary():
-    scen = build_family("sensor_saturated")
-    assert scen.spec.variant == "sensor"
-    gram = scen.spec.mix_w @ scen.spec.mix_w.T + \
-        scen.spec.mix_b @ scen.spec.mix_b.T
-    assert np.allclose(gram, np.eye(1), atol=1e-12)
+    # the orthogonal mix, written in the model's basis, keeps the signal's
+    # noise variance s1^2 and shares s1 cos(theta) of it with the observation
+    scen = build_family("sensor_saturated", {"s1": 0.7, "theta": 2.5})
+    spec, x, y = scen.spec, np.array([0.3]), np.array([-1.0])
+    s0, s1, s2 = spec.sigma0(0.2, x), spec.sigma1(0.2, x), spec.sigma2(0.2, y)
+    assert (spec.n, spec.m, spec.d) == (1, 1, 1)
+    np.testing.assert_allclose(s0 @ s0.T + s1 @ s1.T, [[0.49]], rtol=1e-14)
+    np.testing.assert_allclose(s1 @ s2.T, [[0.7 * np.cos(2.5)]], rtol=1e-14)
+    assert np.array_equal(s2, [[1.0]])
 
 
 def test_descriptions_and_names_consistent():

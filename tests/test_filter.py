@@ -132,7 +132,7 @@ def test_gain_terms_hand_values():
     F = coordinate(0)
     signal = signal_terms(spec, 0.0, x, spec.nu1.frozen_marks(1))
     w, h = np.full(2, 0.5), spec.h(0.0, x, np.zeros(1))
-    g = gain_terms(w, function_terms(F, x, signal, spec.coupling(0.0, x),
+    g = gain_terms(w, function_terms(F, x, signal, spec.sigma1(0.0, x),
                                      None), h, w @ h)
     assert g.pi_F == pytest.approx(0.5, abs=1e-14)
     assert g.pi_h == pytest.approx([0.5], abs=1e-14)
@@ -345,9 +345,9 @@ def test_node_moments_equal_direct_evaluation(family, change, extra,
         if change is _mark_dependent_lam:
             assert lam_marks.shape == (N, len(obs.marks2))
         if change is _state_dependent_sigma1:
-            assert spec.coupling(t, x).shape == (N, spec.n, spec.m)
+            assert spec.sigma1(t, x).shape == (N, spec.n, spec.m)
         lam_bar = np.mean(lam_marks, axis=-1)
-        coup = np.broadcast_to(spec.coupling(t, x), (N, spec.n, spec.m))
+        coup = np.broadcast_to(spec.sigma1(t, x), (N, spec.n, spec.m))
         assert np.array_equal(traj.pi_h[k], w @ hv)
         assert traj.pi_lambar[k] == float(w @ lam_bar)
         for F in funcs:

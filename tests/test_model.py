@@ -1,5 +1,6 @@
 """System specification: hypothesis screening, generator, sensor function."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -145,8 +146,12 @@ def test_validate_flags_singular_sigma2_with_witness():
 def test_validate_notes_a_non_finite_f2_moment():
     spec = replace(scalar_spec(nu2=LevyMeasureSpec.uniform(0.0, 1.0, 1.0)),
                    f2=lambda t, y, u: np.inf + 0.0 * (y + u))
-    with np.errstate(invalid="ignore"):    # inf - inf in its Lipschitz check
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         report = validate_hypotheses(spec, 200, 42)
+    assert not caught    # inf - inf in its Lipschitz check fails it quietly
+    lip = report["obs_coeff_lipschitz"]
+    assert not lip.passed and lip.note == "non-finite value"
     check = report["obs_bounded_invertible"]
     assert not check.passed and not np.isfinite(check.witness["moment"])
     assert check.note == "f2 second moment at y=0 not finite"
@@ -495,28 +500,6 @@ def test_observation_h_singular_sigma2_raises():
     spec = scalar_spec(sigma2=lambda t, y: np.zeros(np.shape(y)[:-1] + (1, 1)))
     with pytest.raises(InvertibilityError):
         spec.h(0.0, np.array([0.0]), np.array([0.0]))
-
-
-def test_sensor_variant_mixing_must_be_unitary():
-    kwargs = dict(
-        n=1, m=1, d=1,
-        b1=lambda t, x: -x,
-        sigma0=lambda t, x: np.ones(np.shape(x)[:-1] + (1, 1)),
-        sigma1=lambda t, x: np.ones(np.shape(x)[:-1] + (1, 1)),
-        f1=lambda t, x, u: np.zeros(np.shape(x)),
-        b2=lambda t, x, y: np.clip(x, -5, 5),
-        sigma2=lambda t, y: np.ones(np.shape(y)[:-1] + (1, 1)),
-        f2=lambda t, y, u: np.zeros(np.shape(y)),
-        lam=lambda t, x, u: np.full(np.broadcast(
-            np.asarray(x)[..., 0], np.asarray(u)[..., 0]).shape, 0.5),
-        nu1=LevyMeasureSpec.none(), nu2=LevyMeasureSpec.none(),
-        T=1.0, variant="sensor")
-    theta = 0.3
-    ok = SystemSpec(mix_w=[[np.cos(theta)]], mix_b=[[np.sin(theta)]], **kwargs)
-    gram = ok.mix_w @ ok.mix_w.T + ok.mix_b @ ok.mix_b.T
-    assert np.allclose(gram, np.eye(1), atol=1e-12)
-    with pytest.raises(ValueError):
-        SystemSpec(mix_w=[[0.9]], mix_b=[[0.9]], **kwargs)
 
 
 def test_levy_measure_moment_bookkeeping():

@@ -124,24 +124,20 @@ def test_thinning_replayed_on_the_record_reproduces_its_acceptances():
 # --- the physical step --------------------------------------------------------
 
 def explicit_physical_step(spec, t, x, y, dt, db, dw, marks1, marks2):
-    """One path written out per variant, as the model equations read."""
+    """One path written out as the model equations read."""
     comp1 = spec.nu1.rate * np.mean(spec.f1(t, x, marks1), axis=0)
     comp2 = spec.nu2.rate * np.mean(spec.f2(t, y, marks2), axis=0)
-    s1 = spec.sigma1(t, x)
-    if spec.variant == "sensor":
-        return (x + (spec.b1(t, x) - comp1) * dt + s1 @ dw,
-                y + (spec.b2(t, x, y) - comp2) * dt + spec.mix_w @ dw
-                + spec.mix_b @ db)
     return (x + (spec.b1(t, x) - comp1) * dt + spec.sigma0(t, x) @ db
-            + s1 @ dw,
+            + spec.sigma1(t, x) @ dw,
             y + (spec.b2(t, x, y) - comp2) * dt + spec.sigma2(t, y) @ dw)
 
 
 @pytest.mark.parametrize("family", ["mixed", "sensor_saturated"])
 def test_physical_step_on_a_batch_equals_one_path_at_a_time(family):
-    # state-dependent sigma0 and sigma2, which the sensor variant ignores
+    # state-dependent sigma0, sigma1 and sigma2, read at the step's left point
     spec = replace(build_family(family).spec,
                    sigma0=lambda t, x: 2.0 + 0.1 * np.asarray(x)[..., None],
+                   sigma1=lambda t, x: 1.0 + 0.2 * np.asarray(x)[..., None],
                    sigma2=lambda t, y: 3.0 + 0.1 * np.asarray(y)[..., None])
     rng = np.random.default_rng(5)
     R, t, dt = 9, 0.3, 0.01
@@ -224,7 +220,7 @@ def test_projection_keeps_base_nodes_and_accepted_jumps_bitwise():
     rejected = [e.t for e in rec.obs_candidates if not e.accepted]
     assert rejected and not np.isin(rejected, obs.t).any()
     # signal-jump nodes are stripped
-    sig_times = rec.signal_jumps.times()
+    sig_times = [e.t for e in rec.signal_jumps]
     assert len(sig_times) and not np.isin(sig_times, obs.t).any()
 
 
