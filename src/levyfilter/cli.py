@@ -28,7 +28,7 @@ from .errors import (ConfigError, DegeneracyError, DivergenceError,
                      ModelViolationError, NumericOverflowError,
                      ReplayMismatchError)
 from .families import build_family, list_families
-from .filtering import ResamplePolicy, write_trajectory_csv, zakai_filter
+from .filtering import write_trajectory_csv, zakai_filter
 from .model import signal_terms, validate_hypotheses
 from .oracle import kalman_bucy
 from .propagation import add_signal_jumps, reference_step
@@ -126,7 +126,7 @@ def _run_replica(cfg, seed_r, out_dir, index):
     traj = zakai_filter(
         spec, obs, cfg.n_particles, scen.prior_sampler,
         derive_seed(seed_r, "filter"), test_functions=funcs,
-        resample_policy=ResamplePolicy(cfg.ess_fraction))
+        ess_fraction=cfg.ess_fraction)
     traj_name = f"filter_{index:03d}.csv"
     write_trajectory_csv(traj, os.path.join(out_dir, traj_name))
 

@@ -128,32 +128,6 @@ def resample(x, weights, rng):
     return ParticleCloud(x[idx], logw)
 
 
-@dataclass(frozen=True)
-class ResamplePolicy:
-    """Resample when ESS falls below ess_fraction * N (0 disables)."""
-
-    ess_fraction: float = 0.5
-
-    def should_fire(self, ess, n_particles):
-        return self.ess_fraction > 0.0 and ess < self.ess_fraction * n_particles
-
-
-@dataclass
-class GainTerms:
-    """Per-node ingredients of the observation-driven correction terms."""
-
-    pi_F: float
-    pi_h: np.ndarray
-    grad_coup: np.ndarray
-    f_h: np.ndarray
-
-    def zakai_gain(self):
-        return self.grad_coup + self.f_h
-
-    def ks_gain(self):
-        return self.grad_coup + self.f_h - self.pi_F * self.pi_h
-
-
 @dataclass
 class FunctionTerms:
     """One test function's per-particle terms on a cloud; they read the
@@ -179,31 +153,44 @@ def function_terms(F, x, signal, coup, lam_bar_x):
         None if lam_bar_x is None else value * lam_bar_x)
 
 
-def gain_terms(w, terms, h, pi_h):
-    """Conditional-moment gain ingredients for one test function, from the
-    normalized weights (N,), its ``FunctionTerms`` on the cloud, the
-    sensor function h (N, m) and its cloud mean pi_h = w @ h (m,), which a
-    node forms once for all its test functions."""
-    return GainTerms(
-        pi_F=float(w @ terms.value),
-        pi_h=pi_h,
-        grad_coup=w @ terms.grad_coup,
-        f_h=w @ (terms.value[:, None] * h),
-    )
-
-
 @dataclass
 class FunctionSummary:
-    """Node-indexed conditional moments for one test function."""
+    """Node-indexed conditional moments for one test function, and the
+    observation gains they define."""
 
     name: str
-    pi_F: np.ndarray
-    pi_LF: np.ndarray
-    grad_coup: np.ndarray
-    f_h: np.ndarray
-    pi_F_lambar: np.ndarray
-    jump_D: np.ndarray
-    zakai_jump: np.ndarray
+    pi_F: np.ndarray           # pi(F), (K+1,)
+    pi_LF: np.ndarray          # pi(LF), (K+1,)
+    grad_coup: np.ndarray      # pi(grad F . coupling), (K+1, m)
+    f_h: np.ndarray            # pi(F h), (K+1, m)
+    pi_F_lambar: np.ndarray    # pi(F lambda-bar), (K+1,)
+    jump_D: np.ndarray         # normalized jump update of pi(F), (K,)
+    zakai_jump: np.ndarray     # unnormalized jump update, (K,)
+
+    @classmethod
+    def zeros(cls, name, K, m):
+        """The summary of K steps (K + 1 nodes) before any is recorded."""
+        return cls(name, np.zeros(K + 1), np.zeros(K + 1),
+                   np.zeros((K + 1, m)), np.zeros((K + 1, m)),
+                   np.zeros(K + 1), np.zeros(K), np.zeros(K))
+
+    def record(self, k, w, terms, h):
+        """Write node k's weighted means of F's ``FunctionTerms``, from the
+        normalized weights w (N,) and the sensor function h (N, m)."""
+        self.pi_F[k] = float(w @ terms.value)
+        self.pi_LF[k] = float(w @ terms.generator)
+        self.grad_coup[k] = w @ terms.grad_coup
+        self.f_h[k] = w @ (terms.value[:, None] * h)
+        self.pi_F_lambar[k] = (self.pi_F[k] if terms.lam_bar is None
+                               else float(w @ terms.lam_bar))
+
+    def zakai_gain(self):
+        """The unnormalized moment's gain on dW at every node, (K+1, m)."""
+        return self.grad_coup + self.f_h
+
+    def ks_gain(self, pi_h):
+        """The normalized moment's gain on dW - pi(h) dt, (K+1, m)."""
+        return self.zakai_gain() - self.pi_F[:, None] * pi_h
 
 
 @dataclass
@@ -251,10 +238,14 @@ class FilterTrajectory:
     def mass(self):
         return np.exp(self.log_mass)
 
+    def innovations(self):
+        """dW - pi(h) dt at every step, (K, m)."""
+        return self.dW - self.pi_h[:-1] * self.dt[:, None]
+
 
 def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
-                 test_functions=(), resample_policy=ResamplePolicy(),
-                 store_clouds=False, mass_floor=1e-300):
+                 test_functions=(), ess_fraction=0.5, store_clouds=False,
+                 mass_floor=1e-300):
     """Propagate a weighted cloud along an observation record.
 
     Per continuous step every particle follows the reference-measure signal
@@ -295,15 +286,7 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
     pi_h = np.zeros((K + 1, m))
     pi_lambar = np.ones(K + 1)
     resampled = np.zeros(K + 1, bool)
-    summ = {
-        name: FunctionSummary(
-            name=name,
-            pi_F=np.zeros(K + 1), pi_LF=np.zeros(K + 1),
-            grad_coup=np.zeros((K + 1, m)), f_h=np.zeros((K + 1, m)),
-            pi_F_lambar=np.zeros(K + 1),
-            jump_D=np.zeros(K), zakai_jump=np.zeros(K))
-        for name in names
-    }
+    summ = {name: FunctionSummary.zeros(name, K, m) for name in names}
     clouds = [] if store_clouds else None
     event_count = np.zeros(K + 1)
 
@@ -322,16 +305,7 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
         if node.lam_bar is not None:
             pi_lambar[k] = float(w @ node.lam_bar)
         for name, terms in node.functions.items():
-            s = summ[name]
-            gain = gain_terms(w, terms, hv, pi_h[k])
-            s.pi_F[k] = gain.pi_F
-            s.pi_LF[k] = float(w @ terms.generator)
-            s.grad_coup[k] = gain.grad_coup
-            s.f_h[k] = gain.f_h
-            if terms.lam_bar is None:
-                s.pi_F_lambar[k] = s.pi_F[k]
-            else:
-                s.pi_F_lambar[k] = float(w @ terms.lam_bar)
+            summ[name].record(k, w, terms, hv)
         if store_clouds:
             clouds.append(ParticleCloud(x.copy(), logw.copy()))
         return w, hv
@@ -341,7 +315,7 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
         t = obs.t[k]
         y = obs.Y[k]
         weights = ShiftedWeights(logw)
-        if k > 0 and resample_policy.should_fire(weights.ess, N):
+        if k > 0 and ess_fraction > 0.0 and weights.ess < ess_fraction * N:
             new = resample(x, weights, substream(rng_seed, f"resample-{k}"))
             x, logw = new.x, new.logw
             resampled[k] = True
@@ -389,9 +363,9 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
         clouds=clouds, event_count=event_count)
 
 
-def _node_gain(traj, s, k):
-    """The gain ingredients a summary recorded at node k."""
-    return GainTerms(s.pi_F[k], traj.pi_h[k], s.grad_coup[k], s.f_h[k])
+def _running_sum(inc):
+    """0 and the partial sums of inc, added in step order from 0.0, (K+1,)."""
+    return np.cumsum(np.concatenate(([0.0], inc)))
 
 
 def ks_residual(traj, name):
@@ -402,44 +376,26 @@ def ks_residual(traj, name):
     compensated-jump terms accumulated over steps 0..k-1.
     """
     s = traj.summaries[name]
-    K = len(traj.t) - 1
-    res = np.zeros(K + 1)
-    cum = 0.0
-    for k in range(K):
-        if traj.is_jump[k]:
-            inc = s.jump_D[k]
-        else:
-            dt = traj.dt[k]
-            dw_bar = traj.dW[k] - traj.pi_h[k] * dt
-            gain = _node_gain(traj, s, k).ks_gain()
-            inc = s.pi_LF[k] * dt + float(gain @ dw_bar)
-            if traj.rate2 > 0.0:
-                inc -= dt * traj.rate2 * (
-                    s.pi_F_lambar[k] - s.pi_F[k] * traj.pi_lambar[k])
-        cum += inc
-        res[k + 1] = s.pi_F[k + 1] - s.pi_F[0] - cum
-    return res
+    inc = s.pi_LF[:-1] * traj.dt + np.einsum(
+        "km,km->k", s.ks_gain(traj.pi_h)[:-1], traj.innovations())
+    if traj.rate2 > 0.0:
+        inc = inc - traj.dt * traj.rate2 * (
+            s.pi_F_lambar[:-1] - s.pi_F[:-1] * traj.pi_lambar[:-1])
+    inc = np.where(traj.is_jump, s.jump_D, inc)
+    return s.pi_F - s.pi_F[0] - _running_sum(inc)
 
 
 def zakai_residual(traj, name):
     """Defect of the unnormalized moment path against its evolution equation."""
     s = traj.summaries[name]
-    K = len(traj.t) - 1
     mass = traj.mass()
-    res = np.zeros(K + 1)
-    cum = 0.0
-    for k in range(K):
-        if traj.is_jump[k]:
-            inc = s.zakai_jump[k]
-        else:
-            dt = traj.dt[k]
-            gain = _node_gain(traj, s, k).zakai_gain()
-            inc = mass[k] * (s.pi_LF[k] * dt + float(gain @ traj.dW[k]))
-            if traj.rate2 > 0.0:
-                inc -= dt * traj.rate2 * mass[k] * (s.pi_F_lambar[k] - s.pi_F[k])
-        cum += inc
-        res[k + 1] = mass[k + 1] * s.pi_F[k + 1] - mass[0] * s.pi_F[0] - cum
-    return res
+    inc = mass[:-1] * (s.pi_LF[:-1] * traj.dt
+                       + np.einsum("km,km->k", s.zakai_gain()[:-1], traj.dW))
+    if traj.rate2 > 0.0:
+        inc = inc - traj.dt * traj.rate2 * mass[:-1] * (
+            s.pi_F_lambar[:-1] - s.pi_F[:-1])
+    inc = np.where(traj.is_jump, s.zakai_jump, inc)
+    return mass * s.pi_F - mass[0] * s.pi_F[0] - _running_sum(inc)
 
 
 @dataclass
@@ -459,17 +415,10 @@ def innovation_process(traj):
     the physical law when the filter is consistent; the compensated count
     subtracts rate2 * pi(lambda_bar) dt from the running jump count.
     """
-    K = len(traj.t) - 1
-    dW_bar = np.zeros_like(traj.dW)
     cont = ~traj.is_jump
-    comp = np.zeros(K + 1)
-    for k in range(K):
-        if cont[k]:
-            dW_bar[k] = traj.dW[k] - traj.pi_h[k] * traj.dt[k]
-            comp[k + 1] = comp[k] - traj.rate2 * traj.pi_lambar[k] * traj.dt[k]
-        else:
-            comp[k + 1] = comp[k] + 1.0
-    return InnovationRecord(traj.t.copy(), dW_bar, cont, comp)
+    dW_bar = np.where(cont[:, None], traj.innovations(), 0.0)
+    inc = np.where(cont, -(traj.rate2 * traj.pi_lambar[:-1] * traj.dt), 1.0)
+    return InnovationRecord(traj.t.copy(), dW_bar, cont, _running_sum(inc))
 
 
 def write_trajectory_csv(traj, path):

@@ -9,8 +9,8 @@ import pytest
 
 from levyfilter.errors import DegeneracyError, ModelViolationError
 from levyfilter.families import build_family
-from levyfilter.filtering import (ParticleCloud, ResamplePolicy,
-                                  ShiftedWeights, function_terms, gain_terms,
+from levyfilter.filtering import (FunctionSummary, ParticleCloud,
+                                  ShiftedWeights, function_terms,
                                   innovation_process, ks_residual, resample,
                                   write_trajectory_csv, zakai_filter,
                                   zakai_residual)
@@ -115,29 +115,21 @@ def test_resample_preserves_mass_and_matches_weights():
         assert abs(frac - p) <= 3 * np.sqrt(p * (1 - p) / N)
 
 
-def test_resample_policy_thresholds():
-    uniform = ParticleCloud(np.zeros((10, 1)), np.zeros(10))
-    skewed = ParticleCloud(np.zeros((10, 1)),
-                           np.array([0.0] + [-50.0] * 9))
-    assert not ResamplePolicy(0.5).should_fire(uniform.ess(), 10)
-    assert ResamplePolicy(0.5).should_fire(skewed.ess(), 10)
-    assert not ResamplePolicy(0.0).should_fire(skewed.ess(), 10)
+# --- gains ---------------------------------------------------------------------
 
-
-# --- gain terms ----------------------------------------------------------------
-
-def test_gain_terms_hand_values():
+def test_summary_gains_hand_values():
     spec = build_family("linear_gaussian").spec
     x = np.array([[0.0], [1.0]])
     F = coordinate(0)
     signal = signal_terms(spec, 0.0, x, spec.nu1.frozen_marks(1))
     w, h = np.full(2, 0.5), spec.h(0.0, x, np.zeros(1))
-    g = gain_terms(w, function_terms(F, x, signal, spec.sigma1(0.0, x),
-                                     None), h, w @ h)
-    assert g.pi_F == pytest.approx(0.5, abs=1e-14)
-    assert g.pi_h == pytest.approx([0.5], abs=1e-14)
-    assert g.zakai_gain() == pytest.approx([HAND_ZAKAI_GAIN], abs=1e-14)
-    assert g.ks_gain() == pytest.approx([HAND_KS_GAIN], abs=1e-14)
+    s = FunctionSummary.zeros(F.name, 0, 1)
+    s.record(0, w, function_terms(F, x, signal, spec.sigma1(0.0, x), None), h)
+    pi_h = (w @ h)[None, :]
+    assert s.pi_F[0] == pytest.approx(0.5, abs=1e-14)
+    assert pi_h[0] == pytest.approx([0.5], abs=1e-14)
+    assert s.zakai_gain()[0] == pytest.approx([HAND_ZAKAI_GAIN], abs=1e-14)
+    assert s.ks_gain(pi_h)[0] == pytest.approx([HAND_KS_GAIN], abs=1e-14)
 
 
 # --- filter runs ---------------------------------------------------------------
@@ -192,7 +184,7 @@ def test_noise_off_residuals_collapse_to_closed_form():
     F, G = coordinate(0), quadratic()
     traj = zakai_filter(spec, obs, 10, point_prior(1.0), 8,
                         test_functions=[F, G],
-                        resample_policy=ResamplePolicy(0.0))
+                        ess_fraction=0.0)
     assert np.all(traj.log_mass == 0.0)
     assert np.all(traj.ess == 10.0)
     # coordinate telescopes exactly: Euler flow == residual quadrature
@@ -208,14 +200,58 @@ def test_noise_off_residuals_collapse_to_closed_form():
 def test_resampling_resets_ess_and_is_recorded():
     scen, rec, obs, traj, funcs = run_family(
         "linear_gaussian", 60, 400, 23,
-        resample_policy=ResamplePolicy(0.99))
+        ess_fraction=0.99)
     fired = np.flatnonzero(traj.resampled)
     assert len(fired) > 0
     assert np.all(traj.ess[fired] == 400.0)
     scen2, rec2, obs2, traj2, _ = run_family(
         "linear_gaussian", 60, 400, 23,
-        resample_policy=ResamplePolicy(0.0))
+        ess_fraction=0.0)
     assert not traj2.resampled.any()
+
+
+def test_assemblers_equal_their_defining_sums():
+    # The assemblers are array expressions; the reference is the defining
+    # per-step sum, added in step order. Whole running sums are compared:
+    # a difference of running sums is not exact in floating point.
+    scen, rec, obs, traj, funcs = run_family(
+        "mixed", 50, 300, 17, params={"rate1": 2.0, "rate2": 3.0},
+        ess_fraction=0.95)
+    assert traj.is_jump.any() and traj.resampled.any()
+    K = len(traj.t) - 1
+    mass = traj.mass()
+    for F in funcs:
+        s = traj.summaries[F.name]
+        ks, zk = np.zeros(K + 1), np.zeros(K + 1)
+        ks_sum = zk_sum = 0.0
+        for k in range(K):
+            dt, pi_h = traj.dt[k], traj.pi_h[k]
+            if traj.is_jump[k]:
+                ks_sum += s.jump_D[k]
+                zk_sum += s.zakai_jump[k]
+            else:
+                compensator = dt * traj.rate2
+                gain = s.grad_coup[k] + s.f_h[k]
+                ks_sum += (s.pi_LF[k] * dt
+                           + float((gain - s.pi_F[k] * pi_h)
+                                   @ (traj.dW[k] - pi_h * dt))
+                           - compensator * (s.pi_F_lambar[k]
+                                            - s.pi_F[k] * traj.pi_lambar[k]))
+                zk_sum += (mass[k] * (s.pi_LF[k] * dt
+                                      + float(gain @ traj.dW[k]))
+                           - compensator * mass[k] * (s.pi_F_lambar[k]
+                                                      - s.pi_F[k]))
+            ks[k + 1] = s.pi_F[k + 1] - s.pi_F[0] - ks_sum
+            zk[k + 1] = mass[k + 1] * s.pi_F[k + 1] - mass[0] * s.pi_F[0] - zk_sum
+        assert ks_residual(traj, F.name).tobytes() == ks.tobytes()
+        assert zakai_residual(traj, F.name).tobytes() == zk.tobytes()
+    comp = np.zeros(K + 1)
+    for k in range(K):
+        if traj.is_jump[k]:
+            comp[k + 1] = comp[k] + 1.0
+        else:
+            comp[k + 1] = comp[k] - traj.rate2 * traj.pi_lambar[k] * traj.dt[k]
+    assert innovation_process(traj).jump_compensated.tobytes() == comp.tobytes()
 
 
 def test_innovation_record_consistency():
@@ -326,7 +362,7 @@ def test_node_moments_equal_direct_evaluation(family, change, extra,
     scen, rec, obs, traj, funcs = run_family(
         family, 40, 200, 53, params={"rate2": 8.0}, change=change,
         test_functions=[coordinate(0), quadratic()] + extra, store_clouds=True,
-        resample_policy=ResamplePolicy(ess_fraction))
+        ess_fraction=ess_fraction)
     spec = scen.spec
     assert spec.nu1.rate > 0.0 and spec.nu2.rate > 0.0
     assert traj.event_count[-1] >= 1
