@@ -98,7 +98,8 @@ def _write_manifest(out_dir, payload):
 
 def _scenario(cfg):
     """The configured scenario and its test functions, which must have
-    distinct names."""
+    distinct names; a Kalman gate needs the linear reference and the
+    coord:0 moment it is compared with."""
     scen = build_family(cfg.family, cfg.params)
     funcs = [make_test_function(name, scen.spec.n)
              for name in cfg.function_names()]
@@ -107,6 +108,10 @@ def _scenario(cfg):
         if names.count(name) > 1:
             raise ConfigError(f"test function {name!r} is given twice in "
                               f"test_functions = {cfg.test_functions}")
+    if cfg.accept_max_kalman_gap is not None and (
+            scen.linear is None or "coord:0" not in names):
+        raise ConfigError("accept.max_kalman_gap needs a family with a "
+                          "linear reference and coord:0 in test_functions")
     return scen, funcs
 
 

@@ -44,6 +44,8 @@ RANGES = {
     "replicas": (1, 10**4),
     "hypothesis_budget": (2, 10**5),
     "ess_fraction": (0.0, 1.0),
+    "accept.max_kalman_gap": (0.0, math.inf),
+    "accept.min_ess_fraction": (0.0, 1.0),
 }
 
 

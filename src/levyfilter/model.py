@@ -421,7 +421,9 @@ def validate_hypotheses(spec, sample_budget, rng_seed):
     marks1 = spec.nu1.frozen_marks(spec.mark_budget, rng_seed)
     marks2 = spec.nu2.frozen_marks(spec.mark_budget, rng_seed + 1)
     probes = {"x1": X1, "x2": X2, "y1": Y1, "y2": Y2, "y0": np.zeros((P, m)),
-              "x1 rows": X1[:, None, :], "marks1": [marks1] * P}
+              "x1 rows": X1[:, None, :], "x2 rows": X2[:, None, :],
+              "y1 rows": Y1[:, None, :], "y2 rows": Y2[:, None, :],
+              "marks1": [marks1] * P, "marks2": [marks2] * P}
     dist_x = np.linalg.norm(X1 - X2, axis=1)
     dist_y = np.linalg.norm(Y1 - Y2, axis=1)
     ok_x, ok_y = dist_x > 1e-9, dist_y > 1e-9   # the pairs that are apart
@@ -431,26 +433,11 @@ def validate_hypotheses(spec, sample_budget, rng_seed):
     @cache
     def at(name, *which):
         """Coefficient ``name`` on the probe sets ``which``, each point at
-        its own t, stacked: (P, ...)."""
+        its own t, stacked: (P, ...). lam is read unchecked, so a value
+        outside (0, 1) is reported, not raised."""
         fn = getattr(spec, name)
         return np.array([np.asarray(fn(t, *z), float)
                          for t, *z in zip(tP, *(probes[w] for w in which))])
-
-    @cache
-    def at_marks(name, which):
-        """f1 (on x) or f2 (on y) at every point of a probe set and every
-        frozen mark, all at the first t: (P, M, dim)."""
-        z = probes[which][:, None, :]
-        marks = marks1 if name == "f1" else marks2
-        # + 0*z forces the full shape when the coefficient ignores its state
-        fn = getattr(spec, name)
-        return np.asarray(fn(tP[0], z, marks), float) + 0.0 * z
-
-    @cache
-    def lam():
-        """lam at the x1 points and every frozen mark, at the first t; read
-        unchecked, so a value outside (0, 1) is reported, not raised."""
-        return np.asarray(spec.lam(tP[0], X1[:, None, :], marks2), float)
 
     def norms(v):
         return np.linalg.norm(v.reshape(P, -1), axis=1)
@@ -484,7 +471,8 @@ def validate_hypotheses(spec, sample_budget, rng_seed):
                   ratios("sigma1", xs, dist_x, ok_x, power)]
         if rate1 > 0.0:
             blocks += jump_blocks(np.linalg.norm(
-                at_marks("f1", "x1") - at_marks("f1", "x2"), axis=-1))
+                at("f1", "x1 rows", "marks1") - at("f1", "x2 rows", "marks1"),
+                axis=-1))
         return worst_pair(blocks, ok_x, t=tP, x1=X1, x2=X2)
 
     def signal_lipschitz():
@@ -540,8 +528,8 @@ def validate_hypotheses(spec, sample_budget, rng_seed):
     def obs_coeff_lipschitz():
         blocks = [ratios("sigma2", (("y1",), ("y2",)), dist_y, ok_y, 2)]
         if rate2 > 0.0:
-            gap = np.linalg.norm(at_marks("f2", "y1") - at_marks("f2", "y2"),
-                                 axis=-1)
+            gap = np.linalg.norm(at("f2", "y1 rows", "marks2")
+                                 - at("f2", "y2 rows", "marks2"), axis=-1)
             blocks.append(rate2 * np.mean(gap ** 2, axis=-1)[ok_y]
                           / dist_y[ok_y] ** 2)
         return worst_pair(blocks, ok_y, t=tP, y1=Y1, y2=Y2)
@@ -581,15 +569,16 @@ def validate_hypotheses(spec, sample_budget, rng_seed):
     def lambda_extreme(pick, disabled):
         if rate2 == 0.0:
             return disabled, {}, "observation jumps disabled"
-        lv = lam()
+        lv = at("lam", "x1 rows", "marks2")
         i, j = np.unravel_index(pick(lv), lv.shape)
-        return lv[i, j], {"t": tP[0], "x": X1[i], "u": marks2[j]}, ""
+        return lv[i, j], {"t": tP[i], "x": X1[i], "u": marks2[j]}, ""
 
     def lambda_integrable():
         if rate2 == 0.0:
             return 0.0, {}, "observation jumps disabled"
         # pointwise-in-mark lower envelope over states
-        lo = np.clip(np.min(lam(), axis=0), 1e-300, None)
+        lo = np.clip(np.min(at("lam", "x1 rows", "marks2"), axis=0), 1e-300,
+                     None)
         j = int(np.argmin(lo))
         return (rate2 * np.mean((1.0 - lo) ** 2 / lo),
                 {"u": marks2[j], "envelope": lo[j]}, "")

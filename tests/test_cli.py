@@ -132,19 +132,34 @@ def test_out_of_range_value_exits_2_with_one_message_line(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("line, named", [
-    ("param.T = -1", "param.T = -1.0"),
-    ("param.rate2 = -3", "param.rate2 = -3.0"),
-    ("param.mark_lo = 2", "param.mark_lo = 2.0"),
-    ("test_functions = coord:5", "'coord:5'"),
-    ("test_functions = hermite:-1", "'hermite:-1'"),
-    ("test_functions = coord:0,coord:0", "'coord:0' is given twice"),
-    ("hypothesis_budget = 100000000000", "'hypothesis_budget'"),
+@pytest.mark.parametrize("family, line, named", [
+    ("uninformative", "param.T = -1", "param.T = -1.0"),
+    ("uninformative", "param.rate2 = -3", "param.rate2 = -3.0"),
+    ("uninformative", "param.mark_lo = 2", "param.mark_lo = 2.0"),
+    ("uninformative", "test_functions = coord:5", "'coord:5'"),
+    ("uninformative", "test_functions = hermite:-1", "'hermite:-1'"),
+    ("uninformative", "test_functions = coord:0,coord:0",
+     "'coord:0' is given twice"),
+    ("uninformative", "hypothesis_budget = 100000000000",
+     "'hypothesis_budget'"),
+    # gates that cannot apply or cannot pass
+    ("uninformative", "accept.max_kalman_gap = 1e12",
+     "accept.max_kalman_gap needs"),
+    ("linear_gaussian", "test_functions = quad\naccept.max_kalman_gap = 1",
+     "accept.max_kalman_gap needs"),
+    ("linear_gaussian", "accept.max_kalman_gap = -1",
+     "'accept.max_kalman_gap' must be in [0.0, inf]"),
+    ("uninformative", "accept.min_ess_fraction = 1e12",
+     "'accept.min_ess_fraction' must be in [0.0, 1.0]"),
+    ("uninformative", "accept.min_ess_fraction = -1",
+     "'accept.min_ess_fraction' must be in [0.0, 1.0]"),
 ], ids=["T", "rate2", "mark_lo", "coord_index", "hermite_degree",
-        "duplicate_function", "hypothesis_budget"])
+        "duplicate_function", "hypothesis_budget", "kalman_gap_no_reference",
+        "kalman_gap_no_coord", "kalman_gap_negative", "ess_fraction_high",
+        "ess_fraction_negative"])
 def test_bad_model_value_exits_2_with_one_message_line(tmp_path, capsys,
-                                                       line, named):
-    cfg = write_cfg(tmp_path, "family = uninformative\nn_steps = 20\n"
+                                                       family, line, named):
+    cfg = write_cfg(tmp_path, f"family = {family}\nn_steps = 20\n"
                     f"n_particles = 50\n{line}\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err

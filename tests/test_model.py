@@ -235,7 +235,7 @@ def test_validate_evaluates_each_coefficient_once_per_probe_set():
         replace(spec, **{k: counted(k) for k in names}), 200, 5)
     P = report.checks[0].samples
     assert P == 205
-    assert calls == {"b1": 2 * P, "sigma0": 2 * P, "sigma1": 2 * P, "lam": 1}
+    assert calls == {"b1": 2 * P, "sigma0": 2 * P, "sigma1": 2 * P, "lam": P}
 
 
 # --- generator ----------------------------------------------------------------
@@ -574,3 +574,16 @@ def test_hypothesis_screen_reports_lambda_above_one_as_its_value():
     check = validate_hypotheses(spec, 50, 3)["jump_intensity_upper"]
     assert not check.passed
     assert check.worst == 1.5
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hypothesis_screen_reads_lambda_at_each_probe_time(seed):
+    # lam = 0.5 + t leaves (0, 1) for t >= 0.5 only; a screen that read lam
+    # at one probe time would pass it whenever that time is below 0.5
+    spec = replace(build_family("uninformative").spec,
+                   lam=lambda t, x, u: (0.5 + t) + 0.0 * (
+                       np.asarray(x)[..., 0] + np.asarray(u)[..., 0]))
+    check = validate_hypotheses(spec, 200, seed)["jump_intensity_upper"]
+    assert not check.passed
+    assert check.witness["t"] > 0.5
+    assert check.worst == 0.5 + check.witness["t"]

@@ -11,7 +11,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("script", ["energy_study.py", "refinement_ladder.py",
-                                    "kalman_benchmark.py"])
+                                    "kalman_benchmark.py", "node_cost.py"])
 def test_script_help(script):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     done = subprocess.run(
