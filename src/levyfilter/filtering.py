@@ -25,6 +25,10 @@ from .propagation import (add_signal_jumps, lam_bar, log_weight_step,
 from .rng import substream
 
 
+# The smallest mean weight a cloud may keep before the filter counts its
+# mass as collapsed.
+MASS_FLOOR = 1e-300
+
 # mallopt parameters of glibc's <malloc.h>
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
@@ -244,15 +248,15 @@ class FilterTrajectory:
 
 
 def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
-                 test_functions=(), ess_fraction=0.5, store_clouds=False,
-                 mass_floor=1e-300):
+                 test_functions=(), ess_fraction=0.5, store_clouds=False):
     """Propagate a weighted cloud along an observation record.
 
     Per continuous step every particle follows the reference-measure signal
     dynamics driven by the shared reconstructed Brownian increment plus its
     own independent noise and compensated jumps, and its log-weight gains
     h.dW - |h|^2 dt/2 + rate2 (1 - lambda_bar) dt.  Observation-jump steps
-    multiply weights by lambda(t, x-, u).  Node moments for the requested
+    multiply weights by lambda(t, x-, u); a mean weight below
+    ``MASS_FLOOR`` is a DegeneracyError.  Node moments for the requested
     test functions are recorded before each step (left-endpoint convention)
     so the residual assemblers can telescope them afterwards.
 
@@ -274,7 +278,8 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
     rng_b = substream(rng_seed, "particle-brownian")
     rng_c = substream(rng_seed, "particle-jump-counts")
     rng_u = substream(rng_seed, "particle-jump-marks")
-    ev = obs.step_event()
+    is_jump = obs.is_jump()
+    marks = iter(obs.event_marks)
     dt_all = obs.dt()
 
     funcs = list(test_functions)
@@ -294,7 +299,7 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
         """Record the moments of node k; returns the normalized weights and
         h on the cloud."""
         mass = weights.log_mass()
-        if not np.isfinite(mass) or mass < np.log(mass_floor):
+        if not np.isfinite(mass) or mass < np.log(MASS_FLOOR):
             raise DegeneracyError(
                 f"unnormalized mass collapsed at t={t:g} (log mass {mass:.3g})")
         log_mass[k] = mass
@@ -325,8 +330,8 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
             node = node_terms(spec, t, x, marks1, marks2, funcs)
         w, hv = record_node(k, t, y, weights, node)
         event_count[k + 1] = event_count[k]
-        if k in ev:
-            u = ev[k].mark
+        if is_jump[k]:
+            u = next(marks)
             lam = spec.acceptance(t, x, u).reshape(N)
             b = float(w @ lam)
             if b < spec.iota:
@@ -354,8 +359,6 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
         node = node_terms(spec, obs.t[K], x, marks1, marks2, funcs)
     record_node(K, obs.t[K], obs.Y[K], ShiftedWeights(logw), node)
 
-    is_jump = np.zeros(K, bool)
-    is_jump[obs.event_steps] = True
     return FilterTrajectory(
         t=obs.t.copy(), dt=dt_all, dW=dW_all, is_jump=is_jump,
         log_mass=log_mass, ess=ess_arr, pi_h=pi_h, pi_lambar=pi_lambar,

@@ -18,8 +18,6 @@ The steps themselves (paths, thinning, weight increments) are those of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvertibilityError
@@ -28,49 +26,6 @@ from .propagation import (add_signal_jumps, jump_rounds, lam_bar,
                           log_weight_step, observation_reference_step,
                           physical_step, reference_step, thin)
 from .rng import substream
-
-
-@dataclass
-class LikelihoodPath:
-    """Cumulative inverse log-weight along one path, with its decomposition."""
-
-    t: np.ndarray
-    brownian: np.ndarray
-    jump: np.ndarray
-    compensator: np.ndarray
-
-    @property
-    def log_lambda_inverse(self):
-        return self.brownian + self.jump + self.compensator
-
-
-def log_lambda_inverse(record, spec):
-    """Inverse likelihood weight accumulated along a simulated PathRecord.
-
-    The jump part changes only at accepted observation-jump steps; the
-    Brownian and compensator parts accumulate on continuous steps with
-    left-endpoint coefficient evaluation and the record's frozen marks.
-    """
-    K = len(record.t) - 1
-    brown = np.zeros(K + 1)
-    jump = np.zeros(K + 1)
-    comp = np.zeros(K + 1)
-    dt_all = record.dt()
-    for k in range(K):
-        brown[k + 1], jump[k + 1], comp[k + 1] = brown[k], jump[k], comp[k]
-        t = record.t[k]
-        x = record.X[k]
-        if record.step_kind[k] == 0:
-            dt, dW = dt_all[k], record.dW[k]
-            h = np.asarray(spec.h(t, x, record.Y[k]), float)
-            brown[k + 1] = log_weight_step(brown[k], -h, dW, dt, 0.0, None)
-            comp[k + 1] = log_weight_step(
-                comp[k], np.zeros_like(h), dW, dt, -spec.nu2.rate,
-                lam_bar(spec, t, x, record.marks2))
-        elif record.step_kind[k] == 2 and record.step_accepted[k]:
-            u = record.step_mark[k, :spec.nu2.dim]
-            jump[k + 1] = jump[k] - np.log(float(spec.acceptance(t, x, u)))
-    return LikelihoodPath(record.t.copy(), brown, jump, comp)
 
 
 def reconstruct_reference_drivers(obs, spec):
@@ -86,10 +41,7 @@ def reconstruct_reference_drivers(obs, spec):
     m = obs.Y.shape[1]
     dW = np.zeros((K, m))
     dt_all = obs.dt()
-    jump_steps = obs.step_event()
-    for k in range(K):
-        if k in jump_steps:
-            continue
+    for k in np.flatnonzero(~obs.is_jump()):
         t = obs.t[k]
         y = obs.Y[k]
         dt = dt_all[k]
@@ -103,30 +55,6 @@ def reconstruct_reference_drivers(obs, spec):
                 f"observation diffusion singular at t={t:g} "
                 f"(condition number {np.linalg.cond(sig):.3e})") from exc
     return dW
-
-
-def resynthesize_observation(obs, dW, spec, y0):
-    """Re-integrate the reference observation dynamics from the Brownian
-    increments dW on the grid and jump events of ``obs``.
-
-    Returns the (K+1, m) node values; with dW reconstructed from ``obs``
-    this reproduces its Y path up to float roundoff.
-    """
-    K = len(obs.t) - 1
-    m = dW.shape[1]
-    Y = np.empty((K + 1, m))
-    Y[0] = np.asarray(y0, float).reshape(m)
-    dt_all = obs.dt()
-    ev = obs.step_event()
-    for k in range(K):
-        t = obs.t[k]
-        y = Y[k]
-        if k in ev:
-            Y[k + 1] = y + np.asarray(spec.f2(t, y, ev[k].mark), float).reshape(m)
-        else:
-            Y[k + 1] = observation_reference_step(
-                spec, t, Y[k:k + 1], dt_all[k], dW[k:k + 1], obs.marks2)[0]
-    return Y
 
 
 # --- batch martingale samplers ----------------------------------------------

@@ -31,38 +31,9 @@ class JumpEvent:
         self.mark = np.atleast_1d(np.asarray(self.mark, float))
 
 
-@dataclass
-class JumpStream:
-    """Time-sorted event list plus the bookkeeping needed to regenerate it."""
-
-    events: list
-    t0: float
-    t1: float
-    rate: float
-    seed: int = 0
-    channel: str = "signal"
-
-    def __post_init__(self):
-        ts = [e.t for e in self.events]
-        if any(b < a for a, b in zip(ts, ts[1:])):
-            raise ValueError("jump events must be time-sorted")
-        for e in self.events:
-            if not (self.t0 <= e.t <= self.t1):
-                raise ValueError(f"event time {e.t} outside [{self.t0}, {self.t1}]")
-
-    def __len__(self):
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def accepted(self):
-        return JumpStream([e for e in self.events if e.accepted],
-                         self.t0, self.t1, self.rate, self.seed, self.channel)
-
-
 def sample_poisson_stream(nu, t0, t1, rng_seed, channel="signal"):
-    """Draw one realization of the dominating Poisson stream of ``nu``.
+    """Draw one realization of the dominating Poisson stream of ``nu``: a
+    time-sorted list of ``JumpEvent``s on ``channel``.
 
     Event count is Poisson(rate * (t1 - t0)), event times are uniform on
     [t0, t1) and sorted, marks are independent draws from the mark law.
@@ -81,12 +52,11 @@ def sample_poisson_stream(nu, t0, t1, rng_seed, channel="signal"):
             f"ceiling of {MAX_EXPECTED_EVENTS:.0e}; lower its rate")
     rng = substream(rng_seed, "poisson", channel)
     if nu.rate == 0.0 or t1 == t0:
-        return JumpStream([], t0, t1, nu.rate, int(rng_seed), channel)
+        return []
     count = int(rng.poisson(expected))
     times = np.sort(rng.uniform(t0, t1, size=count))
     marks = np.asarray(nu.sampler(rng, count), float).reshape(count, nu.dim)
-    events = [JumpEvent(float(t), u, channel=channel) for t, u in zip(times, marks)]
-    return JumpStream(events, t0, t1, nu.rate, int(rng_seed), channel)
+    return [JumpEvent(float(t), u, channel=channel) for t, u in zip(times, marks)]
 
 
 def compensator_integral(spec, g, x_lookup, t0, t1, step):

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import ConfigError, InvertibilityError
 from .rng import substream
 
+# Euler stages of the Riccati flow per observation step.
+KALMAN_SUBSTEPS = 10
+
 
 @dataclass(frozen=True)
 class LinearSpec:
@@ -51,12 +54,12 @@ class KalmanResult:
     cov: np.ndarray
 
 
-def kalman_bucy(lin, t, Y, substeps=10):
+def kalman_bucy(lin, t, Y):
     """Conditional mean/covariance for the linear system given a Y path.
 
     Gain K = (P H' + S1 R') (R R')^{-1}; the covariance follows the
     Riccati flow dP = AP + PA' + S0 S0' + S1 S1' - K (R R') K', integrated
-    with ``substeps`` Euler stages per observation step.  The S1 R' term
+    with ``KALMAN_SUBSTEPS`` Euler stages per observation step.  The S1 R' term
     is what the shared Brownian driver adds over the classical filter.
     """
     t = np.asarray(t, float)
@@ -85,30 +88,13 @@ def kalman_bucy(lin, t, Y, substeps=10):
         gain = (P @ lin.H.T + S) @ RR_inv
         dy = Y[k + 1] - Y[k]
         mean[k + 1] = mu + (lin.A @ mu) * dt + gain @ (dy - (lin.H @ mu) * dt)
-        sub = dt / substeps
-        for _ in range(substeps):
+        sub = dt / KALMAN_SUBSTEPS
+        for _ in range(KALMAN_SUBSTEPS):
             Ksub = (P @ lin.H.T + S) @ RR_inv
             Pdot = (lin.A @ P + P @ lin.A.T + Q - Ksub @ RR @ Ksub.T)
             P = P + sub * Pdot
         cov[k + 1] = 0.5 * (P + P.T)
     return KalmanResult(t.copy(), mean, cov)
-
-
-def stationary_covariance(lin, t_max=50.0, dt=1e-3, tol=1e-12):
-    """Riccati fixed point by integration until the flow stalls."""
-    P = lin.x0_cov.copy()
-    RR = lin.R @ lin.R.T
-    RR_inv = np.linalg.inv(RR)
-    Q = lin.Sigma0 @ lin.Sigma0.T + lin.Sigma1 @ lin.Sigma1.T
-    S = lin.Sigma1 @ lin.R.T
-    steps = int(t_max / dt)
-    for _ in range(steps):
-        K = (P @ lin.H.T + S) @ RR_inv
-        Pdot = lin.A @ P + P @ lin.A.T + Q - K @ RR @ K.T
-        P = P + dt * Pdot
-        if np.max(np.abs(Pdot)) < tol:
-            break
-    return 0.5 * (P + P.T)
 
 
 @dataclass
@@ -129,7 +115,7 @@ def mc_conditional_oracle(spec, obs, n_paths, prior_sampler, rng_seed, F):
     R = int(n_paths)
     n, m = spec.n, spec.m
     K = len(obs.t) - 1
-    jump_at = {int(k): e for e, k in zip(obs.events, obs.event_steps)}
+    mark_at = dict(zip(obs.event_steps.tolist(), obs.event_marks))
 
     x = np.asarray(prior_sampler(substream(rng_seed, "oracle-prior"), R),
                    float).reshape(R, n)
@@ -142,8 +128,8 @@ def mc_conditional_oracle(spec, obs, n_paths, prior_sampler, rng_seed, F):
     for k in range(K):
         t = obs.t[k]
         y = obs.Y[k]
-        if k in jump_at:
-            u = jump_at[k].mark
+        if k in mark_at:
+            u = mark_at[k]
             lam = np.asarray(spec.lam(t, x, u), float).reshape(R)
             logw += np.log(lam)
             continue

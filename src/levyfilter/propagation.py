@@ -11,8 +11,8 @@ states steps as x + (b1 - sigma1 h - int f1 nu1) dt + sigma1 dW
 h.dW - |h|^2 dt/2 + rate2 (1 - lambda-bar) dt per step
 (``log_weight_step``) and log lam at each accepted jump.
 
-The simulator, the filter, the driver resynthesis, both weight samplers
-and the prior Monte Carlo all step through here; ``oracle.py`` keeps its
+The simulator, the filter, both weight samplers and the prior Monte
+Carlo all step through here; ``oracle.py`` keeps its
 own copy on purpose, so that it stays an independent check.
 """
 

@@ -16,9 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .levy import JumpEvent, JumpStream, sample_poisson_stream
+from .levy import sample_poisson_stream
 from .propagation import physical_step, thin
 from .rng import derive_seed, substream
+
+# The largest |state| a simulated path may reach before it counts as
+# diverged.
+MAX_NORM = 1e8
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,9 @@ class PathRecord:
     observation candidates); step ``k`` runs from node ``k`` to ``k+1``.
     ``step_kind[k]`` is 0 for a continuous step, 1 for a signal jump and 2
     for an observation candidate (see ``step_accepted``).  ``dB``/``dW``
-    rows are zero on event steps.
+    rows are zero on event steps.  ``obs_candidates`` lists the candidate
+    ``JumpEvent``s in time order, each with its thinning outcome written
+    onto ``accepted``.
     """
 
     base_grid: TimeGrid
@@ -65,8 +71,7 @@ class PathRecord:
     step_kind: np.ndarray
     step_accepted: np.ndarray
     step_mark: np.ndarray          # (K, max mark dim), zero-padded
-    signal_jumps: JumpStream
-    obs_candidates: JumpStream
+    obs_candidates: list
     seed: int
     marks1: np.ndarray
     marks2: np.ndarray
@@ -87,59 +92,61 @@ class ObservationRecord:
 
     Grid = base nodes plus duplicated nodes at accepted observation jumps;
     the signal path, its Brownian drivers and the rejected candidates are
-    all stripped out.
+    all stripped out.  Jump j is the zero-length step ``event_steps[j]``,
+    at time ``t[event_steps[j]]``, with mark ``event_marks[j]``; the steps
+    ascend.
     """
 
     base_grid: TimeGrid
     t: np.ndarray
     Y: np.ndarray
-    events: list                   # accepted observation JumpEvents
-    event_steps: np.ndarray        # step index of each event (zero-length step)
+    event_steps: np.ndarray        # (E,)
+    event_marks: np.ndarray        # (E, k2)
     marks2: np.ndarray
     source_seed: int = 0
 
     def dt(self):
         return np.diff(self.t)
 
-    def step_event(self):
-        """Map the index of each jump step to its event."""
-        return {int(k): ev for ev, k in zip(self.events, self.event_steps)}
+    def is_jump(self):
+        """Whether each step is a jump step, (K,)."""
+        is_jump = np.zeros(len(self.t) - 1, bool)
+        is_jump[self.event_steps] = True
+        return is_jump
 
 
-def _merged_grid(base, events):
-    """Base nodes plus a duplicated node per event; per-step event tags."""
+def _merged_grid(base, times):
+    """Base nodes plus a duplicated node at each of the sorted event
+    ``times``: the nodes, whether each is a base node, and the (zero-length)
+    step of each event."""
     node_t = [base[0]]
     base_flag = [True]
-    steps = []                     # None (continuous) or the JumpEvent
+    event_steps = []
     bi = 1
-    for ev in events:
-        while bi < len(base) and base[bi] <= ev.t:
+    for t in times:
+        while bi < len(base) and base[bi] <= t:
             node_t.append(base[bi])
             base_flag.append(True)
-            steps.append(None)
             bi += 1
-        if ev.t > node_t[-1]:
-            node_t.append(ev.t)
+        if t > node_t[-1]:
+            node_t.append(t)
             base_flag.append(False)
-            steps.append(None)
-        node_t.append(ev.t)
+        event_steps.append(len(node_t) - 1)
+        node_t.append(t)
         base_flag.append(False)
-        steps.append(ev)
-    while bi < len(base):
-        node_t.append(base[bi])
-        base_flag.append(True)
-        steps.append(None)
-        bi += 1
-    return np.asarray(node_t), np.asarray(base_flag, bool), steps
+    node_t.extend(base[bi:])
+    base_flag.extend([True] * (len(base) - bi))
+    return (np.asarray(node_t), np.asarray(base_flag, bool),
+            np.asarray(event_steps, dtype=int))
 
 
-def simulate_path(spec, grid, x0_sampler, y0, rng_seed, *, max_norm=1e8):
+def simulate_path(spec, grid, x0_sampler, y0, rng_seed):
     """Simulate one signal/observation pair under the physical dynamics.
 
     All randomness derives from labeled substreams of ``rng_seed``:
     initial state, two Poisson streams, thinning uniforms and the Brownian
-    increments.  Raises DivergenceError when a state leaves the safety
-    ball and ModelViolationError when lam leaves (0, 1).
+    increments.  Raises DivergenceError when a state leaves the ball of
+    radius ``MAX_NORM`` and ModelViolationError when lam leaves (0, 1).
     """
     n, m, d = spec.n, spec.m, spec.d
     # a batch of one path, as propagation steps batches
@@ -152,11 +159,15 @@ def simulate_path(spec, grid, x0_sampler, y0, rng_seed, *, max_norm=1e8):
     cand_stream = sample_poisson_stream(
         spec.nu2, grid.t0, grid.t1, derive_seed(rng_seed, "obs-candidates"),
         channel="observation")
-    events = sorted(list(sig_stream) + list(cand_stream), key=lambda e: e.t)
+    events = sorted(sig_stream + cand_stream, key=lambda e: e.t)
 
-    node_t, base_mask, steps = _merged_grid(grid.nodes(), events)
-    K = len(steps)
+    node_t, base_mask, event_steps = _merged_grid(grid.nodes(),
+                                                  [e.t for e in events])
+    K = len(node_t) - 1
     dt_all = np.diff(node_t)
+    steps = [None] * K             # None (continuous) or the step's event
+    for k, ev in zip(event_steps, events):
+        steps[k] = ev
 
     gauss = substream(rng_seed, "brownian").standard_normal((K, d + m))
     thin_rng = substream(rng_seed, "obs-thinning")
@@ -198,14 +209,14 @@ def simulate_path(spec, grid, x0_sampler, y0, rng_seed, *, max_norm=1e8):
         X[k + 1] = x[0]
         Y[k + 1] = y[0]
         norm = max(abs(x).max(), abs(y).max())
-        if not np.isfinite(norm) or norm > max_norm:
+        if not np.isfinite(norm) or norm > MAX_NORM:
             raise DivergenceError(
-                f"state norm {norm:.3e} exceeded {max_norm:.3e} at step {k}, "
+                f"state norm {norm:.3e} exceeded {MAX_NORM:.3e} at step {k}, "
                 f"t={node_t[k + 1]:g}")
 
     return PathRecord(grid, node_t, X, Y, dB, dW, base_mask, step_kind,
-                      step_accepted, step_mark, sig_stream, cand_stream,
-                      int(rng_seed), marks1, marks2)
+                      step_accepted, step_mark, cand_stream, int(rng_seed),
+                      marks1, marks2)
 
 
 def project_observation(record):
@@ -217,22 +228,14 @@ def project_observation(record):
     """
     keep = record.base_mask.copy()
     acc_steps = record.event_steps(2, accepted_only=True)
-    for s in acc_steps:
-        keep[s] = True
-        keep[s + 1] = True
+    keep[acc_steps] = True
+    keep[acc_steps + 1] = True
     idx = np.flatnonzero(keep)
-    t_new = record.t[idx]
-    Y_new = record.Y[idx]
-
-    events = []
-    event_steps = []
-    for ev, s in zip(record.obs_candidates.accepted(), acc_steps):
-        new_pre = int(np.searchsorted(idx, s))
-        events.append(JumpEvent(ev.t, ev.mark, channel="observation", accepted=True))
-        event_steps.append(new_pre)
-    return ObservationRecord(record.base_grid, t_new, Y_new, events,
-                             np.asarray(event_steps, dtype=int),
-                             record.marks2, source_seed=record.seed)
+    k2 = record.marks2.shape[1]
+    return ObservationRecord(record.base_grid, record.t[idx], record.Y[idx],
+                             np.searchsorted(idx, acc_steps),
+                             record.step_mark[acc_steps, :k2], record.marks2,
+                             source_seed=record.seed)
 
 
 def coarsen_observation(obs, factor):
@@ -248,30 +251,29 @@ def coarsen_observation(obs, factor):
     if obs.base_grid.n_steps % factor != 0:
         raise ConfigError("coarsening factor must divide the base step count")
     base_mask = np.ones(len(obs.t), dtype=bool)
-    for k in obs.event_steps:
-        base_mask[int(k)] = False
-        base_mask[int(k) + 1] = False
+    base_mask[obs.event_steps] = False
+    base_mask[obs.event_steps + 1] = False
     fine_base = obs.t[base_mask]
     if len(fine_base) != obs.base_grid.n_steps + 1:
         raise ConfigError("observation grid does not match its base grid")
     coarse_base = fine_base[::factor]
 
-    node_t, base_flag, steps = _merged_grid(coarse_base, obs.events)
+    event_t = obs.t[obs.event_steps]
+    node_t, base_flag, event_steps = _merged_grid(coarse_base, event_t)
     Y_new = np.empty((len(node_t), obs.Y.shape[1]))
     for j, tq in enumerate(node_t):
         if base_flag[j]:
             Y_new[j] = obs.Y[int(np.searchsorted(obs.t, tq, side="left"))]
-    event_steps = [k for k, s in enumerate(steps) if s is not None]
-    for ev, k in zip(obs.events, event_steps):
-        first = int(np.searchsorted(obs.t, ev.t, side="left"))
-        last = int(np.searchsorted(obs.t, ev.t, side="right")) - 1
+    for tq, k in zip(event_t, event_steps):
+        first = int(np.searchsorted(obs.t, tq, side="left"))
+        last = int(np.searchsorted(obs.t, tq, side="right")) - 1
         Y_new[k] = obs.Y[first]          # left limit at the jump time
         Y_new[k + 1] = obs.Y[last]       # value after the jump
     grid = TimeGrid(obs.base_grid.t0, obs.base_grid.t1,
                     obs.base_grid.n_steps // factor)
-    return ObservationRecord(grid, node_t, Y_new, list(obs.events),
-                             np.asarray(event_steps, dtype=int),
-                             obs.marks2, source_seed=obs.source_seed)
+    return ObservationRecord(grid, node_t, Y_new, event_steps,
+                             obs.event_marks, obs.marks2,
+                             source_seed=obs.source_seed)
 
 
 # --- serialization -----------------------------------------------------------
@@ -293,16 +295,15 @@ def write_observation(obs, path):
         g = obs.base_grid
         w.writerow(["#meta", "m", m, "mark_dim", md, "seed", obs.source_seed,
                     "t0", _fmt(g.t0), "t1", _fmt(g.t1), "n_steps", g.n_steps,
-                    "n_events", len(obs.events)])
+                    "n_events", len(obs.event_steps)])
         _write_marks(w, "marks2", obs.marks2)
         w.writerow(["t"] + [f"y_{i}" for i in range(m)]
                    + ["event_step", "event"] + [f"mark_{i}" for i in range(md)])
-        ev_by_step = {int(s): e for e, s in zip(obs.events, obs.event_steps)}
-        for k in range(len(obs.t)):
+        marks = iter(obs.event_marks)
+        for k, jump in enumerate(np.append(obs.is_jump(), False)):
             row = [_fmt(obs.t[k])] + [_fmt(v) for v in obs.Y[k]]
-            if k in ev_by_step:
-                e = ev_by_step[k]
-                row += [k, 1] + [_fmt(v) for v in e.mark]
+            if jump:
+                row += [k, 1] + [_fmt(v) for v in next(marks)]
             else:
                 row += ["", 0] + [""] * md
             w.writerow(row)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from levyfilter import filtering
 from levyfilter.errors import DegeneracyError, ModelViolationError
 from levyfilter.families import build_family
 from levyfilter.filtering import (FunctionSummary, ParticleCloud,
@@ -163,7 +164,7 @@ def test_fresh_cloud_state_at_initial_node():
     assert traj.ess[0] == pytest.approx(300.0)
     assert np.all(np.isfinite(traj.log_mass))
     assert len(traj.t) == len(obs.t)
-    assert traj.event_count[-1] == len(obs.events)
+    assert traj.event_count[-1] == len(obs.event_steps)
 
 
 def test_constant_function_ks_residual_vanishes():
@@ -171,7 +172,7 @@ def test_constant_function_ks_residual_vanishes():
     scen, rec, obs, traj, _ = run_family(
         "mixed", 50, 400, 17, params={"rate1": 2.0, "rate2": 3.0},
         test_functions=[F, coordinate(0)])
-    assert len(obs.events) > 0
+    assert len(obs.event_steps) > 0
     res = ks_residual(traj, F.name)
     assert np.max(np.abs(res)) <= 1e-12
 
@@ -275,7 +276,7 @@ def test_filter_rejects_out_of_range_intensity():
     grid = TimeGrid(0.0, scen.spec.T, 30)
     rec = simulate_path(scen.spec, grid, scen.prior_sampler, scen.y0, 23)
     obs = project_observation(rec)
-    assert len(obs.events) > 0
+    assert len(obs.event_steps) > 0
     bad = replace(scen.spec, lam=lambda t, x, u: np.full(
         np.broadcast(np.asarray(x)[..., 0], np.asarray(u)[..., 0]).shape, 1.5))
     with pytest.raises(ModelViolationError):
@@ -287,20 +288,20 @@ def test_filter_enforces_conditional_intensity_floor():
     grid = TimeGrid(0.0, scen.spec.T, 30)
     rec = simulate_path(scen.spec, grid, scen.prior_sampler, scen.y0, 23)
     obs = project_observation(rec)
-    assert len(obs.events) > 0
+    assert len(obs.event_steps) > 0
     strict = replace(scen.spec, iota=0.99)
     with pytest.raises(ModelViolationError):
         zakai_filter(strict, obs, 100, scen.prior_sampler, 1)
 
 
-def test_filter_reports_mass_collapse():
+def test_filter_reports_mass_collapse(monkeypatch):
+    monkeypatch.setattr(filtering, "MASS_FLOOR", 10.0)
     scen = build_family("jump_free")
     grid = TimeGrid(0.0, scen.spec.T, 10)
     rec = simulate_path(scen.spec, grid, scen.prior_sampler, scen.y0, 3)
     obs = project_observation(rec)
     with pytest.raises(DegeneracyError):
-        zakai_filter(scen.spec, obs, 50, scen.prior_sampler, 1,
-                     mass_floor=10.0)
+        zakai_filter(scen.spec, obs, 50, scen.prior_sampler, 1)
 
 
 # --- outputs -------------------------------------------------------------------

@@ -9,8 +9,7 @@ import pytest
 from levyfilter.errors import InvertibilityError, ModelViolationError
 from levyfilter.families import build_family
 from levyfilter.filtering import zakai_filter
-from levyfilter.girsanov import (log_lambda_inverse,
-                                 sample_model_log_inverse_weights,
+from levyfilter.girsanov import (sample_model_log_inverse_weights,
                                  sample_reference_log_weights)
 from levyfilter.levy import compensator_integral
 from levyfilter.model import (LevyMeasureSpec, SystemSpec, generator_values,
@@ -544,9 +543,6 @@ def _bad_lambda_calls():
         "compensator_integral": lambda: compensator_integral(
             spec, lambda t, u: np.ones(len(u)), lambda t: np.array([0.25]),
             0.0, 0.1, 0.05),
-        "log_lambda_inverse": lambda: log_lambda_inverse(good_record(), spec),
-        "log_lambda_inverse_no_jump": lambda: log_lambda_inverse(
-            jumpless_record(), spec),
         "zakai_filter": lambda: zakai_filter(
             spec, project_observation(good_record()), 50, prior, 5),
         "zakai_filter_no_jump": lambda: zakai_filter(

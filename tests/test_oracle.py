@@ -7,8 +7,7 @@ import pytest
 from levyfilter.errors import ConfigError
 from levyfilter.families import build_family
 from levyfilter.filtering import zakai_filter
-from levyfilter.oracle import (LinearSpec, kalman_bucy, mc_conditional_oracle,
-                               stationary_covariance)
+from levyfilter.oracle import LinearSpec, kalman_bucy, mc_conditional_oracle
 from levyfilter.simulate import (ObservationRecord, TimeGrid,
                                  project_observation, simulate_path)
 from levyfilter.testfuncs import coordinate, quadratic
@@ -35,7 +34,7 @@ def prior_only_record(spec, y0):
     """Single-node observation record: conditioning on no information."""
     return ObservationRecord(TimeGrid(0.0, spec.T, 1),
                              np.array([0.0]), np.atleast_2d(y0),
-                             [], np.array([], dtype=int),
+                             np.array([], dtype=int), np.zeros((0, 1)),
                              np.zeros((0, 1)), source_seed=0)
 
 
@@ -51,25 +50,17 @@ def test_linear_spec_validates_shapes():
                    R=np.ones((2, 2)), x0_mean=[0.0], x0_cov=1.0)
 
 
-def test_stationary_covariance_closed_forms():
-    assert stationary_covariance(correlated_lin())[0, 0] == pytest.approx(
-        P_STAT_CORRELATED, abs=1e-9)
-    lin = LinearSpec(A=-1.0, Sigma0=0.5, Sigma1=0.0, H=1.0, R=1.0,
-                     x0_mean=[0.0], x0_cov=1.0)
-    assert stationary_covariance(lin)[0, 0] == pytest.approx(
-        P_STAT_UNCORRELATED, abs=1e-9)
-    # fixed point is independent of the start
-    far = LinearSpec(A=-1.0, Sigma0=0.5, Sigma1=0.5, H=1.0, R=1.0,
-                     x0_mean=[0.0], x0_cov=5.0)
-    assert stationary_covariance(far)[0, 0] == pytest.approx(
-        P_STAT_CORRELATED, abs=1e-9)
-
-
-def test_kalman_covariance_reaches_stationary_root():
-    lin = correlated_lin()
+@pytest.mark.parametrize("s1, p0, root", [
+    (0.5, 1.0, P_STAT_CORRELATED),
+    (0.0, 1.0, P_STAT_UNCORRELATED),
+    (0.5, 5.0, P_STAT_CORRELATED),      # the root does not depend on P0
+], ids=["correlated", "uncorrelated", "correlated_from_5"])
+def test_kalman_covariance_reaches_stationary_root(s1, p0, root):
+    lin = LinearSpec(A=-1.0, Sigma0=0.5, Sigma1=s1, H=1.0, R=1.0,
+                     x0_mean=[0.0], x0_cov=p0)
     t = np.linspace(0.0, 8.0, 801)
     kal = kalman_bucy(lin, t, np.zeros((801, 1)))
-    assert kal.cov[-1, 0, 0] == pytest.approx(P_STAT_CORRELATED, abs=1e-4)
+    assert kal.cov[-1, 0, 0] == pytest.approx(root, abs=1e-4)
 
 
 def test_kalman_unobserved_follows_lyapunov_flow():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levyfilter import simulate
 from levyfilter.errors import (ConfigError, DivergenceError,
                                ModelViolationError)
 from levyfilter.families import build_family
@@ -66,7 +67,7 @@ def test_refined_grid_duplicates_every_event_node():
     scen = busy_scenario()
     grid = TimeGrid(0.0, scen.spec.T, 40)
     rec = simulate_path(scen.spec, grid, scen.prior_sampler, scen.y0, 7)
-    n_events = len(rec.signal_jumps) + len(rec.obs_candidates)
+    n_events = len(rec.event_steps(1)) + len(rec.obs_candidates)
     assert n_events > 0
     assert len(rec.t) == grid.n_steps + 1 + 2 * n_events
     assert np.array_equal(rec.t[rec.base_mask], grid.nodes())
@@ -179,13 +180,13 @@ def test_signal_moments_match_euler_chain():
 
 # --- failure modes ------------------------------------------------------------
 
-def test_divergence_guard_raises():
+def test_divergence_guard_raises(monkeypatch):
+    monkeypatch.setattr(simulate, "MAX_NORM", 1.0)
     scen = build_family("linear_gaussian",
                         {"prior_mean": 5.0, "prior_std": 0.0})
     grid = TimeGrid(0.0, 1.0, 10)
     with pytest.raises(DivergenceError):
-        simulate_path(scen.spec, grid, scen.prior_sampler, scen.y0, 1,
-                      max_norm=1.0)
+        simulate_path(scen.spec, grid, scen.prior_sampler, scen.y0, 1)
 
 
 def test_out_of_range_intensity_raises_during_simulation():
@@ -204,23 +205,24 @@ def test_projection_keeps_base_nodes_and_accepted_jumps_bitwise():
     grid = TimeGrid(0.0, scen.spec.T, 40)
     rec = simulate_path(scen.spec, grid, scen.prior_sampler, scen.y0, 11)
     obs = project_observation(rec)
-    n_acc = sum(1 for e in rec.obs_candidates if e.accepted)
-    assert len(obs.events) == n_acc > 0
+    accepted = [e for e in rec.obs_candidates if e.accepted]
+    n_acc = len(accepted)
+    assert len(obs.event_steps) == len(obs.event_marks) == n_acc > 0
     assert len(obs.t) == grid.n_steps + 1 + 2 * n_acc
     # base-node values are copied bitwise
     base_in_obs = np.isin(obs.t, grid.nodes())
     assert np.array_equal(obs.Y[base_in_obs], rec.Y[rec.base_mask])
     # each event step is a zero-length step whose post node moved by f2
-    for ev, k in zip(obs.events, obs.event_steps):
+    for ev, k, u in zip(accepted, obs.event_steps, obs.event_marks):
         assert obs.t[k] == obs.t[k + 1] == ev.t
-        jump = np.asarray(scen.spec.f2(ev.t, obs.Y[k], ev.mark),
-                          float).reshape(-1)
+        assert np.array_equal(u, ev.mark)
+        jump = np.asarray(scen.spec.f2(ev.t, obs.Y[k], u), float).reshape(-1)
         assert np.array_equal(obs.Y[k + 1], obs.Y[k] + jump)
     # rejected candidate times are stripped
     rejected = [e.t for e in rec.obs_candidates if not e.accepted]
     assert rejected and not np.isin(rejected, obs.t).any()
     # signal-jump nodes are stripped
-    sig_times = [e.t for e in rec.signal_jumps]
+    sig_times = rec.t[rec.event_steps(1)]
     assert len(sig_times) and not np.isin(sig_times, obs.t).any()
 
 
@@ -229,21 +231,21 @@ def test_coarsening_preserves_surviving_nodes_and_events():
     grid = TimeGrid(0.0, scen.spec.T, 40)
     rec = simulate_path(scen.spec, grid, scen.prior_sampler, scen.y0, 23)
     obs = project_observation(rec)
-    assert len(obs.events) > 0
+    assert len(obs.event_steps) > 0
     half = coarsen_observation(obs, 2)
     assert half.base_grid.n_steps == 20
-    assert len(half.events) == len(obs.events)
+    assert len(half.event_steps) == len(obs.event_steps)
     # every coarse node value appears bitwise in the fine record
     for j, tq in enumerate(half.t):
         i = np.flatnonzero(obs.t == tq)
         assert i.size > 0
         assert any(np.array_equal(half.Y[j], obs.Y[ii]) for ii in i)
     # jump times and marks are untouched
-    assert np.array_equal(np.array([e.t for e in half.events]),
-                          np.array([e.t for e in obs.events]))
+    assert np.array_equal(half.t[half.event_steps], obs.t[obs.event_steps])
+    assert np.array_equal(half.event_marks, obs.event_marks)
     # event steps are zero-length on the coarse grid too
-    for ev, k in zip(half.events, half.event_steps):
-        assert half.t[k] == half.t[k + 1] == ev.t
+    assert np.array_equal(half.t[half.event_steps + 1],
+                          half.t[half.event_steps])
 
 
 def test_coarsening_identity_and_validation():
@@ -277,7 +279,7 @@ def test_observation_roundtrip_csv(tmp_path):
     assert (int(meta["m"]), int(meta["mark_dim"]), int(meta["seed"]),
             float(meta["t0"]), float(meta["t1"]), int(meta["n_steps"]),
             int(meta["n_events"])) == (m, md, obs.source_seed, grid.t0,
-                                       grid.t1, grid.n_steps, len(obs.events))
+                                       grid.t1, grid.n_steps, len(obs.event_steps))
     assert marks2[:3] == ["#marks2", str(len(obs.marks2)), str(md)]
     assert np.array_equal(np.array(marks2[3:], float).reshape(-1, md),
                           obs.marks2)
@@ -290,9 +292,8 @@ def test_observation_roundtrip_csv(tmp_path):
     events = [r for r in body if r[2 + m] == "1"]
     steps = [int(r[1 + m]) for r in events]
     assert len(events) > 0 and np.array_equal(steps, obs.event_steps)
-    assert np.array_equal(t[steps], [e.t for e in obs.events])
     assert np.array_equal(np.array([r[3 + m:] for r in events], float),
-                          np.stack([e.mark for e in obs.events]))
+                          obs.event_marks)
 
 
 @settings(max_examples=15, deadline=None)
@@ -301,7 +302,7 @@ def test_refined_grid_invariants_property(seed):
     scen = build_family("mixed", {"rate1": 2.0, "rate2": 2.0})
     grid = TimeGrid(0.0, scen.spec.T, 20)
     rec = simulate_path(scen.spec, grid, scen.prior_sampler, scen.y0, seed)
-    n_events = len(rec.signal_jumps) + len(rec.obs_candidates)
+    n_events = len(rec.event_steps(1)) + len(rec.obs_candidates)
     assert len(rec.t) == grid.n_steps + 1 + 2 * n_events
     dt = rec.dt()
     assert np.all(dt >= 0.0)
