@@ -547,17 +547,16 @@ def validate_hypotheses(spec, sample_budget, rng_seed):
                     "sigma2 singular")
         inv_norm = norms(np.linalg.inv(sig))
         # normalized: pass iff <= 1
-        worst, wit, note = worst_point(
-            np.maximum(size, inv_norm / CEILINGS["sigma2_inv"]),
-            t=tP, x=X1, y=Y1, inv_norm=inv_norm)
+        return worst_point(np.maximum(size, inv_norm / CEILINGS["sigma2_inv"]),
+                           t=tP, x=X1, y=Y1, inv_norm=inv_norm)
+
+    def obs_growth():
+        tot = np.sum(at("sigma2", "y1").reshape(P, -1) ** 2, axis=1)
         if rate2 > 0.0:
-            f20 = np.asarray(spec.f2(0.0, np.zeros(m)[None, :], marks2), float)
-            mom = rate2 * np.mean(np.sum(f20**2, axis=-1))
-            if not np.isfinite(mom):
-                return (float("inf"), {"moment": mom},
-                        "f2 second moment at y=0 not finite")
-            note = f"f2 second moment at y=0: {mom:.6g}"
-        return worst, wit, note
+            disp = at("f2", "y1 rows", "marks2")
+            tot = tot + rate2 * np.mean(np.sum(disp**2, axis=-1), axis=-1)
+        return worst_point(tot / (1.0 + np.linalg.norm(Y1, axis=1)) ** 2,
+                           t=tP, y=Y1)
 
     def obs_drift_x_lipschitz():
         return worst_pair(
@@ -611,6 +610,7 @@ def validate_hypotheses(spec, sample_budget, rng_seed):
               signal_jump_invertible),
         check("obs_coeff_lipschitz", lipschitz, obs_coeff_lipschitz),
         check("obs_bounded_invertible", 1.0, obs_bounded_invertible),
+        check("obs_growth", CEILINGS["growth"], obs_growth),
         check("obs_drift_x_lipschitz", lipschitz, obs_drift_x_lipschitz),
         check("jump_intensity_lower", spec.iota,
               lambda: lambda_extreme(np.argmin, 1.0),

@@ -122,7 +122,7 @@ def test_validate_all_pass_on_lipschitz_bounded_spec(make_spec):
     spec = make_spec()
     report = validate_hypotheses(spec, 200, 42)
     assert report.passed
-    assert len(report.checks) == 11
+    assert len(report.checks) == 12
     assert all(c.worst >= 0.0 or not np.isfinite(c.worst)
                for c in report.checks)
     for c in report.checks:
@@ -151,9 +151,22 @@ def test_validate_notes_a_non_finite_f2_moment():
     assert not caught    # inf - inf in its Lipschitz check fails it quietly
     lip = report["obs_coeff_lipschitz"]
     assert not lip.passed and lip.note == "non-finite value"
-    check = report["obs_bounded_invertible"]
-    assert not check.passed and not np.isfinite(check.witness["moment"])
-    assert check.note == "f2 second moment at y=0 not finite"
+    check = report["obs_growth"]
+    assert not check.passed and not np.isfinite(check.worst)
+    assert check.note == "non-finite value"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_hypothesis_screen_bounds_f2_at_each_probe_time(seed):
+    # f2 grows by 1e150 for t > 0.5 only, and by the same amount at every
+    # y, so no difference ratio sees it; its growth bound does
+    spec = build_family("mixed").spec
+    f2 = spec.f2
+    spec = replace(spec, f2=lambda t, y, u: f2(t, y, u) + (
+        1e150 if t > 0.5 else 0.0))
+    check = validate_hypotheses(spec, 200, seed)["obs_growth"]
+    assert not check.passed
+    assert check.witness["t"] > 0.5
 
 
 def test_validate_flags_unbounded_below_intensity():
@@ -199,7 +212,7 @@ def test_validate_reports_raising_lambda_in_all_three_intensity_checks():
 
     report = validate_hypotheses(
         replace(build_family("mixed").spec, lam=bad_lam), 50, 1)
-    assert len(report.checks) == 11
+    assert len(report.checks) == 12
     assert [c.name for c in report.failures()] == [
         "jump_intensity_lower", "jump_intensity_upper",
         "jump_intensity_integrable"]
@@ -229,12 +242,13 @@ def test_validate_evaluates_each_coefficient_once_per_probe_set():
             return fn(*args)
         return wrapper
 
-    names = ("b1", "sigma0", "sigma1", "lam")
+    names = ("b1", "sigma0", "sigma1", "lam", "f2")
     report = validate_hypotheses(
         replace(spec, **{k: counted(k) for k in names}), 200, 5)
     P = report.checks[0].samples
     assert P == 205
-    assert calls == {"b1": 2 * P, "sigma0": 2 * P, "sigma1": 2 * P, "lam": P}
+    assert calls == {"b1": 2 * P, "sigma0": 2 * P, "sigma1": 2 * P, "lam": P,
+                     "f2": 2 * P}
 
 
 # --- generator ----------------------------------------------------------------
