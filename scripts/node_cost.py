@@ -66,8 +66,8 @@ def main():
     slope, fixed = np.polyfit(np.array(SIZES, float), per_node, 1)
     print(f"fixed cost {1e6 * fixed:.1f} us per node, "
           f"{1e9 * slope:.1f} ns per particle-node")
-    print(f"family={cfg.family} K={K} steps ({len(obs.event_steps)} observation "
-          f"jumps), numpy {np.__version__}, {os.cpu_count()} cores, "
+    print(f"family={cfg.family} K={K} steps ({len(obs.event_steps)} "
+          f"observation jumps), numpy {np.__version__}, {os.cpu_count()} cores, "
           f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}")
 
 

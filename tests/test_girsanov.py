@@ -26,7 +26,7 @@ BROWNIAN_CLOSED_FORM = -0.5
 COMPENSATOR_CLOSED_FORM = -0.25
 
 
-# --- the inverse log-weight step ------------------------------------------------
+# --- the inverse log-weight step ---------------------------------------------
 
 def test_inverse_log_weight_step_closed_forms():
     spec = build_family("linear_gaussian").spec        # h(x) = x here

@@ -279,7 +279,8 @@ def test_observation_roundtrip_csv(tmp_path):
     assert (int(meta["m"]), int(meta["mark_dim"]), int(meta["seed"]),
             float(meta["t0"]), float(meta["t1"]), int(meta["n_steps"]),
             int(meta["n_events"])) == (m, md, obs.source_seed, grid.t0,
-                                       grid.t1, grid.n_steps, len(obs.event_steps))
+                                       grid.t1, grid.n_steps,
+                                       len(obs.event_steps))
     assert marks2[:3] == ["#marks2", str(len(obs.marks2)), str(md)]
     assert np.array_equal(np.array(marks2[3:], float).reshape(-1, md),
                           obs.marks2)
