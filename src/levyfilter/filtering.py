@@ -25,9 +25,7 @@ from .propagation import (add_signal_jumps, lam_bar, log_weight_step,
 from .rng import substream
 
 
-# The smallest mean weight a cloud may keep before the filter counts its
-# mass as collapsed.
-MASS_FLOOR = 1e-300
+MASS_FLOOR = 1e-300            # a smaller mean weight is a collapsed cloud
 
 # mallopt parameters of glibc's <malloc.h>
 M_TRIM_THRESHOLD = -1

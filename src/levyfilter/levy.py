@@ -56,8 +56,7 @@ def sample_poisson_stream(nu, t0, t1, rng_seed, channel="signal"):
     count = int(rng.poisson(expected))
     times = np.sort(rng.uniform(t0, t1, size=count))
     marks = np.asarray(nu.sampler(rng, count), float).reshape(count, nu.dim)
-    return [JumpEvent(float(t), u, channel=channel)
-            for t, u in zip(times, marks)]
+    return [JumpEvent(float(t), u, channel=channel) for t, u in zip(times, marks)]
 
 
 def compensator_integral(spec, g, x_lookup, t0, t1, step):

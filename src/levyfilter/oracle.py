@@ -17,8 +17,7 @@ import numpy as np
 from .errors import ConfigError, InvertibilityError
 from .rng import substream
 
-# Euler stages of the Riccati flow per observation step.
-KALMAN_SUBSTEPS = 10
+KALMAN_SUBSTEPS = 10            # Euler stages of the Riccati flow per step
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,8 @@ def kalman_bucy(lin, t, Y):
 
     Gain K = (P H' + S1 R') (R R')^{-1}; the covariance follows the
     Riccati flow dP = AP + PA' + S0 S0' + S1 S1' - K (R R') K', integrated
-    with ``KALMAN_SUBSTEPS`` Euler stages per observation step.  The S1 R'
-    term is what the shared Brownian driver adds over the classical filter.
+    in ``KALMAN_SUBSTEPS`` Euler stages per step.  The S1 R' term is what
+    the shared Brownian driver adds over the classical filter.
     """
     t = np.asarray(t, float)
     Y = np.atleast_2d(np.asarray(Y, float))

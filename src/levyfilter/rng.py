@@ -8,28 +8,21 @@ reproducible under any execution interleaving.
 
 Labels in use across the package:
 
-    ("x0",)                     initial state of a path or a batch of paths
-    ("frozen-marks", dim)       frozen mark samples for compensator integrals
-    ("signal-jumps",)           seed of a path's signal-channel stream
-    ("obs-candidates",)         seed of a path's observation-candidate stream
-    ("poisson", channel)        a stream's event count, times and marks
-    ("obs-thinning",)           acceptance uniforms for thinning a path
-    ("brownian",)               Brownian increments of a path or a batch
-    ("jump-counts",)            per-path jump counts of a batch
-    ("jump-marks",)             per-path jump marks of a batch
-    ("thinning",)               acceptance uniforms of a batch
-    ("hypotheses",)             probe points of the hypothesis screen
-    ("replica", i)              per-replica child seeds in multi-run drivers
-    ("filter",)                 a replica's particle-filter seed
-    ("prior-mc",)               a replica's prior Monte Carlo seed
-    ("prior",)                  particle-cloud initial sample
-    ("particle-brownian",)      per-particle independent Brownian increments
-    ("particle-jump-counts",)   per-particle signal-jump counts
-    ("particle-jump-marks",)    per-particle signal-jump marks
-    ("resample-{k}",)           systematic-resampling offset at grid node k
-    ("oracle-prior",), ("oracle-noise",), ("oracle-jumps",)
-                                the Monte Carlo oracle's prior, noise and
-                                signal jumps
+    ("x0",) ("brownian",)               initial state and Brownian
+                                        increments of a path or a batch
+    ("signal-jumps",) ("obs-candidates",) ("obs-thinning",)
+                                        a path's two stream seeds and its
+                                        thinning uniforms
+    ("poisson", channel)                a stream's count, times and marks
+    ("jump-counts",) ("jump-marks",) ("thinning",)    a batch's jumps
+    ("frozen-marks", dim)               frozen mark samples (compensators)
+    ("hypotheses",)                     probe points of the screen
+    ("replica", i)                      per-replica seeds in multi-run
+                                        drivers; each derives ("filter",)
+                                        and ("prior-mc",)
+    ("prior",) ("particle-brownian",) ("particle-jump-counts",)
+    ("particle-jump-marks",) ("resample-{k}",)        the particle filter
+    ("oracle-prior",) ("oracle-noise",) ("oracle-jumps",)     the oracle
 """
 
 import zlib

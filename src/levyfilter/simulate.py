@@ -20,9 +20,7 @@ from .levy import sample_poisson_stream
 from .propagation import physical_step, thin
 from .rng import derive_seed, substream
 
-# The largest |state| a simulated path may reach before it counts as
-# diverged.
-MAX_NORM = 1e8
+MAX_NORM = 1e8                 # a path whose |state| passes this diverged
 
 
 @dataclass(frozen=True)
@@ -116,9 +114,8 @@ class ObservationRecord:
 
 
 def _merged_grid(base, times):
-    """Base nodes plus a duplicated node at each of the sorted event
-    ``times``: the nodes, whether each is a base node, and the (zero-length)
-    step of each event."""
+    """Base nodes plus a duplicated node at each sorted event time: the
+    nodes, their base-node flags and each event's (zero-length) step."""
     node_t = [base[0]]
     base_flag = [True]
     event_steps = []
@@ -165,9 +162,7 @@ def simulate_path(spec, grid, x0_sampler, y0, rng_seed):
                                                   [e.t for e in events])
     K = len(node_t) - 1
     dt_all = np.diff(node_t)
-    steps = [None] * K             # None (continuous) or the step's event
-    for k, ev in zip(event_steps, events):
-        steps[k] = ev
+    event_at = dict(zip(event_steps.tolist(), events))
 
     gauss = substream(rng_seed, "brownian").standard_normal((K, d + m))
     thin_rng = substream(rng_seed, "obs-thinning")
@@ -187,7 +182,7 @@ def simulate_path(spec, grid, x0_sampler, y0, rng_seed):
     for k in range(K):
         t = node_t[k]
         dt = dt_all[k]
-        ev = steps[k]
+        ev = event_at.get(k)
         if ev is None:
             sq = np.sqrt(dt)
             dB[k] = gauss[k, :d] * sq
