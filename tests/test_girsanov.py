@@ -12,7 +12,8 @@ from levyfilter.girsanov import (reconstruct_reference_drivers,
                                  sample_model_log_inverse_weights,
                                  sample_reference_log_weights)
 from levyfilter.propagation import (lam_bar, log_weight_step,
-                                    observation_reference_step)
+                                    observation_reference_step, thin)
+from levyfilter.rng import substream
 from levyfilter.simulate import TimeGrid, project_observation, simulate_path
 
 # --- independent oracles ------------------------------------------------------
@@ -20,15 +21,18 @@ from levyfilter.simulate import TimeGrid, project_observation, simulate_path
 # with -h and -rate2:
 #   constant h = 1, zero dW, T = 1:
 #       brownian part = -0.5 * |h|^2 * T = -0.5
+#   one accepted jump at intensity ratio 1/2:
+#       jump part = -log(1/2) = log 2
 #   rate 1, lambda-bar 1/2, total continuous time 0.5:
 #       compensator part = -0.5 * 1.0 * (1 - 0.5) = -0.25
 BROWNIAN_CLOSED_FORM = -0.5
+JUMP_CLOSED_FORM = 0.6931471805599453
 COMPENSATOR_CLOSED_FORM = -0.25
 
 
 # --- the inverse log-weight step ---------------------------------------------
 
-def test_inverse_log_weight_step_closed_forms():
+def test_brownian_part_closed_form():
     spec = build_family("linear_gaussian").spec        # h(x) = x here
     h = np.asarray(spec.h(0.0, np.ones((1, 1)), np.zeros((1, 1))), float)
     logw = np.zeros(1)
@@ -36,14 +40,46 @@ def test_inverse_log_weight_step_closed_forms():
         logw = log_weight_step(logw, -h, np.zeros(1), 0.25, 0.0, None)
     assert logw[0] == pytest.approx(BROWNIAN_CLOSED_FORM, abs=1e-12)
 
+
+def test_jump_and_compensator_parts_closed_form():
     spec = build_family("jump_only").spec              # lam(0) = 1/2, rate 1
-    lb = lam_bar(spec, 0.0, np.zeros((1, 1)),
-                 spec.nu2.frozen_marks(spec.mark_budget))
+    marks2 = spec.nu2.frozen_marks(spec.mark_budget)
+    x = np.zeros((1, 1))
+    lb = lam_bar(spec, 0.0, x, marks2)
     logw = np.zeros(1)
     for _ in range(2):
         logw = log_weight_step(logw, np.zeros((1, 1)), np.zeros(1), 0.25,
                                -spec.nu2.rate, lb)
     assert logw[0] == pytest.approx(COMPENSATOR_CLOSED_FORM, abs=1e-12)
+    # the inverse weight takes -log lam at an accepted jump, with lam as
+    # thin returns it
+    _, lam = thin(spec, 0.25, x, marks2[:1], substream(0, "thinning"))
+    jump = -np.log(lam[0])
+    assert jump == pytest.approx(JUMP_CLOSED_FORM, abs=1e-12)
+    assert logw[0] + jump == pytest.approx(
+        JUMP_CLOSED_FORM + COMPENSATOR_CLOSED_FORM, abs=1e-12)
+
+
+def test_likelihood_path_decomposes():
+    # a batch of 4 rows with m = 2: the step is the brownian part plus the
+    # compensator part, row by row, for a shared or a per-row dW
+    rng = np.random.default_rng(5)
+    logw0 = rng.standard_normal(4)
+    h = rng.standard_normal((4, 2))
+    lb = rng.uniform(0.1, 0.9, 4)
+    dt, rate2 = 0.03, 2.5
+    for dW in (rng.standard_normal(2), rng.standard_normal((4, 2))):
+        dWr = np.broadcast_to(dW, h.shape)
+        for sign in (1.0, -1.0):
+            got = log_weight_step(logw0, sign * h, dW, dt, sign * rate2, lb)
+            for r in range(4):
+                brownian = (sign * h[r] @ dWr[r]
+                            - 0.5 * (h[r] @ h[r]) * dt)
+                compensator = sign * rate2 * (1.0 - lb[r]) * dt
+                assert got[r] == pytest.approx(
+                    logw0[r] + brownian + compensator, abs=1e-14)
+        assert np.array_equal(log_weight_step(logw0, h, dW, dt, rate2, None),
+                              log_weight_step(logw0, h, dW, dt, 0.0, lb))
 
 
 # --- driver reconstruction -----------------------------------------------------

@@ -14,7 +14,7 @@ from levyfilter.girsanov import (sample_model_log_inverse_weights,
 from levyfilter.levy import compensator_integral
 from levyfilter.model import (LevyMeasureSpec, SystemSpec, generator_values,
                               validate_hypotheses)
-from levyfilter.propagation import thin
+from levyfilter.propagation import lam_bar, thin
 from levyfilter.rng import substream
 from levyfilter.simulate import TimeGrid, project_observation, simulate_path
 from levyfilter.testfuncs import (TestFunction, bump, constant, coordinate,
@@ -554,6 +554,8 @@ def _bad_lambda_calls():
         "simulate_path": lambda: simulate_path(spec, grid, prior, y0, 3),
         "thin": lambda: thin(spec, 0.5, np.array([[0.25]]),
                              np.array([[0.5]]), substream(4, "thinning")),
+        "lam_bar": lambda: lam_bar(spec, 0.5, np.array([[0.25]]),
+                                   spec.nu2.frozen_marks(spec.mark_budget)),
         "compensator_integral": lambda: compensator_integral(
             spec, lambda t, u: np.ones(len(u)), lambda t: np.array([0.25]),
             0.0, 0.1, 0.05),
