@@ -92,42 +92,17 @@ class ShiftedWeights:
         return self.e / self.sum
 
 
-@dataclass
-class ParticleCloud:
-    """Particle locations with unnormalized log-weights."""
-
-    x: np.ndarray
-    logw: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.atleast_2d(np.asarray(self.x, float))
-        self.logw = np.asarray(self.logw, float).reshape(self.x.shape[0])
-
-    def weights(self):
-        return ShiftedWeights(self.logw)
-
-    def log_mass(self):
-        """log of the mean unnormalized weight (zero for a fresh cloud)."""
-        return float(self.weights().log_mass())
-
-    def normalized_weights(self):
-        return self.weights().normalized()
-
-    def ess(self):
-        return self.weights().ess
-
-
 def resample(x, weights, rng):
     """Systematic resampling of the particles x, weighted by ``weights``
-    (their ShiftedWeights), preserving the total unnormalized mass."""
+    (their ShiftedWeights): the new states and log-weights, which keep the
+    total unnormalized mass."""
     N = x.shape[0]
     edges = np.cumsum(weights.normalized())
     edges[-1] = 1.0
     points = (rng.uniform() + np.arange(N)) / N
     idx = np.searchsorted(edges, points, side="right")
     idx = np.minimum(idx, N - 1)
-    logw = np.full(N, float(weights.log_mass()))
-    return ParticleCloud(x[idx], logw)
+    return x[idx], np.full(N, float(weights.log_mass()))
 
 
 @dataclass
@@ -234,7 +209,7 @@ class FilterTrajectory:
     rate2: float
     summaries: dict
     resampled: np.ndarray
-    clouds: list | None = None
+    clouds: list | None = None  # (x, logw) at each node, if stored
     event_count: np.ndarray | None = None
 
     def mass(self):
@@ -310,7 +285,7 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
         for name, terms in node.functions.items():
             summ[name].record(k, w, terms, hv)
         if store_clouds:
-            clouds.append(ParticleCloud(x.copy(), logw.copy()))
+            clouds.append((x.copy(), logw.copy()))
         return w, hv
 
     node = None                  # NodeTerms of the cloud x at time t
@@ -319,8 +294,8 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
         y = obs.Y[k]
         weights = ShiftedWeights(logw)
         if k > 0 and ess_fraction > 0.0 and weights.ess < ess_fraction * N:
-            new = resample(x, weights, substream(rng_seed, f"resample-{k}"))
-            x, logw = new.x, new.logw
+            x, logw = resample(x, weights,
+                               substream(rng_seed, f"resample-{k}"))
             resampled[k] = True
             weights = ShiftedWeights(logw)
             node = None

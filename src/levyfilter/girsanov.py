@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvertibilityError
 from .model import signal_terms, solve
 from .propagation import (add_signal_jumps, jump_rounds, lam_bar,
                           log_weight_step, observation_reference_step,
@@ -47,13 +46,7 @@ def reconstruct_reference_drivers(obs, spec):
         dt = dt_all[k]
         comp = spec.obs_jump_drift_reference(t, y, obs.marks2)
         rhs = (obs.Y[k + 1] - y) + dt * comp
-        sig = np.asarray(spec.sigma2(t, y), float)
-        try:
-            dW[k] = solve(sig, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise InvertibilityError(
-                f"observation diffusion singular at t={t:g} "
-                f"(condition number {np.linalg.cond(sig):.3e})") from exc
+        dW[k] = solve(np.asarray(spec.sigma2(t, y), float), rhs, t)
     return dW
 
 

@@ -57,18 +57,24 @@ CEILINGS = {
 PROBE_BOX = (-5.0, 5.0)
 
 
-def solve(sig, rhs):
+def solve(sig, rhs, t):
     """sig^{-1} rhs for sig (..., m, m) and rhs (..., m); raises
-    np.linalg.LinAlgError when sig is singular.
+    InvertibilityError, with the condition number, when sigma2 = sig is
+    singular at time t.
 
     One 1x1 matrix for the whole batch is a division, which gives the
     correctly rounded quotient of the per-row 1x1 solve.
     """
-    if sig.shape == (1, 1):
-        if sig[0, 0] == 0.0:
-            raise np.linalg.LinAlgError("Singular matrix")
+    if sig.shape == (1, 1) and sig[0, 0] != 0.0:
         return rhs / sig[0, 0]
-    return np.linalg.solve(sig, rhs[..., None])[..., 0]
+    try:
+        return np.linalg.solve(sig, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        m = sig.shape[-1]
+        cond = float(np.linalg.cond(sig.reshape(-1, m, m)[0]))
+        raise InvertibilityError(
+            f"sigma2 is singular at t={t:g} (condition number {cond:.3e})"
+        ) from exc
 
 
 @dataclass
@@ -174,14 +180,7 @@ class SystemSpec:
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         b2v = np.asarray(self.b2(t, x, y), float)
-        sig = np.asarray(self.sigma2(t, y), float)
-        try:
-            return solve(sig, b2v)
-        except np.linalg.LinAlgError as exc:
-            cond = float(np.linalg.cond(sig.reshape(-1, self.m, self.m)[0]))
-            raise InvertibilityError(
-                f"sigma2 is singular at t={t:g} (condition number {cond:.3e})"
-            ) from exc
+        return solve(np.asarray(self.sigma2(t, y), float), b2v, t)
 
     def diffusion_matrix(self, t, x):
         """Full diffusion matrix a(t,x) = sigma1 sigma1' + sigma0 sigma0'

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .filtering import ShiftedWeights
 
 PAD_MULT = 8.0
 SPACING_DIV = 8.0
@@ -215,11 +216,12 @@ def energy_trajectory(traj, eps):
     if not traj.clouds:
         raise ConfigError("trajectory carries no clouds; "
                           "run the filter with store_clouds=True")
-    grid = auto_grid(np.concatenate([c.x for c in traj.clouds]), eps)
+    grid = auto_grid(np.concatenate([x for x, _ in traj.clouds]), eps)
     out = np.empty(len(traj.clouds))
-    for k, c in enumerate(traj.clouds):
-        w = c.normalized_weights() * np.exp(c.log_mass())
-        out[k] = h_norm(mollify_measure(c.x, w, eps, grid=grid))
+    for k, (x, logw) in enumerate(traj.clouds):
+        weights = ShiftedWeights(logw)
+        w = weights.normalized() * np.exp(weights.log_mass())
+        out[k] = h_norm(mollify_measure(x, w, eps, grid=grid))
     return out
 
 

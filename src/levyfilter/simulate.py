@@ -236,6 +236,8 @@ def project_observation(record):
 def coarsen_observation(obs, factor):
     """Restrict an observation record to every ``factor``-th base node.
 
+    Like ``project_observation`` this selects rows: every jump's pre- and
+    post-jump nodes and every ``factor``-th of the remaining (base) nodes.
     The realization is unchanged — surviving base nodes keep their exact Y
     values and every accepted jump keeps its exact time and mark — so the
     same path can be filtered at two step sizes in refinement studies.
@@ -245,28 +247,18 @@ def coarsen_observation(obs, factor):
         raise ConfigError("coarsening factor must be a positive integer")
     if obs.base_grid.n_steps % factor != 0:
         raise ConfigError("coarsening factor must divide the base step count")
-    base_mask = np.ones(len(obs.t), dtype=bool)
-    base_mask[obs.event_steps] = False
-    base_mask[obs.event_steps + 1] = False
-    fine_base = obs.t[base_mask]
+    keep = np.zeros(len(obs.t), dtype=bool)
+    keep[obs.event_steps] = True
+    keep[obs.event_steps + 1] = True
+    fine_base = np.flatnonzero(~keep)
     if len(fine_base) != obs.base_grid.n_steps + 1:
         raise ConfigError("observation grid does not match its base grid")
-    coarse_base = fine_base[::factor]
-
-    event_t = obs.t[obs.event_steps]
-    node_t, base_flag, event_steps = _merged_grid(coarse_base, event_t)
-    Y_new = np.empty((len(node_t), obs.Y.shape[1]))
-    for j, tq in enumerate(node_t):
-        if base_flag[j]:
-            Y_new[j] = obs.Y[int(np.searchsorted(obs.t, tq, side="left"))]
-    for tq, k in zip(event_t, event_steps):
-        first = int(np.searchsorted(obs.t, tq, side="left"))
-        last = int(np.searchsorted(obs.t, tq, side="right")) - 1
-        Y_new[k] = obs.Y[first]          # left limit at the jump time
-        Y_new[k + 1] = obs.Y[last]       # value after the jump
+    keep[fine_base[::factor]] = True
+    idx = np.flatnonzero(keep)
     grid = TimeGrid(obs.base_grid.t0, obs.base_grid.t1,
                     obs.base_grid.n_steps // factor)
-    return ObservationRecord(grid, node_t, Y_new, event_steps,
+    return ObservationRecord(grid, obs.t[idx], obs.Y[idx],
+                             np.searchsorted(idx, obs.event_steps),
                              obs.event_marks, obs.marks2,
                              source_seed=obs.source_seed)
 

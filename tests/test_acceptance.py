@@ -36,7 +36,8 @@ import numpy as np
 from conftest import observed_scenario, record_acceptance, rms
 from levyfilter.cli import main as cli_main
 from levyfilter.families import build_family, list_families
-from levyfilter.filtering import innovation_process, ks_residual, zakai_filter
+from levyfilter.filtering import (ShiftedWeights, innovation_process,
+                                  ks_residual, zakai_filter)
 from levyfilter.girsanov import sample_reference_log_weights
 from levyfilter.levy import compensator_integral, sample_poisson_stream
 from levyfilter.mollify import (energy_distance, energy_trajectory,
@@ -117,12 +118,12 @@ def test_criterion_3_normalized_unnormalized_identity():
         mass = traj.mass()
         for F in funcs:
             pi = traj.summaries[F.name].pi_F
-            for k, cloud in enumerate(traj.clouds):
+            for k, (x, logw) in enumerate(traj.clouds):
                 # unnormalized moments recomputed from the raw cloud, on a
                 # different floating-point route than the filter bookkeeping
-                shift = float(np.max(cloud.logw))
-                e = np.exp(cloud.logw - shift)
-                vals = np.asarray(F.value(cloud.x), float).reshape(-1)
+                shift = float(np.max(logw))
+                e = np.exp(logw - shift)
+                vals = np.asarray(F.value(x), float).reshape(-1)
                 rho_F = np.exp(shift) * float(np.mean(e * vals))
                 rho_1 = np.exp(shift) * float(np.mean(e))
                 lhs = pi[k] * rho_1
@@ -270,9 +271,9 @@ def test_criterion_8_pathwise_uniqueness_probe():
                       store_clouds=True)
     tb = zakai_filter(mix.spec, obs, 400, mix.prior_sampler, 9,
                       store_clouds=True)
-    equal_seed = max(energy_distance(ca.x, ca.normalized_weights(),
-                                     cb.x, cb.normalized_weights(), 0.5)
-                     for ca, cb in zip(ta.clouds, tb.clouds))
+    equal_seed = max(energy_distance(xa, ShiftedWeights(la).normalized(),
+                                     xb, ShiftedWeights(lb).normalized(), 0.5)
+                     for (xa, la), (xb, lb) in zip(ta.clouds, tb.clouds))
 
     def sup_distance(n_particles, seed_a, seed_b):
         """Sup over nodes and over x and x^2 of the gap between the pi(F)

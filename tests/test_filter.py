@@ -10,11 +10,10 @@ import pytest
 from levyfilter import filtering
 from levyfilter.errors import DegeneracyError, ModelViolationError
 from levyfilter.families import build_family
-from levyfilter.filtering import (FunctionSummary, ParticleCloud,
-                                  ShiftedWeights, function_terms,
-                                  innovation_process, ks_residual, resample,
-                                  write_trajectory_csv, zakai_filter,
-                                  zakai_residual)
+from levyfilter.filtering import (FunctionSummary, ShiftedWeights,
+                                  function_terms, innovation_process,
+                                  ks_residual, resample, write_trajectory_csv,
+                                  zakai_filter, zakai_residual)
 from levyfilter.model import (LevyMeasureSpec, SystemSpec, generator_values,
                               signal_terms)
 from levyfilter.oracle import kalman_bucy
@@ -31,6 +30,8 @@ from levyfilter.testfuncs import bump, constant, coordinate, quadratic
 HAND_PI_X = 4.0 / 3.0
 HAND_RHO_X = 8.0 / 3.0
 HAND_ESS = 18.0 / 7.0
+HAND_X = np.array([[0.0], [1.0], [2.0]])
+HAND_LOGW = np.log(np.array([1.0, 2.0, 3.0]))
 
 # Two equally weighted particles at 0 and class 1 under the linear family
 # (sigma1 = 0.5 constant, h(x) = x):
@@ -38,11 +39,6 @@ HAND_ESS = 18.0 / 7.0
 #   zakai gain = 0.5 + 0.5 = 1,  normalized gain = 1 - 1/2 * 1/2 = 3/4
 HAND_ZAKAI_GAIN = 1.0
 HAND_KS_GAIN = 0.75
-
-
-def hand_cloud():
-    return ParticleCloud(np.array([[0.0], [1.0], [2.0]]),
-                         np.log(np.array([1.0, 2.0, 3.0])))
 
 
 def noise_free_spec(a=-1.0):
@@ -88,15 +84,16 @@ def run_family(family, n_steps, n_particles, seed, *, params=None,
 # --- cloud algebra -------------------------------------------------------------
 
 def test_cloud_moments_closed_form():
-    c = hand_cloud()
-    pi_x = c.normalized_weights() @ c.x[:, 0]
+    weights = ShiftedWeights(HAND_LOGW)
+    pi_x = weights.normalized() @ HAND_X[:, 0]
     assert pi_x == pytest.approx(HAND_PI_X, abs=1e-14)
-    assert np.exp(c.log_mass()) * pi_x == pytest.approx(HAND_RHO_X, abs=1e-14)
+    assert np.exp(weights.log_mass()) * pi_x == pytest.approx(HAND_RHO_X,
+                                                              abs=1e-14)
 
 
 def test_effective_sample_size_closed_forms():
     assert ShiftedWeights(np.zeros(50)).ess == pytest.approx(50.0)
-    assert hand_cloud().ess() == pytest.approx(HAND_ESS, abs=1e-12)
+    assert ShiftedWeights(HAND_LOGW).ess == pytest.approx(HAND_ESS, abs=1e-12)
     assert ShiftedWeights(np.array([0.0, -1000.0])).ess == \
         pytest.approx(1.0, abs=1e-12)
     assert ShiftedWeights(np.full(3, -np.inf)).ess == 0.0
@@ -106,13 +103,14 @@ def test_resample_preserves_mass_and_matches_weights():
     N = 9000
     x = np.repeat(np.array([[0.0], [1.0], [2.0]]), N // 3, axis=0)
     logw = np.repeat(np.log(np.array([1.0, 2.0, 3.0])), N // 3)
-    c = ParticleCloud(x, logw)
-    out = resample(c.x, c.weights(), substream(123, "resample-test"))
-    assert out.log_mass() == pytest.approx(c.log_mass(), abs=1e-13)
-    assert np.all(np.isin(out.x, [0.0, 1.0, 2.0]))
-    assert np.ptp(out.logw) == 0.0
+    weights = ShiftedWeights(logw)
+    out_x, out_logw = resample(x, weights, substream(123, "resample-test"))
+    assert ShiftedWeights(out_logw).log_mass() == pytest.approx(
+        weights.log_mass(), abs=1e-13)
+    assert np.all(np.isin(out_x, [0.0, 1.0, 2.0]))
+    assert np.ptp(out_logw) == 0.0
     for atom, p in zip((0.0, 1.0, 2.0), (1 / 6, 2 / 6, 3 / 6)):
-        frac = np.mean(out.x[:, 0] == atom)
+        frac = np.mean(out_x[:, 0] == atom)
         assert abs(frac - p) <= 3 * np.sqrt(p * (1 - p) / N)
 
 
@@ -311,9 +309,9 @@ def test_store_clouds_and_trajectory_csv(tmp_path):
                                              store_clouds=True)
     assert traj.clouds is not None
     assert len(traj.clouds) == len(obs.t)
-    assert traj.clouds[-1].log_mass() == pytest.approx(traj.log_mass[-1],
-                                                       abs=1e-12)
-    assert traj.clouds[0].x.shape == (150, 1)
+    assert ShiftedWeights(traj.clouds[-1][1]).log_mass() == pytest.approx(
+        traj.log_mass[-1], abs=1e-12)
+    assert traj.clouds[0][0].shape == (150, 1)
     p = tmp_path / "traj.csv"
     write_trajectory_csv(traj, p)
     with open(p, newline="") as fh:
@@ -373,10 +371,10 @@ def test_node_moments_equal_direct_evaluation(family, change, extra,
         # both branches at a node after a jump: terms kept, and recomputed
         assert 0 < np.sum(traj.resampled[after_jump]) < len(after_jump)
     marks1 = spec.nu1.frozen_marks(spec.mark_budget)
-    for k, cloud in enumerate(traj.clouds):
-        t, y, x = obs.t[k], obs.Y[k], cloud.x
+    for k, (x, logw) in enumerate(traj.clouds):
+        t, y = obs.t[k], obs.Y[k]
         N = x.shape[0]
-        w = cloud.normalized_weights()
+        w = ShiftedWeights(logw).normalized()
         hv = np.asarray(spec.h(t, x, y), float).reshape(N, spec.m)
         lam_marks = spec.lam_marks(t, x, obs.marks2)
         if change is _mark_dependent_lam:

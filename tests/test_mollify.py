@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyfilter.errors import ConfigError
-from levyfilter.filtering import ParticleCloud
 from levyfilter.mollify import (auto_grid, build_grid, energy_distance,
                                 energy_trajectory, gronwall_constant, h_norm,
                                 mollified_density, mollify_measure,
@@ -139,7 +138,7 @@ def test_grid_and_bandwidth_guards():
 def test_energy_trajectory_point_mass_closed_form():
     # three single-atom clouds with masses 1, 2, 4 at bandwidth 1:
     # energies must be mass^2 / (2 sqrt(pi))
-    clouds = [ParticleCloud(np.array([[0.0]]), np.array([np.log(c)]))
+    clouds = [(np.array([[0.0]]), np.array([np.log(c)]))
               for c in (1.0, 2.0, 4.0)]
     traj = SimpleNamespace(clouds=clouds)
     E = energy_trajectory(traj, 1.0)
