@@ -44,6 +44,11 @@ class LinearSpec:
             raise ConfigError("linear system dimensions are inconsistent")
         if self.R.shape != (m, m):
             raise ConfigError("observation noise matrix must be m x m")
+        if self.Sigma0.shape[0] != n or self.Sigma1.shape != (n, m):
+            raise ConfigError("Sigma0 must have n rows and Sigma1 be n x m")
+        if self.x0_mean.shape != (n,) or self.x0_cov.shape != (n, n):
+            raise ConfigError("x0_mean must have n entries and x0_cov be "
+                              "n x n")
 
 
 @dataclass
@@ -62,9 +67,11 @@ def kalman_bucy(lin, t, Y):
     the shared Brownian driver adds over the classical filter.
     """
     t = np.asarray(t, float)
-    Y = np.atleast_2d(np.asarray(Y, float))
+    Y = np.asarray(Y, float)
     if Y.ndim == 1:
         Y = Y[:, None]
+    if Y.shape[0] != len(t):
+        raise ValueError(f"Y has {Y.shape[0]} rows for {len(t)} times")
     K_steps = len(t) - 1
     n = lin.A.shape[0]
     m = lin.H.shape[0]

@@ -48,6 +48,15 @@ def test_linear_spec_validates_shapes():
     with pytest.raises(ConfigError):
         LinearSpec(A=-1.0, Sigma0=0.5, Sigma1=0.5, H=1.0,
                    R=np.ones((2, 2)), x0_mean=[0.0], x0_cov=1.0)
+    # n = 2, m = 1: Sigma0 (2, d), Sigma1 (2, 1), x0_mean (2,), x0_cov (2, 2)
+    good = dict(A=np.eye(2), Sigma0=np.eye(2), Sigma1=np.ones((2, 1)),
+                H=np.ones((1, 2)), R=1.0, x0_mean=[0.0, 0.0],
+                x0_cov=np.eye(2))
+    LinearSpec(**good)
+    for key, bad in (("Sigma0", np.eye(3)), ("Sigma1", np.eye(2)),
+                     ("x0_mean", [0.0]), ("x0_cov", np.eye(3))):
+        with pytest.raises(ConfigError):
+            LinearSpec(**dict(good, **{key: bad}))
 
 
 @pytest.mark.parametrize("s1, p0, root", [
@@ -72,6 +81,19 @@ def test_kalman_unobserved_follows_lyapunov_flow():
     # H = 0 leaves the mean on the deterministic drift flow
     assert kal.mean[-1, 0] == pytest.approx(0.7 * (1.0 - t[1]) ** 200,
                                             abs=1e-12)
+
+
+def test_kalman_reads_a_one_dimensional_path():
+    scen = build_family("linear_gaussian")
+    grid = TimeGrid(0.0, 1.0, 50)
+    obs = project_observation(simulate_path(
+        scen.spec, grid, scen.prior_sampler, scen.y0, 29))
+    col = kalman_bucy(scen.linear, obs.t, obs.Y)
+    flat = kalman_bucy(scen.linear, obs.t, obs.Y[:, 0])
+    assert col.mean.tobytes() == flat.mean.tobytes()
+    assert col.cov.tobytes() == flat.cov.tobytes()
+    with pytest.raises(ValueError, match="50 rows for 51 times"):
+        kalman_bucy(scen.linear, obs.t, obs.Y[:-1, 0])
 
 
 def test_kalman_noise_free_mean_is_euler_flow():
@@ -122,8 +144,9 @@ def test_oracle_matches_kalman_on_linear_family():
     assert abs(est.value - kal.mean[-1, 0]) <= 3 * est.se + 0.01
 
 
-def test_oracle_matches_filter_on_jump_diffusion():
-    scen = build_family("mixed")
+@pytest.mark.parametrize("family", ["mixed", "affine"])
+def test_oracle_matches_filter(family):
+    scen = build_family(family)
     grid = TimeGrid(0.0, scen.spec.T, 100)
     rec = simulate_path(scen.spec, grid, scen.prior_sampler, scen.y0, 91)
     obs = project_observation(rec)
