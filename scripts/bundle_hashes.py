@@ -11,11 +11,17 @@ SHA-256 of its file; the first 12 hex digits are printed. Two checkouts
 that print the same hashes wrote the same bytes.
 
 Usage: python3 scripts/bundle_hashes.py [--seed N] [--threads 1|2]
-                                        [--out DIR]
+                                        [--out DIR] [--base REV]
 
 Without --seed every config runs at its own seed. With --out the run
 directories are kept under DIR (one per config), so that two checkouts'
 files can also be compared with `diff -r`.
+
+With --base, revision REV is exported with `git archive` (as
+`scripts/ab_pairs.py` does) and this checkout's configs run on both its
+`src/` and REV's. Each config prints `name base change`, and the exit
+status is 1 if any pair differs. With --out the run directories go under
+DIR/base and DIR/change.
 """
 
 import argparse
@@ -25,6 +31,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+from ab_pairs import export_base
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = (sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
@@ -48,14 +56,14 @@ def bundle_hash(run_dir):
     return h.hexdigest()
 
 
-def run_config(cfg, run_dir, seed, threads):
+def run_config(cfg, run_dir, seed, threads, src=os.path.join(ROOT, "src")):
     args = [sys.executable, "-m", "levyfilter", "run", "--config", cfg,
             "--out", run_dir, "--threads", str(threads)]
     if seed is not None:
         args += ["--seed", str(seed)]
     env = dict(os.environ, **ONE_THREAD)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+        p for p in (src, env.get("PYTHONPATH")) if p)
     subprocess.run(args, env=env, check=True, stdout=subprocess.DEVNULL)
 
 
@@ -66,15 +74,27 @@ def main(argv=None):
     parser.add_argument("--threads", type=int, choices=(1, 2), default=1)
     parser.add_argument("--out", default=None,
                         help="keep the run directories under this directory")
+    parser.add_argument("--base", default=None, metavar="REV",
+                        help="also run revision REV and compare its hashes")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="bundle-hashes-") as tmp:
-        base = args.out or tmp
+        out = args.out or tmp
+        trees = {None: os.path.join(ROOT, "src")}
+        if args.base is not None:
+            export_base(args.base, os.path.join(tmp, "base-tree"))
+            trees = {"base": os.path.join(tmp, "base-tree", "src"),
+                     "change": trees[None]}
+        differ = False
         for cfg in CONFIGS:
             name = os.path.splitext(os.path.basename(cfg))[0]
-            run_dir = os.path.join(base, name)
-            run_config(cfg, run_dir, args.seed, args.threads)
-            print(f"{name} {bundle_hash(run_dir)[:12]}", flush=True)
-    return 0
+            hashes = []
+            for side, src in trees.items():
+                run_dir = os.path.join(out, side or "", name)
+                run_config(cfg, run_dir, args.seed, args.threads, src)
+                hashes.append(bundle_hash(run_dir)[:12])
+            differ |= len(set(hashes)) > 1
+            print(name, *hashes, flush=True)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

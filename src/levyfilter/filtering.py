@@ -40,17 +40,20 @@ def _keep_freed_heap():
     temporaries of about 1 MB (N = 2000 particles, M = 64 frozen marks):
     lambda at every mark if lambda reads its mark, f1 if f1 reads x, and F
     at the jumped states for a test function of undeclared degree. Under
-    glibc's default policy, depending on what the process allocated
-    before, either each of them is mapped and unmapped, or the freed top
-    of the heap is handed back to the OS, and the next node faults the
-    same pages in again: on a 2-vCPU VM, `levyfilter run` on mixed.cfg,
-    when its lambda and generator still formed such grids, made 593 000
-    minor page faults and took 2.5 s in place of 7 000 and 1.5 s when a
-    module imported at start-up changed that history. Fixed thresholds
-    (32 MB is the largest mmap threshold glibc accepts) make the reuse
-    independent of it. The setting holds for the whole process, which then
-    keeps up to 64 MB of freed memory for reuse. Where mallopt does not
-    exist, nothing changes.
+    glibc's default policy each of them is mapped and unmapped, or the
+    freed top of the heap is handed back to the OS, and the next node
+    faults the same pages in again. No bundled config forms such a grid,
+    and on them the setting changes neither the time nor the minor page
+    faults (mixed.cfg: about 0.6 s and 11 800 faults either way). A test
+    function of undeclared degree forms one at every node: on a 2-vCPU VM,
+    mixed.cfg with `test_functions = coord:0,quad,bump:0:1,hermite:2` took
+    4.0 s with 14 000 faults with the setting and 8.0 s with 1.9 million
+    without it, and the benchmark's jumps.cfg with `bump:0:1` on 2 workers
+    5.5 s against 9.9 s. Fixed thresholds (32 MB is the largest mmap
+    threshold glibc accepts) make the reuse independent of what the
+    process allocated before. The setting holds for the whole process,
+    which then keeps up to 64 MB of freed memory for reuse. Where mallopt
+    does not exist, nothing changes.
     """
     import ctypes
 

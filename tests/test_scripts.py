@@ -11,7 +11,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("script", ["energy_study.py", "refinement_ladder.py",
-                                    "kalman_benchmark.py", "node_cost.py"])
+                                    "kalman_benchmark.py", "node_cost.py",
+                                    "bundle_hashes.py"])
 def test_script_help(script):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     done = subprocess.run(
