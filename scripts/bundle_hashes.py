@@ -56,7 +56,7 @@ def bundle_hash(run_dir):
     return h.hexdigest()
 
 
-def run_config(cfg, run_dir, seed, threads, src=os.path.join(ROOT, "src")):
+def run_config(cfg, run_dir, seed, threads, src):
     args = [sys.executable, "-m", "levyfilter", "run", "--config", cfg,
             "--out", run_dir, "--threads", str(threads)]
     if seed is not None:
@@ -79,17 +79,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="bundle-hashes-") as tmp:
         out = args.out or tmp
-        trees = {None: os.path.join(ROOT, "src")}
+        trees = {"": os.path.join(ROOT, "src")}
         if args.base is not None:
             export_base(args.base, os.path.join(tmp, "base-tree"))
             trees = {"base": os.path.join(tmp, "base-tree", "src"),
-                     "change": trees[None]}
+                     "change": trees[""]}
         differ = False
         for cfg in CONFIGS:
             name = os.path.splitext(os.path.basename(cfg))[0]
             hashes = []
             for side, src in trees.items():
-                run_dir = os.path.join(out, side or "", name)
+                run_dir = os.path.join(out, side, name)
                 run_config(cfg, run_dir, args.seed, args.threads, src)
                 hashes.append(bundle_hash(run_dir)[:12])
             differ |= len(set(hashes)) > 1
