@@ -13,8 +13,25 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DegeneracyError, DivergenceError,
                      InvertibilityError, LevyFilterError, ModelViolationError,
                      NumericOverflowError, ReplayMismatchError)
-from .families import build_family
-from .filtering import ks_residual, zakai_filter
-from .oracle import kalman_bucy
-from .rng import derive_seed
-from .simulate import coarsen_observation, project_observation, simulate_path
+
+# The public functions, each imported from its module on first use, so that
+# `import levyfilter` loads no module a command does not call.
+_LAZY = {
+    "build_family": "families",
+    "ks_residual": "filtering",
+    "zakai_filter": "filtering",
+    "kalman_bucy": "oracle",
+    "derive_seed": "rng",
+    "coarsen_observation": "simulate",
+    "project_observation": "simulate",
+    "simulate_path": "simulate",
+}
+
+
+def __getattr__(name):
+    # an AttributeError, not a KeyError, lets `from levyfilter import cli`
+    # fall through to importing the submodule
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)

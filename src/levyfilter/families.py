@@ -11,12 +11,15 @@ filter's lambda-bar is lambda(t, x) itself, exact and O(N).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError
 from .model import LevyMeasureSpec, SystemSpec
-from .oracle import LinearSpec
+
+if TYPE_CHECKING:
+    from .oracle import LinearSpec
 
 
 @dataclass
@@ -126,6 +129,9 @@ def _linear_gaussian(params=None):
     def b2(t, x, y):
         return p["gain"] * np.clip(np.asarray(x, float), -p["clip"], p["clip"])
 
+    # imported here, as the one family with a linear reference: the oracle
+    # is not loaded to screen or run any other family
+    from .oracle import LinearSpec
     linear = LinearSpec(A=p["a"], Sigma0=p["s0"], Sigma1=p["s1"],
                         H=p["gain"], R=p["r"], x0_mean=[p["prior_mean"]],
                         x0_cov=p["prior_std"] ** 2)

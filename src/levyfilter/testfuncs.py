@@ -16,11 +16,11 @@ Call conventions: ``value(x) -> (...,)``, ``grad(x) -> (..., n)``,
 states.  A wrong declared degree gives a wrong generator value.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import hermite as _herm
 
 from .errors import ConfigError
 
@@ -100,9 +100,9 @@ def quadratic(n=1):
 def bump(center=0.0, radius=1.0, n=1):
     """Compactly supported bump exp(1 - 1/(1 - |x-c|^2/r^2)) on the ball r."""
     c = np.broadcast_to(np.asarray(center, float), (n,)).copy()
+    if not float(radius) > 0:
+        raise ValueError(f"bump radius must be positive, got {radius}")
     r2 = float(radius) ** 2
-    if r2 <= 0:
-        raise ValueError("bump radius must be positive")
 
     def _parts(x):
         x = np.asarray(x, float)
@@ -137,6 +137,9 @@ def bump(center=0.0, radius=1.0, n=1):
 
 def _psi(k, u):
     """Hermite function H_k(u) exp(-u^2/2) with its first two derivatives."""
+    # imported here, so that a run without a Hermite function never loads it
+    from numpy.polynomial import hermite as _herm
+
     coef = np.zeros(k + 1)
     coef[k] = 1.0
     h = _herm.hermval(u, coef)
@@ -164,6 +167,8 @@ def hermite_window(degrees=2, n=1, scale=1.0):
     if min(degs) < 0:
         raise ValueError(f"Hermite degrees must be >= 0, got {degs}")
     s = float(scale)
+    if not s > 0:
+        raise ValueError(f"Hermite scale must be positive, got {scale}")
 
     def _all_parts(x):
         x = np.asarray(x, float)
@@ -209,17 +214,35 @@ def hermite_window(degrees=2, n=1, scale=1.0):
                 out[..., i, j] = h
         return out
 
-    dname = ",".join(str(k) for k in degs)
-    return TestFunction(f"hermite:{dname}", value, grad, hess)
+    name = "hermite:" + ",".join(str(k) for k in degs)
+    if s != 1.0:
+        name += f":{s:g}"
+    return TestFunction(name, value, grad, hess)
+
+
+# the most numbers each kind of spec takes after its name
+_FIELDS = {"const": 1, "coord": 1, "quad": 0, "bump": 2, "hermite": 2}
+
+
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def make_test_function(text, n=1):
     """Build a TestFunction from its config string, e.g. ``bump:0:3``."""
     parts = str(text).strip().split(":")
     kind = parts[0]
+    if kind not in _FIELDS:
+        raise ConfigError(f"unknown test-function kind {kind!r} in {text!r}")
     try:
+        if len(parts) - 1 > _FIELDS[kind]:
+            raise ValueError(f"{kind} takes at most {_FIELDS[kind]} "
+                             f"number(s), got {len(parts) - 1}")
         if kind == "const":
-            return constant(float(parts[1]) if len(parts) > 1 else 1.0, n=n)
+            return constant(_finite(parts[1]) if len(parts) > 1 else 1.0, n=n)
         if kind == "coord":
             i = int(parts[1]) if len(parts) > 1 else 0
             if not 0 <= i < n:
@@ -229,13 +252,11 @@ def make_test_function(text, n=1):
         if kind == "quad":
             return quadratic(n=n)
         if kind == "bump":
-            center = float(parts[1]) if len(parts) > 1 else 0.0
-            radius = float(parts[2]) if len(parts) > 2 else 1.0
+            center = _finite(parts[1]) if len(parts) > 1 else 0.0
+            radius = _finite(parts[2]) if len(parts) > 2 else 1.0
             return bump(center, radius, n=n)
-        if kind == "hermite":
-            deg = int(parts[1]) if len(parts) > 1 else 2
-            scale = float(parts[2]) if len(parts) > 2 else 1.0
-            return hermite_window(deg, n=n, scale=scale)
-    except (ValueError, IndexError) as exc:
+        deg = int(parts[1]) if len(parts) > 1 else 2
+        scale = _finite(parts[2]) if len(parts) > 2 else 1.0
+        return hermite_window(deg, n=n, scale=scale)
+    except ValueError as exc:
         raise ConfigError(f"bad test-function spec {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown test-function kind {kind!r} in {text!r}")

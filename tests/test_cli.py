@@ -3,10 +3,13 @@ manifest hashing, acceptance gates."""
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -14,10 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levyfilter
 from levyfilter import __version__
 from levyfilter.cli import main
 from levyfilter.config import SCHEMA, config_to_text, parse_config
 from levyfilter.families import FAMILIES, build_family
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BASE_CFG = """\
 family = trig
@@ -166,6 +172,44 @@ def test_bad_model_value_exits_2_with_one_message_line(tmp_path, capsys,
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert named in err and "Traceback" not in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    "const:nan", "bump:0:inf", "hermite:2:inf", "bump:0:nan", "bump:nan:1",
+    "hermite:2:0", "bump:0:-1", "bump:0:1:5", "hermite:2:1:9"])
+def test_bad_test_function_number_exits_2_before_writing(tmp_path, capsys,
+                                                         spec):
+    cfg = write_cfg(tmp_path, "family = jump_free\nn_steps = 20\n"
+                    f"n_particles = 50\ntest_functions = coord:0,{spec}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"'{spec}'" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_hermite_functions_of_two_scales_are_two_columns(tmp_path):
+    cfg = write_cfg(tmp_path, "family = jump_free\nn_steps = 10\n"
+                    "n_particles = 50\nreplicas = 1\n"
+                    "test_functions = coord:0,hermite:2,hermite:2:0.5\n")
+    out = str(tmp_path / "herm")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "filter_000.csv")) as fh:
+        header = fh.readline().strip().split(",")
+    assert header[-3:] == ["pi_coord:0", "pi_hermite:2", "pi_hermite:2:0.5"]
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
+def test_out_at_an_existing_file_exits_2(tmp_path, capsys, sub):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep me\n")
+    out = os.path.join(str(blocker), sub) if sub else str(blocker)
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    assert main(["run", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: cannot create output directory {out!r}: "
+                   f"{'File exists' if not sub else 'Not a directory'}\n")
+    assert blocker.read_text() == "keep me\n"
 
 
 def hostile_settings():
@@ -439,3 +483,57 @@ def test_replay_of_a_malformed_manifest_is_a_config_error(tmp_path, capsys,
     assert main(["replay", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "manifest" in err
+
+
+# --- start-up ------------------------------------------------------------------------
+
+RUN_PATH_MODULES = ["levyfilter.cli", "levyfilter.filtering",
+                    "levyfilter.girsanov", "levyfilter.propagation",
+                    "levyfilter.simulate", "levyfilter.levy",
+                    "levyfilter.testfuncs", "levyfilter.oracle",
+                    "numpy.polynomial"]
+
+
+@pytest.mark.parametrize("args", [
+    ["validate", "--config", "perfbench/workloads/jumps.cfg"],
+    ["list-families"]], ids=["validate", "list-families"])
+def test_screen_commands_load_no_run_path_module(args):
+    # `python -m levyfilter` in a fresh interpreter, then the modules it left
+    code = ("import runpy, sys\n"
+            f"sys.argv = ['levyfilter', *{args!r}]\n"
+            "try:\n"
+            "    runpy.run_module('levyfilter', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print('exit', exc.code)\n"
+            f"print('loaded', [m for m in {RUN_PATH_MODULES!r} "
+            "if m in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["exit 0", "loaded []"]
+
+
+@pytest.mark.parametrize("name, module", [
+    ("build_family", "families"), ("ks_residual", "filtering"),
+    ("zakai_filter", "filtering"), ("kalman_bucy", "oracle"),
+    ("derive_seed", "rng"), ("coarsen_observation", "simulate"),
+    ("project_observation", "simulate"), ("simulate_path", "simulate")])
+def test_lazy_package_name_is_its_module_attribute(name, module):
+    module = importlib.import_module(f"levyfilter.{module}")
+    assert getattr(levyfilter, name) is getattr(module, name)
+
+
+def test_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        levyfilter.no_such_name
+    from levyfilter import cli
+    assert cli.main is main
+
+
+def test_console_script_is_the_command_line_main():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["levyfilter"]
+    module, attr = target.split(":")
+    assert getattr(importlib.import_module(module), attr) is main

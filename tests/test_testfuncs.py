@@ -1,8 +1,10 @@
-"""Test functions: the einsum reductions against explicit sums for n > 1."""
+"""Test functions: the einsum reductions against explicit sums for n > 1,
+and the names the config specs give."""
 
 import numpy as np
+import pytest
 
-from levyfilter.testfuncs import bump, quadratic
+from levyfilter.testfuncs import bump, make_test_function, quadratic
 
 EPS = np.finfo(float).eps
 X = np.random.default_rng(5).normal(0.0, 0.8, size=(40, 6, 3))
@@ -26,3 +28,11 @@ def test_bump_value_equals_explicit_sum_for_vectors():
     tol = 4 * EPS * s * want * inv * inv + 4 * EPS * want
     got = bump(c, r, n=3).value(X)
     assert np.all(np.abs(got - want) <= tol)
+
+
+@pytest.mark.parametrize("spec, name", [
+    ("hermite:2", "hermite:2"), ("hermite:2:1", "hermite:2"),
+    ("hermite:2:0.5", "hermite:2:0.5"), ("bump:0:2", "bump:0:2"),
+    ("const:2.5", "const:2.5")])
+def test_spec_names_every_number_that_changes_the_function(spec, name):
+    assert make_test_function(spec).name == name
