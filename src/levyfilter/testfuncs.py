@@ -97,12 +97,20 @@ def quadratic(n=1):
     return TestFunction("quad", value, grad, hess, degree=2)
 
 
+def _length(value, what):
+    """A positive length whose square is a finite normal float: the
+    derivatives divide by that square."""
+    v = float(value)
+    if not (v > 0 and np.finfo(float).tiny <= v * v < math.inf):
+        raise ValueError(f"{what} must be positive, with a finite normal "
+                         f"square, got {value}")
+    return v
+
+
 def bump(center=0.0, radius=1.0, n=1):
     """Compactly supported bump exp(1 - 1/(1 - |x-c|^2/r^2)) on the ball r."""
     c = np.broadcast_to(np.asarray(center, float), (n,)).copy()
-    if not float(radius) > 0:
-        raise ValueError(f"bump radius must be positive, got {radius}")
-    r2 = float(radius) ** 2
+    r2 = _length(radius, "bump radius") ** 2
 
     def _parts(x):
         x = np.asarray(x, float)
@@ -166,9 +174,7 @@ def hermite_window(degrees=2, n=1, scale=1.0):
             raise ValueError("need one degree per coordinate")
     if min(degs) < 0:
         raise ValueError(f"Hermite degrees must be >= 0, got {degs}")
-    s = float(scale)
-    if not s > 0:
-        raise ValueError(f"Hermite scale must be positive, got {scale}")
+    s = _length(scale, "Hermite scale")
 
     def _all_parts(x):
         x = np.asarray(x, float)

@@ -176,7 +176,8 @@ def test_bad_model_value_exits_2_with_one_message_line(tmp_path, capsys,
 
 @pytest.mark.parametrize("spec", [
     "const:nan", "bump:0:inf", "hermite:2:inf", "bump:0:nan", "bump:nan:1",
-    "hermite:2:0", "bump:0:-1", "bump:0:1:5", "hermite:2:1:9"])
+    "hermite:2:0", "bump:0:-1", "bump:0:1:5", "hermite:2:1:9",
+    "bump:0:1e-300", "bump:0:1e200"])
 def test_bad_test_function_number_exits_2_before_writing(tmp_path, capsys,
                                                          spec):
     cfg = write_cfg(tmp_path, "family = jump_free\nn_steps = 20\n"
