@@ -138,6 +138,13 @@ def test_out_of_range_value_exits_2_with_one_message_line(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+# test-function specs with a number that is not finite, a length that is not
+# positive or whose square is not a normal float, or one field too many
+BAD_SPECS = ["const:nan", "bump:0:inf", "hermite:2:inf", "bump:0:nan",
+             "bump:nan:1", "hermite:2:0", "bump:0:-1", "bump:0:1:5",
+             "hermite:2:1:9", "bump:0:1e-300", "bump:0:1e200"]
+
+
 @pytest.mark.parametrize("family, line, named", [
     ("uninformative", "param.T = -1", "param.T = -1.0"),
     ("uninformative", "param.rate2 = -3", "param.rate2 = -3.0"),
@@ -159,10 +166,12 @@ def test_out_of_range_value_exits_2_with_one_message_line(tmp_path, capsys):
      "'accept.min_ess_fraction' must be in [0.0, 1.0]"),
     ("uninformative", "accept.min_ess_fraction = -1",
      "'accept.min_ess_fraction' must be in [0.0, 1.0]"),
-], ids=["T", "rate2", "mark_lo", "coord_index", "hermite_degree",
-        "duplicate_function", "hypothesis_budget", "kalman_gap_no_reference",
-        "kalman_gap_no_coord", "kalman_gap_negative", "ess_fraction_high",
-        "ess_fraction_negative"])
+] + [("jump_free", f"test_functions = coord:0,{spec}", f"'{spec}'")
+      for spec in BAD_SPECS],
+    ids=["T", "rate2", "mark_lo", "coord_index", "hermite_degree",
+         "duplicate_function", "hypothesis_budget", "kalman_gap_no_reference",
+         "kalman_gap_no_coord", "kalman_gap_negative", "ess_fraction_high",
+         "ess_fraction_negative"] + BAD_SPECS)
 def test_bad_model_value_exits_2_with_one_message_line(tmp_path, capsys,
                                                        family, line, named):
     cfg = write_cfg(tmp_path, f"family = {family}\nn_steps = 20\n"
@@ -171,21 +180,6 @@ def test_bad_model_value_exits_2_with_one_message_line(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert named in err and "Traceback" not in err
-    assert not (tmp_path / "x").exists()
-
-
-@pytest.mark.parametrize("spec", [
-    "const:nan", "bump:0:inf", "hermite:2:inf", "bump:0:nan", "bump:nan:1",
-    "hermite:2:0", "bump:0:-1", "bump:0:1:5", "hermite:2:1:9",
-    "bump:0:1e-300", "bump:0:1e200"])
-def test_bad_test_function_number_exits_2_before_writing(tmp_path, capsys,
-                                                         spec):
-    cfg = write_cfg(tmp_path, "family = jump_free\nn_steps = 20\n"
-                    f"n_particles = 50\ntest_functions = coord:0,{spec}\n")
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
-    assert f"'{spec}'" in err
     assert not (tmp_path / "x").exists()
 
 
