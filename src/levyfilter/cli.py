@@ -27,7 +27,7 @@ from .config import config_to_text, parse_config_file
 from .errors import ConfigError, ModelViolationError, ReplayMismatchError
 from .families import build_family
 from .filtering import write_trajectory_csv, zakai_filter
-from .model import signal_terms, validate_hypotheses
+from .model import signal_terms, structured_probes, validate_hypotheses
 from .oracle import kalman_bucy
 from .propagation import add_signal_jumps, reference_step
 from .rng import derive_seed, substream
@@ -51,18 +51,16 @@ def _prior_mc_moments(spec, scen, n_steps, n_samples, seed, funcs):
     rng_g = substream(seed, "brownian")
     rng_c = substream(seed, "jump-counts")
     rng_u = substream(seed, "jump-marks")
-    marks1 = spec.nu1.frozen_marks(spec.mark_budget)
     for k in range(n_steps):
         t = k * dt
         db = rng_g.standard_normal((R, spec.d)) * np.sqrt(dt)
         dw = rng_g.standard_normal((R, spec.m)) * np.sqrt(dt)
-        x = reference_step(spec, signal_terms(spec, t, x, marks1),
+        x = reference_step(spec, signal_terms(spec, t, x, spec.nu1.marks),
                            np.asarray(spec.sigma1(t, x), float), dt, dw, db)
-        x = add_signal_jumps(spec, t, x, dt, marks1, rng_c, rng_u)
+        x = add_signal_jumps(spec, t, x, dt, rng_c, rng_u)
     out = {}
     for F in funcs:
-        fn = getattr(F, "value", F)
-        vals = np.asarray(fn(x), float).reshape(R)
+        vals = np.asarray(F.value(x), float).reshape(R)
         out[F.name] = (float(vals.mean()),
                        float(vals.std(ddof=1) / np.sqrt(R)))
     return out
@@ -88,7 +86,11 @@ def _mismatched_files(out_dir, hashes):
     return mismatched
 
 
-def _write_manifest(out_dir, payload):
+def _write_manifest(out_dir, cfg, command, **fields):
+    """Write manifest.json: the version, command, family and seed, and
+    ``fields``."""
+    payload = dict(version=__version__, command=command, family=cfg.family,
+                   seed=cfg.seed, **fields)
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -96,8 +98,9 @@ def _write_manifest(out_dir, payload):
 
 def _scenario(cfg):
     """The configured scenario and its test functions, which must have
-    distinct names; a Kalman gate needs the linear reference and the
-    coord:0 moment it is compared with."""
+    distinct names and a finite value, gradient and Hessian at the
+    hypothesis screen's structured probes; a Kalman gate needs the linear
+    reference and the coord:0 moment it is compared with."""
     scen = build_family(cfg.family, cfg.params)
     funcs = [make_test_function(name, scen.spec.n)
              for name in cfg.function_names()]
@@ -106,6 +109,15 @@ def _scenario(cfg):
         if names.count(name) > 1:
             raise ConfigError(f"test function {name!r} is given twice in "
                               f"test_functions = {cfg.test_functions}")
+    points = structured_probes(scen.spec.n)
+    for F in funcs:
+        for part in ("value", "grad", "hess"):
+            with np.errstate(all="ignore"):
+                v = np.asarray(getattr(F, part)(points), float)
+            finite = np.isfinite(v.reshape(len(points), -1)).all(axis=1)
+            if not finite.all():
+                raise ConfigError(f"test function {F.name!r} has a non-finite "
+                                  f"{part} at x = {points[np.argmin(finite)]}")
     if cfg.accept_max_kalman_gap is not None and (
             scen.linear is None or "coord:0" not in names):
         raise ConfigError("accept.max_kalman_gap needs a family with a "
@@ -149,13 +161,12 @@ def _run_replica(cfg, seed_r, out_dir, index):
         verdict["kalman_gap_mean"] = float(np.mean(gap))
         verdict["kalman_gap_max"] = float(np.max(gap))
     if cfg.family == "uninformative":
-        prior = _prior_mc_moments(spec, scen, cfg.n_steps,
-                                  max(cfg.n_particles, 2000),
+        n_mc = max(cfg.n_particles, 2000)
+        prior = _prior_mc_moments(spec, scen, cfg.n_steps, n_mc,
                                   derive_seed(seed_r, "prior-mc"), funcs)
         reduction = {}
         ok = True
         ess_final = max(float(traj.ess[-1]), 1.0)
-        n_mc = max(cfg.n_particles, 2000)
         for name, (pm, pse) in prior.items():
             fv = float(traj.summaries[name].pi_F[-1])
             # the filter's MC error is approximated with the prior variance
@@ -209,14 +220,7 @@ def _execute_run(cfg, out_dir, threads, argv_echo):
     with open(os.path.join(out_dir, "config.cfg"), "w") as fh:
         fh.write(config_text)
     started = time.time()
-    _write_manifest(out_dir, {
-        "version": __version__,
-        "command": argv_echo,
-        "family": cfg.family,
-        "seed": cfg.seed,
-        "status": "running",
-        "files": {},
-    })
+    _write_manifest(out_dir, cfg, argv_echo, status="running", files={})
 
     verdicts = {"family": cfg.family, "seed": cfg.seed, "replicas": []}
     if cfg.validate_hypotheses:
@@ -265,15 +269,9 @@ def _execute_run(cfg, out_dir, threads, argv_echo):
 
     hashes = {name: _sha256(os.path.join(out_dir, name))
               for name in sorted(files)}
-    _write_manifest(out_dir, {
-        "version": __version__,
-        "command": argv_echo,
-        "family": cfg.family,
-        "seed": cfg.seed,
-        "status": "complete",
-        "runtime_seconds": round(time.time() - started, 3),
-        "files": hashes,
-    })
+    _write_manifest(out_dir, cfg, argv_echo, status="complete",
+                    runtime_seconds=round(time.time() - started, 3),
+                    files=hashes)
     return failures, verdicts
 
 

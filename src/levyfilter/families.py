@@ -82,6 +82,22 @@ def _linear_drift(a):
     return b1
 
 
+def _affine_drift(a, b):
+    """The drift b1(t, x) = a x + b."""
+    def b1(t, x):
+        return a * np.asarray(x, float) + b
+
+    return b1
+
+
+def _arctan_sensor(beta):
+    """The observation drift b2(t, x, y) = beta arctan(x)."""
+    def b2(t, x, y):
+        return beta * np.arctan(np.asarray(x, float))
+
+    return b2
+
+
 def _mark_jump(scale):
     """A jump f(t, s, u) proportional to its mark u."""
     def f(t, s, u):
@@ -148,13 +164,11 @@ def _affine(params=None):
                       y0=0.0, T=1.0),
                  params, "affine")
 
-    def b1(t, x):
-        return p["a"] * np.asarray(x, float) + p["drift_b"]
-
     def b2(t, x, y):
         return p["gain"] * np.asarray(x, float) + p["offset"]
 
-    return _scalar("affine", p, _affine.__doc__, b1, b2,
+    return _scalar("affine", p, _affine.__doc__,
+                   _affine_drift(p["a"], p["drift_b"]), b2,
                    p["s0"], p["s1"], p["r"])
 
 
@@ -166,14 +180,12 @@ def _saturated_affine(params=None):
                       prior_std=0.9, y0=0.0, T=1.0),
                  params, "saturated_affine")
 
-    def b1(t, x):
-        return p["a"] * np.asarray(x, float) + p["drift_b"]
-
     def b2(t, x, y):
         xc = np.clip(np.asarray(x, float), -p["clip"], p["clip"])
         return p["gain"] * xc + p["offset"]
 
-    return _scalar("saturated_affine", p, _saturated_affine.__doc__, b1, b2,
+    return _scalar("saturated_affine", p, _saturated_affine.__doc__,
+                   _affine_drift(p["a"], p["drift_b"]), b2,
                    p["s0"], p["s1"], p["r"])
 
 
@@ -219,11 +231,8 @@ def _jump_free(params=None):
                       prior_mean=0.0, prior_std=1.0, y0=0.0, T=0.5),
                  params, "jump_free")
 
-    def b2(t, x, y):
-        return p["beta"] * np.arctan(np.asarray(x, float))
-
     return _scalar("jump_free", p, _jump_free.__doc__, _linear_drift(p["a"]),
-                   b2, p["s0"], p["s1"], p["r"])
+                   _arctan_sensor(p["beta"]), p["s0"], p["s1"], p["r"])
 
 
 def _jump_only(params=None):
@@ -253,13 +262,11 @@ def _mixed(params=None):
                       prior_mean=0.0, prior_std=1.0, y0=0.0, T=1.0),
                  params, "mixed")
 
-    def b2(t, x, y):
-        return p["beta"] * np.arctan(np.asarray(x, float))
-
     return _scalar(
-        "mixed", p, _mixed.__doc__, _linear_drift(p["a"]), b2,
-        p["s0"], p["s1"], p["r"], f1=_mark_jump(p["jump1"]),
-        f2=_mark_jump(p["jump2"]), lam=_sigmoid_lam(p["lam0"], p["slope"]),
+        "mixed", p, _mixed.__doc__, _linear_drift(p["a"]),
+        _arctan_sensor(p["beta"]), p["s0"], p["s1"], p["r"],
+        f1=_mark_jump(p["jump1"]), f2=_mark_jump(p["jump2"]),
+        lam=_sigmoid_lam(p["lam0"], p["slope"]),
         nu1=LevyMeasureSpec.gaussian(0.0, 1.0, p["rate1"]),
         nu2=LevyMeasureSpec.uniform(p["mark_lo"], p["mark_hi"], p["rate2"]))
 
@@ -273,16 +280,13 @@ def _sensor_saturated(params=None):
                       prior_mean=0.0, prior_std=1.0, y0=0.0, T=0.75),
                  params, "sensor_saturated")
 
-    def b2(t, x, y):
-        return p["beta"] * np.arctan(np.asarray(x, float))
-
     # The signal noise s1 dV and the observation noise cos(theta) dV
     # + sin(theta) dV', for independent V and V', in the model's basis:
     # W = cos(theta) V + sin(theta) V' and B = sin(theta) V - cos(theta) V'
     # are independent, and V = cos(theta) W + sin(theta) B.
     return _scalar(
         "sensor_saturated", p, _sensor_saturated.__doc__,
-        _linear_drift(p["a"]), b2,
+        _linear_drift(p["a"]), _arctan_sensor(p["beta"]),
         p["s1"] * abs(np.sin(p["theta"])), p["s1"] * np.cos(p["theta"]), 1.0,
         f1=_mark_jump(p["jump1"]), f2=_mark_jump(p["jump2"]),
         lam=_sigmoid_lam(p["lam0"], p["slope"]),

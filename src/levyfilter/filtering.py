@@ -187,11 +187,11 @@ class NodeTerms:
     functions: dict              # test-function name -> FunctionTerms
 
 
-def node_terms(spec, t, x, marks1, marks2, funcs):
+def node_terms(spec, t, x, funcs):
     """Evaluate a cloud's ``NodeTerms`` at time t."""
-    lam_bar_x = lam_bar(spec, t, x, marks2)
+    lam_bar_x = lam_bar(spec, t, x)
     coup = np.asarray(spec.sigma1(t, x), float)
-    signal = signal_terms(spec, t, x, marks1)
+    signal = signal_terms(spec, t, x, spec.nu1.marks)
     return NodeTerms(lam_bar_x, coup, signal,
                      {F.name: function_terms(F, x, signal, coup, lam_bar_x)
                       for F in funcs})
@@ -249,8 +249,6 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
     K = len(obs.t) - 1
     x = np.asarray(prior_sampler(substream(rng_seed, "prior"), N), float).reshape(N, n)
     logw = np.zeros(N)
-    marks1 = spec.nu1.frozen_marks(spec.mark_budget)
-    marks2 = obs.marks2
     rng_b = substream(rng_seed, "particle-brownian")
     rng_c = substream(rng_seed, "particle-jump-counts")
     rng_u = substream(rng_seed, "particle-jump-marks")
@@ -303,7 +301,7 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
             weights = ShiftedWeights(logw)
             node = None
         if node is None:
-            node = node_terms(spec, t, x, marks1, marks2, funcs)
+            node = node_terms(spec, t, x, funcs)
         w, hv = record_node(k, t, y, weights, node)
         event_count[k + 1] = event_count[k]
         if is_jump[k]:
@@ -329,10 +327,10 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
                                    node.lam_bar)
             dB = rng_b.standard_normal((N, spec.d)) * np.sqrt(dt)
             x = reference_step(spec, node.signal, node.coup, dt, dW, dB, hv)
-            x = add_signal_jumps(spec, t, x, dt, marks1, rng_c, rng_u)
+            x = add_signal_jumps(spec, t, x, dt, rng_c, rng_u)
             node = None
     if node is None:
-        node = node_terms(spec, obs.t[K], x, marks1, marks2, funcs)
+        node = node_terms(spec, obs.t[K], x, funcs)
     record_node(K, obs.t[K], obs.Y[K], ShiftedWeights(logw), node)
 
     return FilterTrajectory(

@@ -32,7 +32,7 @@ def reconstruct_reference_drivers(obs, spec):
     the (K, m) increments dW on the record's grid.
 
     Per continuous step:  dW = sigma2(t, Y_t)^{-1} (dY + dt * int f2 nu2),
-    using the record's frozen marks for the compensator; jump steps (zero
+    with the compensator over nu2's quadrature; jump steps (zero
     length, one event) contribute dW = 0.  Raises InvertibilityError with
     the condition number when sigma2 is singular.
     """
@@ -44,7 +44,7 @@ def reconstruct_reference_drivers(obs, spec):
         t = obs.t[k]
         y = obs.Y[k]
         dt = dt_all[k]
-        comp = spec.obs_jump_drift_reference(t, y, obs.marks2)
+        comp = spec.obs_jump_drift_reference(t, y)
         rhs = (obs.Y[k + 1] - y) + dt * comp
         dW[k] = solve(np.asarray(spec.sigma2(t, y), float), rhs, t)
     return dW
@@ -58,7 +58,7 @@ def sample_reference_log_weights(spec, grid, n_paths, x0_sampler, y0, rng_seed):
     The per-step weight factors are exact likelihood ratios of the
     discretized transition laws, so mean(exp(logw)) estimates 1 without a
     time-discretization bias.  Both jump channels draw their marks from
-    the frozen samples that the compensators average over, so this holds
+    the quadratures that the compensators average over, so this holds
     for a mark-dependent lam too, with no mark-sampling error.
     """
     R = int(n_paths)
@@ -66,8 +66,6 @@ def sample_reference_log_weights(spec, grid, n_paths, x0_sampler, y0, rng_seed):
     X = np.asarray(x0_sampler(substream(rng_seed, "x0"), R), float).reshape(R, n)
     Y = np.broadcast_to(np.asarray(y0, float).reshape(m), (R, m)).copy()
     logw = np.zeros(R)
-    marks1 = spec.nu1.frozen_marks(spec.mark_budget)
-    marks2 = spec.nu2.frozen_marks(spec.mark_budget)
     rng_g = substream(rng_seed, "brownian")
     rng_c = substream(rng_seed, "jump-counts")
     rng_u = substream(rng_seed, "jump-marks")
@@ -80,17 +78,16 @@ def sample_reference_log_weights(spec, grid, n_paths, x0_sampler, y0, rng_seed):
         dXi = rng_g.standard_normal((R, spec.d)) * sq
         hv = np.asarray(spec.h(t, X, Y), float).reshape(R, m)
         logw = log_weight_step(logw, hv, dW, dt, spec.nu2.rate,
-                               lam_bar(spec, t, X, marks2))
-        Xn = reference_step(spec, signal_terms(spec, t, X, marks1),
+                               lam_bar(spec, t, X))
+        Xn = reference_step(spec, signal_terms(spec, t, X, spec.nu1.marks),
                             np.asarray(spec.sigma1(t, X), float), dt, dW,
                             dXi, hv)
-        Yn = observation_reference_step(spec, t, Y, dt, dW, marks2)
+        Yn = observation_reference_step(spec, t, Y, dt, dW)
         if spec.nu2.rate > 0.0:
-            for rows, u in jump_rounds(rng_c, rng_u, spec.nu2.rate, dt,
-                                       marks2, R):
+            for rows, u in jump_rounds(rng_c, rng_u, spec.nu2, dt, R):
                 logw[rows] += np.log(spec.acceptance(t, X[rows], u))
                 Yn[rows] += np.asarray(spec.f2(t, Yn[rows], u), float)
-        X = add_signal_jumps(spec, t, Xn, dt, marks1, rng_c, rng_u)
+        X = add_signal_jumps(spec, t, Xn, dt, rng_c, rng_u)
         Y = Yn
     return logw
 
@@ -102,8 +99,6 @@ def sample_model_log_inverse_weights(spec, grid, n_paths, x0_sampler, y0, rng_se
     X = np.asarray(x0_sampler(substream(rng_seed, "x0"), R), float).reshape(R, n)
     Y = np.broadcast_to(np.asarray(y0, float).reshape(m), (R, m)).copy()
     logw = np.zeros(R)
-    marks1 = spec.nu1.frozen_marks(spec.mark_budget)
-    marks2 = spec.nu2.frozen_marks(spec.mark_budget)
     rng_g = substream(rng_seed, "brownian")
     rng_c = substream(rng_seed, "jump-counts")
     rng_u = substream(rng_seed, "jump-marks")
@@ -117,15 +112,14 @@ def sample_model_log_inverse_weights(spec, grid, n_paths, x0_sampler, y0, rng_se
         dB = rng_g.standard_normal((R, d)) * sq
         hv = np.asarray(spec.h(t, X, Y), float).reshape(R, m)
         logw = log_weight_step(logw, -hv, dW, dt, -spec.nu2.rate,
-                               lam_bar(spec, t, X, marks2))
-        Xn, Yn = physical_step(spec, t, X, Y, dt, dB, dW, marks1, marks2)
+                               lam_bar(spec, t, X))
+        Xn, Yn = physical_step(spec, t, X, Y, dt, dB, dW)
         if spec.nu2.rate > 0.0:
-            for rows, u in jump_rounds(rng_c, rng_u, spec.nu2.rate, dt,
-                                       marks2, R):
+            for rows, u in jump_rounds(rng_c, rng_u, spec.nu2, dt, R):
                 acc, lamv = thin(spec, t, X[rows], u, rng_a)
                 sel = rows[acc]
                 logw[sel] -= np.log(lamv[acc])
                 Yn[sel] += np.asarray(spec.f2(t, Yn[sel], u[acc]), float)
-        X = add_signal_jumps(spec, t, Xn, dt, marks1, rng_c, rng_u)
+        X = add_signal_jumps(spec, t, Xn, dt, rng_c, rng_u)
         Y = Yn
     return logw

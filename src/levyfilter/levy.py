@@ -64,7 +64,7 @@ def compensator_integral(spec, g, x_lookup, t0, t1, step):
 
         int_{t0}^{t1} int g(t, u) lam(t, x(t-), u) nu2(du) dt.
 
-    The marks are the spec's frozen mark sample.  Deterministic for fixed
+    The marks are nu2's quadrature.  Deterministic for fixed
     inputs; non-finite integrands raise NumericOverflowError.
     """
     t0, t1 = float(t0), float(t1)
@@ -72,7 +72,7 @@ def compensator_integral(spec, g, x_lookup, t0, t1, step):
         raise ValueError("need t1 >= t0")
     if spec.nu2.rate == 0.0 or t1 == t0:
         return 0.0
-    marks = spec.nu2.frozen_marks(spec.mark_budget)
+    marks = spec.nu2.marks
     steps = max(1, int(np.ceil((t1 - t0) / float(step))))
     ts = np.linspace(t0, t1, steps + 1)
     vals = np.empty(steps + 1)

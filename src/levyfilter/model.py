@@ -27,6 +27,9 @@ Vectorized call conventions (leading batch dimensions broadcast):
 
 A lam that ignores u may return the x batch shape: ``lam_marks`` is then
 (..., 1), and lambda-bar is lam(t, x) exactly, at O(N) in place of O(N M).
+
+Each jump measure owns its mark quadrature ``marks``, drawn once; int f1
+nu1 and int f2 nu2 are rate times the mean over it (``LevyMeasureSpec.jumps``).
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ from .errors import (InvertibilityError, ModelViolationError,
                      NumericOverflowError)
 from .rng import substream
 
-# Default seed for the frozen mark samples; fixed so the mark quadrature is
-# part of the model rather than of any one run.
+# Default seed and size of the frozen mark samples; fixed so the mark
+# quadrature is part of the model rather than of any one run.
 MARK_QUADRATURE_SEED = 0x6D61726B
+MARK_BUDGET = 64
 
 # The hypothesis screen's fixed ceilings, and the box in x and in y that its
 # probe points are drawn from.
@@ -83,9 +87,9 @@ class LevyMeasureSpec:
 
     ``nu(du) = rate * mark_law(du)`` with ``sampler(rng, size)`` drawing
     ``size`` marks of dimension ``dim``.  Integrals against ``nu`` are
-    Monte Carlo means over a frozen mark sample, so a degenerate sampler
-    (point mass) makes them exact.  Measures with infinite activity must
-    be truncated before they get here.
+    Monte Carlo means over the measure's quadrature ``marks``, drawn once
+    and read-only, so a degenerate sampler (point mass) makes them exact.
+    Measures with infinite activity must be truncated before they get here.
     """
 
     dim: int
@@ -130,10 +134,10 @@ class LevyMeasureSpec:
     def frozen_marks(self, count, seed=None):
         """Draw a reusable mark sample; empty when the channel is off.
 
-        With the default seed this is a fixed quadrature of the mark law:
-        every consumer (simulator, filter, oracle, weight samplers) then
-        integrates against the same sample, so their compensators agree
-        exactly instead of differing by independent mark-sampling noise.
+        With the default seed and ``MARK_BUDGET`` marks this is ``marks``,
+        the quadrature every consumer integrates against, so compensators
+        agree exactly instead of differing by mark-sampling noise.  Another
+        seed gives the hypothesis screen its probe sample.
         """
         if self.rate == 0.0:
             return np.zeros((0, self.dim))
@@ -142,6 +146,25 @@ class LevyMeasureSpec:
         rng = substream(seed, "frozen-marks", self.dim)
         marks = np.asarray(self.sampler(rng, int(count)), float)
         return marks.reshape(int(count), self.dim)
+
+    @cached_property
+    def marks(self):
+        """The mark quadrature ``frozen_marks(MARK_BUDGET)``, read-only;
+        (0, dim) when the measure is off."""
+        marks = self.frozen_marks(MARK_BUDGET)
+        marks.flags.writeable = False
+        return marks
+
+    def jumps(self, f, t, z, marks):
+        """The jump map f(t, z, u) at every mark u of ``marks``, (..., M, k),
+        and its compensator drift, rate times its mark mean, (..., k).  The
+        displacement is None when the measure is off, and the drift is then
+        zero."""
+        z = np.asarray(z, float)
+        if self.rate == 0.0 or marks.shape[0] == 0:
+            return None, np.zeros(z.shape)
+        disp = np.asarray(f(t, z[..., None, :], marks), float)
+        return disp, self.rate * np.mean(disp, axis=-2)
 
 
 @dataclass
@@ -163,8 +186,8 @@ class SystemSpec:
     nu2: LevyMeasureSpec
     T: float
     iota: float = 1e-3
-    mark_budget: int = 64
     name: str = ""
+    mark_budget = MARK_BUDGET     # the size of each measure's quadrature
 
     def __post_init__(self):
         if not (0.0 < self.iota < 1.0):
@@ -191,21 +214,11 @@ class SystemSpec:
         return (np.einsum("...ik,...jk->...ij", on_W, on_W)
                 + np.einsum("...ik,...jk->...ij", on_B, on_B))
 
-    # -- frozen-mark compensator helpers --
+    # -- compensator drifts over each measure's quadrature --
 
-    def signal_jumps(self, t, x, marks):
-        """f1 at every mark of a sample, (..., M, n), and its compensator
-        drift, the integral of f1 against nu1, (..., n).  The displacement
-        is None when the channel is off, and the drift is then zero."""
-        x = np.asarray(x, float)
-        if self.nu1.rate == 0.0 or marks.shape[0] == 0:
-            return None, np.zeros(x.shape)
-        disp = np.asarray(self.f1(t, x[..., None, :], marks), float)
-        return disp, self.nu1.rate * np.mean(disp, axis=-2)
-
-    def signal_jump_drift(self, t, x, marks):
+    def signal_jump_drift(self, t, x):
         """Compensator drift of the signal jumps: integral of f1 against nu1."""
-        return self.signal_jumps(t, x, marks)[1]
+        return self.nu1.jumps(self.f1, t, x, self.nu1.marks)[1]
 
     def acceptance(self, t, x, u):
         """lam(t, x, u) as floats; raises ModelViolationError naming the
@@ -231,13 +244,9 @@ class SystemSpec:
         (..., 1) for a lam that ignores u."""
         return self.acceptance(t, np.asarray(x, float)[..., None, :], marks)
 
-    def obs_jump_drift_reference(self, t, y, marks):
+    def obs_jump_drift_reference(self, t, y):
         """Compensator drift of observation jumps at unit thinning."""
-        if self.nu2.rate == 0.0 or marks.shape[0] == 0:
-            return np.zeros(np.asarray(y, float).shape)
-        y = np.asarray(y, float)
-        f2v = np.asarray(self.f2(t, y[..., None, :], marks), float)
-        return self.nu2.rate * np.mean(f2v, axis=-2)
+        return self.nu2.jumps(self.f2, t, y, self.nu2.marks)[1]
 
 
 @cache
@@ -311,7 +320,7 @@ class SignalTerms:
 def signal_terms(spec, t, x, marks):
     """Evaluate the signal's coefficients once on a batch of states."""
     x = np.asarray(x, float)
-    disp, jump_drift = spec.signal_jumps(t, x, marks)
+    disp, jump_drift = spec.nu1.jumps(spec.f1, t, x, marks)
     return SignalTerms(t, x, np.asarray(spec.b1(t, x), float),
                        spec.diffusion_matrix(t, x), disp, jump_drift,
                        spec.nu1.rate)
@@ -375,19 +384,20 @@ class HypothesisReport:
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
+def structured_probes(dim):
+    """The screen's fixed probes in R^dim: the origin, the +-1e-6 unit
+    vectors and the two corners of ``PROBE_BOX``, (2 dim + 3, dim)."""
+    e = 1e-6 * np.eye(dim)
+    return np.vstack([np.zeros((1, dim)),
+                      np.stack([e, -e], axis=1).reshape(2 * dim, dim),
+                      np.full((2, dim), np.array(PROBE_BOX)[:, None])])
+
+
 def _probe_points(rng, dim, count):
-    """Random samples of ``PROBE_BOX`` plus structured probes (origin,
-    near-origin, corners)."""
+    """Random samples of ``PROBE_BOX`` plus the structured probes."""
     lo, hi = PROBE_BOX
     pts = rng.uniform(lo, hi, size=(count, dim))
-    probes = [np.zeros(dim)]
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1e-6
-        probes.extend([e, -e])
-    probes.append(np.full(dim, lo))
-    probes.append(np.full(dim, hi))
-    return np.vstack([pts, np.array(probes)])
+    return np.vstack([pts, structured_probes(dim)])
 
 
 def validate_hypotheses(spec, sample_budget, rng_seed):

@@ -128,8 +128,7 @@ def mc_conditional_oracle(spec, obs, n_paths, prior_sampler, rng_seed, F):
     logw = np.zeros(R)
     gen = substream(rng_seed, "oracle-noise")
     gen_j = substream(rng_seed, "oracle-jumps")
-    marks1 = spec.nu1.frozen_marks(spec.mark_budget)
-    marks2 = obs.marks2
+    marks1 = spec.nu1.marks
 
     for k in range(K):
         t = obs.t[k]
@@ -140,14 +139,14 @@ def mc_conditional_oracle(spec, obs, n_paths, prior_sampler, rng_seed, F):
             logw += np.log(lam)
             continue
         dt = obs.t[k + 1] - obs.t[k]
-        comp_ref = spec.obs_jump_drift_reference(t, y, marks2)
+        comp_ref = spec.obs_jump_drift_reference(t, y)
         sig = np.asarray(spec.sigma2(t, y), float)
         dw = np.linalg.solve(sig, (obs.Y[k + 1] - y) + dt * comp_ref)
 
         hv = np.asarray(spec.h(t, x, y), float).reshape(R, m)
         logw += hv @ dw - 0.5 * np.sum(hv * hv, axis=1) * dt
         if spec.nu2.rate > 0.0:
-            lam_bar = np.mean(spec.lam_marks(t, x, marks2), axis=-1)
+            lam_bar = np.mean(spec.lam_marks(t, x, spec.nu2.marks), axis=-1)
             logw += dt * spec.nu2.rate * (1.0 - lam_bar)
 
         coup = np.asarray(spec.sigma1(t, x), float)
@@ -158,7 +157,7 @@ def mc_conditional_oracle(spec, obs, n_paths, prior_sampler, rng_seed, F):
             indep = np.broadcast_to(indep, (R,) + indep.shape)
         drift = (np.asarray(spec.b1(t, x), float).reshape(R, n)
                  - np.einsum("Rnm,Rm->Rn", coup, hv)
-                 - spec.signal_jump_drift(t, x, marks1))
+                 - spec.signal_jump_drift(t, x))
         db = gen.standard_normal((R, spec.d)) * np.sqrt(dt)
         x = (x + drift * dt + coup @ dw
              + np.einsum("Rnq,Rq->Rn", indep, db))
@@ -171,8 +170,7 @@ def mc_conditional_oracle(spec, obs, n_paths, prior_sampler, rng_seed, F):
                 u1 = marks1[gen_j.integers(0, len(marks1), int(mask.sum()))]
                 x[mask] += np.asarray(spec.f1(t, x[mask], u1), float)
 
-    fn = getattr(F, "value", F)
-    vals = np.asarray(fn(x), float).reshape(R)
+    vals = np.asarray(F.value(x), float).reshape(R)
     wmax = np.max(logw)
     b = np.exp(logw - wmax)
     bbar = b.mean()

@@ -11,6 +11,9 @@ states steps as x + (b1 - sigma1 h - int f1 nu1) dt + sigma1 dW
 h.dW - |h|^2 dt/2 + rate2 (1 - lambda-bar) dt per step
 (``log_weight_step``) and log lam at each accepted jump.
 
+Every integral against nu1 or nu2, and every jump mark, is taken over
+that measure's own quadrature ``nu.marks``.
+
 The simulator, the filter, both weight samplers and the prior Monte
 Carlo all step through here; ``oracle.py`` keeps its
 own copy on purpose, so that it stays an independent check.
@@ -27,7 +30,7 @@ def loaded(A, v):
     return np.einsum("...rc,...c->...r", A, v)
 
 
-def physical_step(spec, t, x, y, dt, dB, dW, marks1, marks2):
+def physical_step(spec, t, x, y, dt, dB, dW):
     """One continuous Euler step of the pair under the physical measure.
 
     ``x`` (N, n) and ``y`` (N, m) are a batch of paths, ``dB`` (N, d) and
@@ -41,9 +44,9 @@ def physical_step(spec, t, x, y, dt, dB, dW, marks1, marks2):
     x_on_W = np.asarray(spec.sigma1(t, x), float)
     y_on_W = np.asarray(spec.sigma2(t, y), float)
     drift_x = (np.asarray(spec.b1(t, x), float)
-               - spec.signal_jump_drift(t, x, marks1))
+               - spec.signal_jump_drift(t, x))
     drift_y = (np.asarray(spec.b2(t, x, y), float)
-               - spec.obs_jump_drift_reference(t, y, marks2))
+               - spec.obs_jump_drift_reference(t, y))
     x = x + drift_x * dt + loaded(x_on_B, dB)
     y = y + drift_y * dt + loaded(y_on_W, dW)
     return x + loaded(x_on_W, dW), y
@@ -75,20 +78,20 @@ def reference_step(spec, signal, coup, dt, dW, dB, h=None):
             + loaded(np.asarray(spec.sigma0(signal.t, x), float), dB))
 
 
-def observation_reference_step(spec, t, y, dt, dW, marks2):
+def observation_reference_step(spec, t, y, dt, dW):
     """One continuous step of the observations y (N, m) under the
     reference measure: driftless, with the jumps compensated at nu2."""
     return (y + loaded(np.asarray(spec.sigma2(t, y), float), dW)
-            - dt * spec.obs_jump_drift_reference(t, y, marks2))
+            - dt * spec.obs_jump_drift_reference(t, y))
 
 
-def lam_bar(spec, t, x, marks2):
-    """Mark mean of lam on the states x (..., n): (...,); None without
-    observation jumps.  A lam that ignores its mark gives one column,
-    which is its own mean."""
+def lam_bar(spec, t, x):
+    """Mean of lam over nu2's quadrature on the states x (..., n): (...,);
+    None without observation jumps.  A lam that ignores its mark gives one
+    column, which is its own mean."""
     if spec.nu2.rate == 0.0:
         return None
-    lam = spec.lam_marks(t, x, marks2)
+    lam = spec.lam_marks(t, x, spec.nu2.marks)
     return lam[..., 0] if lam.shape[-1] == 1 else np.mean(lam, axis=-1)
 
 
@@ -106,24 +109,24 @@ def log_weight_step(logw, h, dW, dt, rate2, lam_bar):
     return logw
 
 
-def jump_rounds(rng_counts, rng_marks, rate, dt, marks, size):
-    """Poisson(rate dt) jumps for each of ``size`` rows: round j yields the
-    ascending indices of the rows with at least j jumps and one mark per
-    such row, drawn from the frozen sample ``marks``, which the
+def jump_rounds(rng_counts, rng_marks, nu, dt, size):
+    """Poisson(nu.rate dt) jumps for each of ``size`` rows: round j yields
+    the ascending indices of the rows with at least j jumps and one mark
+    per such row, drawn from the quadrature ``nu.marks``, which the
     compensators average over."""
-    counts = rng_counts.poisson(rate * dt, size=size)
+    counts = rng_counts.poisson(nu.rate * dt, size=size)
     rows = np.flatnonzero(counts)
     j = 1
     while rows.size:
-        yield rows, marks[rng_marks.integers(0, len(marks), rows.size)]
+        yield rows, nu.marks[rng_marks.integers(0, len(nu.marks), rows.size)]
         j += 1
         rows = rows[counts[rows] >= j]
 
 
-def add_signal_jumps(spec, t, x, dt, marks1, rng_counts, rng_marks):
+def add_signal_jumps(spec, t, x, dt, rng_counts, rng_marks):
     """Add one step's signal jumps f1(t, x-, u) to the batch x, in place."""
     if spec.nu1.rate > 0.0:
-        for rows, u in jump_rounds(rng_counts, rng_marks, spec.nu1.rate, dt,
-                                   marks1, x.shape[0]):
+        for rows, u in jump_rounds(rng_counts, rng_marks, spec.nu1, dt,
+                                   x.shape[0]):
             x[rows] += np.asarray(spec.f1(t, x[rows], u), float)
     return x

@@ -71,7 +71,6 @@ class PathRecord:
     step_mark: np.ndarray          # (K, max mark dim), zero-padded
     obs_candidates: list
     seed: int
-    marks1: np.ndarray
     marks2: np.ndarray
 
     def dt(self):
@@ -166,8 +165,6 @@ def simulate_path(spec, grid, x0_sampler, y0, rng_seed):
 
     gauss = substream(rng_seed, "brownian").standard_normal((K, d + m))
     thin_rng = substream(rng_seed, "obs-thinning")
-    marks1 = spec.nu1.frozen_marks(spec.mark_budget)
-    marks2 = spec.nu2.frozen_marks(spec.mark_budget)
 
     mark_dim = max(spec.nu1.dim, spec.nu2.dim, 1)
     X = np.empty((K + 1, n))
@@ -187,8 +184,7 @@ def simulate_path(spec, grid, x0_sampler, y0, rng_seed):
             sq = np.sqrt(dt)
             dB[k] = gauss[k, :d] * sq
             dW[k] = gauss[k, d:] * sq
-            x, y = physical_step(spec, t, x, y, dt, dB[k:k + 1], dW[k:k + 1],
-                                 marks1, marks2)
+            x, y = physical_step(spec, t, x, y, dt, dB[k:k + 1], dW[k:k + 1])
         elif ev.channel == "signal":
             step_kind[k] = 1
             step_accepted[k] = True
@@ -211,7 +207,7 @@ def simulate_path(spec, grid, x0_sampler, y0, rng_seed):
 
     return PathRecord(grid, node_t, X, Y, dB, dW, base_mask, step_kind,
                       step_accepted, step_mark, cand_stream, int(rng_seed),
-                      marks1, marks2)
+                      spec.nu2.marks)
 
 
 def project_observation(record):

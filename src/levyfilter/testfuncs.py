@@ -161,18 +161,10 @@ def _psi(k, u):
 
 
 def hermite_window(degrees=2, n=1, scale=1.0):
-    """Product of Gaussian-windowed Hermite polynomials, one per coordinate.
-
-    ``degrees`` is an int (applied to coordinate 0, window only elsewhere)
-    or a sequence of per-coordinate degrees.
-    """
-    if isinstance(degrees, (int, np.integer)):
-        degs = [int(degrees)] + [0] * (n - 1)
-    else:
-        degs = [int(k) for k in degrees]
-        if len(degs) != n:
-            raise ValueError("need one degree per coordinate")
-    if min(degs) < 0:
+    """Product of Gaussian-windowed Hermite polynomials, one per coordinate:
+    of degree ``degrees`` in coordinate 0, the window alone elsewhere."""
+    degs = [int(degrees)] + [0] * (n - 1)
+    if degs[0] < 0:
         raise ValueError(f"Hermite degrees must be >= 0, got {degs}")
     s = _length(scale, "Hermite scale")
 

@@ -139,10 +139,12 @@ def test_out_of_range_value_exits_2_with_one_message_line(tmp_path, capsys):
 
 
 # test-function specs with a number that is not finite, a length that is not
-# positive or whose square is not a normal float, or one field too many
+# positive or whose square is not a normal float, one field too many, or a
+# length so extreme that a derivative is not finite at a screen probe
 BAD_SPECS = ["const:nan", "bump:0:inf", "hermite:2:inf", "bump:0:nan",
              "bump:nan:1", "hermite:2:0", "bump:0:-1", "bump:0:1:5",
-             "hermite:2:1:9", "bump:0:1e-300", "bump:0:1e200"]
+             "hermite:2:1:9", "bump:0:1e-300", "bump:0:1e200",
+             "bump:0:1e-100", "hermite:2:1e-150"]
 
 
 @pytest.mark.parametrize("family, line, named", [

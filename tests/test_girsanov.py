@@ -43,9 +43,8 @@ def test_brownian_part_closed_form():
 
 def test_jump_and_compensator_parts_closed_form():
     spec = build_family("jump_only").spec              # lam(0) = 1/2, rate 1
-    marks2 = spec.nu2.frozen_marks(spec.mark_budget)
     x = np.zeros((1, 1))
-    lb = lam_bar(spec, 0.0, x, marks2)
+    lb = lam_bar(spec, 0.0, x)
     logw = np.zeros(1)
     for _ in range(2):
         logw = log_weight_step(logw, np.zeros((1, 1)), np.zeros(1), 0.25,
@@ -53,7 +52,7 @@ def test_jump_and_compensator_parts_closed_form():
     assert logw[0] == pytest.approx(COMPENSATOR_CLOSED_FORM, abs=1e-12)
     # the inverse weight takes -log lam at an accepted jump, with lam as
     # thin returns it
-    _, lam = thin(spec, 0.25, x, marks2[:1], substream(0, "thinning"))
+    _, lam = thin(spec, 0.25, x, spec.nu2.marks[:1], substream(0, "thinning"))
     jump = -np.log(lam[0])
     assert jump == pytest.approx(JUMP_CLOSED_FORM, abs=1e-12)
     assert logw[0] + jump == pytest.approx(
@@ -112,7 +111,7 @@ def test_drivers_zero_on_jump_steps_and_resynthesis_roundtrip():
     dt = obs.dt()
     for k in np.flatnonzero(~obs.is_jump()):
         y1 = observation_reference_step(scen.spec, obs.t[k], obs.Y[k:k + 1],
-                                        dt[k], dW[k:k + 1], obs.marks2)[0]
+                                        dt[k], dW[k:k + 1])[0]
         assert np.max(np.abs(y1 - obs.Y[k + 1])) <= 1e-10
 
 

@@ -130,8 +130,11 @@ def test_thinning_deterministic_and_batch_free():
 @pytest.mark.parametrize("rate_dt", [0.0, 0.05, 2.5])
 def test_jump_rounds_match_a_boolean_mask_reference(rate_dt):
     # the reference is the mask form: round j takes the rows with at least
-    # j jumps, in row order, and draws one mark index for each
-    marks = np.arange(12.0)[:, None]
+    # j jumps, in row order, and draws one mark index for each from the
+    # measure's quadrature
+    nu = LevyMeasureSpec(1, rate_dt,
+                         lambda rng, size: np.arange(size, dtype=float)[:, None])
+    marks = nu.marks
     counts = substream(4, "counts").poisson(rate_dt, size=500)
     rng_marks = substream(4, "marks")
     want = []
@@ -140,7 +143,7 @@ def test_jump_rounds_match_a_boolean_mask_reference(rate_dt):
         want.append((np.flatnonzero(mask),
                      marks[rng_marks.integers(0, len(marks), int(mask.sum()))]))
     got = list(jump_rounds(substream(4, "counts"), substream(4, "marks"),
-                           rate_dt, 1.0, marks, 500))
+                           nu, 1.0, 500))
     assert len(got) == len(want) == int(counts.max(initial=0))
     for (rows, u), (want_rows, want_u) in zip(got, want):
         assert np.array_equal(rows, want_rows)

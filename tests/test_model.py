@@ -1,5 +1,6 @@
 """System specification: hypothesis screening, generator, sensor function."""
 
+import dataclasses
 import warnings
 from dataclasses import replace
 
@@ -522,6 +523,18 @@ def test_levy_measure_moment_bookkeeping():
     assert np.array_equal(nu.frozen_marks(64), nu.frozen_marks(64))
     assert LevyMeasureSpec.none().rate == 0.0
     assert LevyMeasureSpec.none().frozen_marks(64).shape == (0, 1)
+    # the quadrature: drawn once, read-only, the default 64-mark sample
+    assert nu.marks is nu.marks
+    assert not nu.marks.flags.writeable
+    with pytest.raises(ValueError):
+        nu.marks[0, 0] = 1.0
+    assert nu.marks.tobytes() == nu.frozen_marks(64).tobytes()
+    assert LevyMeasureSpec.none().marks.shape == (0, 1)
+    spec = build_family("mixed").spec
+    assert spec.mark_budget == 64
+    fields = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    with pytest.raises(TypeError, match="mark_budget"):
+        SystemSpec(**fields, mark_budget=64)
     with pytest.raises(ValueError):
         LevyMeasureSpec.gaussian(0.5, 2.0, rate=-2.0)
     with pytest.raises(ValueError, match="lo < hi"):
@@ -554,8 +567,7 @@ def _bad_lambda_calls():
         "simulate_path": lambda: simulate_path(spec, grid, prior, y0, 3),
         "thin": lambda: thin(spec, 0.5, np.array([[0.25]]),
                              np.array([[0.5]]), substream(4, "thinning")),
-        "lam_bar": lambda: lam_bar(spec, 0.5, np.array([[0.25]]),
-                                   spec.nu2.frozen_marks(spec.mark_budget)),
+        "lam_bar": lambda: lam_bar(spec, 0.5, np.array([[0.25]])),
         "compensator_integral": lambda: compensator_integral(
             spec, lambda t, u: np.ones(len(u)), lambda t: np.array([0.25]),
             0.0, 0.1, 0.05),

@@ -146,16 +146,15 @@ def test_physical_step_on_a_batch_equals_one_path_at_a_time(family):
     y = rng.normal(size=(R, spec.m))
     dB = rng.normal(size=(R, spec.d)) * np.sqrt(dt)
     dW = rng.normal(size=(R, spec.m)) * np.sqrt(dt)
-    marks1 = spec.nu1.frozen_marks(spec.mark_budget)
-    marks2 = spec.nu2.frozen_marks(spec.mark_budget)
-    xb, yb = physical_step(spec, t, x, y, dt, dB, dW, marks1, marks2)
+    xb, yb = physical_step(spec, t, x, y, dt, dB, dW)
     assert xb.shape == (R, spec.n) and yb.shape == (R, spec.m)
     for r in range(R):
         x1, y1 = physical_step(spec, t, x[r:r + 1], y[r:r + 1], dt,
-                               dB[r:r + 1], dW[r:r + 1], marks1, marks2)
+                               dB[r:r + 1], dW[r:r + 1])
         assert np.array_equal(x1[0], xb[r]) and np.array_equal(y1[0], yb[r])
         xe, ye = explicit_physical_step(spec, t, x[r], y[r], dt, dB[r],
-                                        dW[r], marks1, marks2)
+                                        dW[r], spec.nu1.marks,
+                                        spec.nu2.marks)
         np.testing.assert_allclose(xb[r], xe, rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose(yb[r], ye, rtol=1e-14, atol=1e-15)
 
