@@ -5,9 +5,9 @@ filters each of them, and writes a self-describing output directory: the
 canonical config, per-replica observation and filter CSVs, a verdicts
 summary, and a manifest with content hashes.  ``replay`` checks a run
 directory against its manifest, re-executes it and insists on
-byte-identical outputs.  The parser and the exit codes are in
-``commands``, which imports this module for these two commands alone;
-``main`` and ``build_parser`` are re-exported here.
+byte-identical outputs.  The parser, the exit codes and the set-up checks
+are in ``commands``, which imports this module for these two commands
+alone; ``main`` and ``build_parser`` are re-exported here.
 """
 
 from __future__ import annotations
@@ -22,18 +22,16 @@ import time
 import numpy as np
 
 from . import __version__
-from .commands import build_parser, main  # noqa: F401  (re-exported)
+from .commands import build_parser, build_scenario, main  # noqa: F401
 from .config import config_to_text, parse_config_file
-from .errors import ConfigError, ModelViolationError, ReplayMismatchError
-from .families import build_family
+from .errors import ConfigError, ReplayMismatchError
 from .filtering import write_trajectory_csv, zakai_filter
-from .model import signal_terms, structured_probes, validate_hypotheses
+from .model import signal_terms, validate_hypotheses
 from .oracle import kalman_bucy
 from .propagation import add_signal_jumps, reference_step
 from .rng import derive_seed, substream
 from .simulate import (TimeGrid, project_observation, simulate_path,
                        write_observation)
-from .testfuncs import make_test_function
 
 
 def _prior_mc_moments(spec, scen, n_steps, n_samples, seed, funcs):
@@ -96,42 +94,13 @@ def _write_manifest(out_dir, cfg, command, **fields):
         fh.write("\n")
 
 
-def _scenario(cfg):
-    """The configured scenario and its test functions, which must have
-    distinct names and a finite value, gradient and Hessian at the
-    hypothesis screen's structured probes; a Kalman gate needs the linear
-    reference and the coord:0 moment it is compared with."""
-    scen = build_family(cfg.family, cfg.params)
-    funcs = [make_test_function(name, scen.spec.n)
-             for name in cfg.function_names()]
-    names = [F.name for F in funcs]
-    for name in names:
-        if names.count(name) > 1:
-            raise ConfigError(f"test function {name!r} is given twice in "
-                              f"test_functions = {cfg.test_functions}")
-    points = structured_probes(scen.spec.n)
-    for F in funcs:
-        for part in ("value", "grad", "hess"):
-            with np.errstate(all="ignore"):
-                v = np.asarray(getattr(F, part)(points), float)
-            finite = np.isfinite(v.reshape(len(points), -1)).all(axis=1)
-            if not finite.all():
-                raise ConfigError(f"test function {F.name!r} has a non-finite "
-                                  f"{part} at x = {points[np.argmin(finite)]}")
-    if cfg.accept_max_kalman_gap is not None and (
-            scen.linear is None or "coord:0" not in names):
-        raise ConfigError("accept.max_kalman_gap needs a family with a "
-                          "linear reference and coord:0 in test_functions")
-    return scen, funcs
-
-
 def _run_replica(cfg, seed_r, out_dir, index):
     """Simulate, filter and write one replica; (file names, verdict).
 
     The scenario and the test functions are built here from ``cfg``: they
     are closures, which cannot be pickled into a worker process.
     """
-    scen, funcs = _scenario(cfg)
+    scen, funcs = build_scenario(cfg)
     spec = scen.spec
     grid = TimeGrid(0.0, spec.T, cfg.n_steps)
     record = simulate_path(spec, grid, scen.prior_sampler, scen.y0, seed_r)
@@ -207,9 +176,9 @@ def _replica_pool(workers):
 
 
 def _execute_run(cfg, out_dir, threads, argv_echo):
-    # built here too, so a bad family or test function stops the run before
+    # built here too, so every check `validate` makes stops the run before
     # it writes anything
-    spec = _scenario(cfg)[0].spec
+    spec = build_scenario(cfg)[0].spec
 
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -227,16 +196,15 @@ def _execute_run(cfg, out_dir, threads, argv_echo):
         report = validate_hypotheses(spec, cfg.hypothesis_budget,
                                      derive_seed(cfg.seed, "hypotheses"))
         verdicts["hypotheses"] = report.to_dict()
-        if not report.passed:
-            names = ", ".join(c.name for c in report.failures())
-            raise ModelViolationError(f"hypothesis checks failed: {names}")
+        report.raise_if_failed()
 
     seeds = [derive_seed(cfg.seed, "replica", r) for r in range(cfg.replicas)]
     files = ["config.cfg", "verdicts.json"]
-    if threads > 1:
+    workers = min(threads, cfg.replicas)
+    if workers > 1:
         # map returns results in replica order and re-raises a worker's
         # exception, type and message kept, so exit codes match a serial run
-        with _replica_pool(min(threads, cfg.replicas)) as pool:
+        with _replica_pool(workers) as pool:
             results = list(pool.map(_run_replica, [cfg] * cfg.replicas,
                                     seeds, [out_dir] * cfg.replicas,
                                     range(cfg.replicas)))
@@ -249,10 +217,9 @@ def _execute_run(cfg, out_dir, threads, argv_echo):
 
     failures = []
     if cfg.accept_max_kalman_gap is not None:
-        gaps = [v.get("kalman_gap_mean") for v in verdicts["replicas"]]
-        gaps = [g for g in gaps if g is not None]
-        worst = max(gaps) if gaps else None
-        ok = worst is not None and worst <= cfg.accept_max_kalman_gap
+        # build_scenario made sure that every replica has a Kalman gap
+        worst = max(v["kalman_gap_mean"] for v in verdicts["replicas"])
+        ok = worst <= cfg.accept_max_kalman_gap
         verdicts["accept_kalman"] = {"worst": worst, "passed": ok}
         if not ok:
             failures.append("kalman gap")
@@ -276,9 +243,7 @@ def _execute_run(cfg, out_dir, threads, argv_echo):
 
 
 def _cmd_run(args):
-    cfg = parse_config_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = parse_config_file(args.config, args.seed)
     out_dir = args.out or f"run_{cfg.family}_{cfg.seed}"
     failures, _ = _execute_run(cfg, out_dir, args.threads,
                                f"run --config {args.config}")

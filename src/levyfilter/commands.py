@@ -1,68 +1,86 @@
-"""Command-line entry point: the parser, the exit codes, and the commands
-that only read a config: validate and list-families.
+"""Command-line entry point: the parser, the exit codes, the set-up that
+``validate`` and ``run`` share, and the commands that only read a config.
 
-``run`` and ``replay`` live in ``cli``, which loads the simulator, the
-filter and the oracle; this module imports it only when one of those two
-commands is given. So the hypothesis screen starts with ``config``,
-``families``, ``model`` and ``rng`` alone, and pays for compiling no
-module it does not call.  Exit codes: 0 ok, 2 bad configuration, 3 model
-hypothesis violation, 4 numerical degeneracy, 5 acceptance or replay
-failure.
+The set-up makes every check ``run`` makes before it writes anything, so
+``validate`` passes only a config that ``run`` starts. ``run`` and
+``replay`` live in ``cli``, which loads the simulator, the filter and the
+oracle; this module imports it only for those two commands, so
+``validate`` also loads ``testfuncs`` and no other module it does not
+call.  Exit codes: 0 ok, 2 bad configuration, 3 model hypothesis
+violation, 4 numerical degeneracy, 5 acceptance or replay failure.
 """
 
 import argparse
 import sys
 
+import numpy as np
+
 from .config import parse_config_file
 from .errors import (ConfigError, DegeneracyError, DivergenceError,
                      ModelViolationError, NumericOverflowError,
                      ReplayMismatchError)
+from .families import build_family, list_families
+from .model import structured_probes, validate_hypotheses
+from .rng import derive_seed
 
 
-def _cmd_run(args):
+def _cli_command(args):
+    """``run`` or ``replay``, from ``cli``, imported for these two alone."""
     from . import cli
-    return cli._cmd_run(args)
+    return {"run": cli._cmd_run, "replay": cli._cmd_replay}[args.command](args)
 
 
-def _cmd_replay(args):
-    from . import cli
-    return cli._cmd_replay(args)
+def build_scenario(cfg):
+    """The configured scenario and its test functions, which must have
+    distinct names and a finite value, gradient and Hessian at the
+    hypothesis screen's structured probes; a Kalman gate needs the linear
+    reference and the coord:0 moment it is compared with."""
+    from .testfuncs import make_test_function   # not for list-families
+
+    scen = build_family(cfg.family, cfg.params)
+    funcs = [make_test_function(name, scen.spec.n)
+             for name in cfg.function_names()]
+    names = [F.name for F in funcs]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"test function {name!r} is given twice in "
+                              f"test_functions = {cfg.test_functions}")
+    points = structured_probes(scen.spec.n)
+    for F in funcs:
+        for part in ("value", "grad", "hess"):
+            with np.errstate(all="ignore"):
+                v = np.asarray(getattr(F, part)(points), float)
+            finite = np.isfinite(v.reshape(len(points), -1)).all(axis=1)
+            if not finite.all():
+                raise ConfigError(f"test function {F.name!r} has a non-finite "
+                                  f"{part} at x = {points[np.argmin(finite)]}")
+    if cfg.accept_max_kalman_gap is not None and (
+            scen.linear is None or "coord:0" not in names):
+        raise ConfigError("accept.max_kalman_gap needs a family with a "
+                          "linear reference and coord:0 in test_functions")
+    return scen, funcs
 
 
 def _cmd_validate(args):
-    from .families import build_family
-    from .model import validate_hypotheses
-    from .rng import derive_seed
-
-    cfg = parse_config_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    scen = build_family(cfg.family, cfg.params)
-    report = validate_hypotheses(scen.spec, cfg.hypothesis_budget,
+    cfg = parse_config_file(args.config, args.seed)
+    spec = build_scenario(cfg)[0].spec
+    report = validate_hypotheses(spec, cfg.hypothesis_budget,
                                  derive_seed(cfg.seed, "hypotheses"))
     for check in report.checks:
         status = "ok  " if check.passed else "FAIL"
         print(f"{status} {check.name}: worst={check.worst:.6g} "
               f"bound={check.bound:.6g}")
-        if not check.passed and check.witness is not None:
-            print(f"     witness: {check.witness}")
-    if not report.passed:
-        names = ", ".join(c.name for c in report.failures())
-        raise ModelViolationError(f"hypothesis checks failed: {names}")
+        if not check.passed:
+            print(f"     witness: {check.to_dict()['witness']}")
+    report.raise_if_failed()
     print(f"all {len(report.checks)} hypothesis checks passed")
     return 0
 
 
 def _cmd_list_families(args):
-    from .families import list_families
-
     for name, doc in list_families():
         print(f"{name}: {doc}")
     return 0
-
-
-THREADS_HELP = ("worker processes for the replicas (forked; above 1 needs "
-                "the fork start method)")
 
 
 def _worker_count(text):
@@ -81,25 +99,29 @@ def build_parser():
         description="Particle filtering for jump diffusions with shared noise")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="simulate and filter a configured scenario")
-    p_run.add_argument("--config", required=True, help="path to a key=value config")
-    p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None,
+    # options shared by the commands that read a config or run replicas
+    setup = argparse.ArgumentParser(add_help=False)
+    setup.add_argument("--config", required=True,
+                       help="path to a key=value config")
+    setup.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-    p_run.add_argument("--threads", type=_worker_count, default=1,
-                       help=THREADS_HELP)
-    p_run.set_defaults(fn=_cmd_run)
+    pool = argparse.ArgumentParser(add_help=False)
+    pool.add_argument("--threads", type=_worker_count, default=1,
+                      help="worker processes for the replicas (forked; "
+                      "above 1 needs the fork start method)")
 
-    p_replay = sub.add_parser("replay",
+    p_run = sub.add_parser("run", parents=[setup, pool],
+                           help="simulate and filter a configured scenario")
+    p_run.add_argument("--out", default=None, help="output directory")
+    p_run.set_defaults(fn=_cli_command)
+
+    p_replay = sub.add_parser("replay", parents=[pool],
                               help="re-run a directory and require identical bytes")
     p_replay.add_argument("--out", required=True, help="directory of a previous run")
-    p_replay.add_argument("--threads", type=_worker_count, default=1,
-                          help=THREADS_HELP)
-    p_replay.set_defaults(fn=_cmd_replay)
+    p_replay.set_defaults(fn=_cli_command)
 
-    p_val = sub.add_parser("validate", help="check model hypotheses for a config")
-    p_val.add_argument("--config", required=True)
-    p_val.add_argument("--seed", type=int, default=None)
+    p_val = sub.add_parser("validate", parents=[setup],
+                           help="make run's checks and the hypothesis screen")
     p_val.set_defaults(fn=_cmd_validate)
 
     p_list = sub.add_parser("list-families", help="show bundled scenario families")

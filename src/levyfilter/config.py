@@ -141,13 +141,18 @@ def parse_config(text):
     return ScenarioConfig(**kwargs)
 
 
-def parse_config_file(path):
+def parse_config_file(path, seed=None):
+    """The config in the file ``path``, with ``seed`` (the ``--seed`` of a
+    command) in place of its own seed if given."""
     try:
         with open(path, "r") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}")
-    return parse_config(text)
+    cfg = parse_config(text)
+    if seed is not None:
+        cfg.seed = seed
+    return cfg
 
 
 def _format_value(tag, value):

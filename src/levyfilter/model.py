@@ -374,6 +374,12 @@ class HypothesisReport:
     def failures(self):
         return [c for c in self.checks if not c.passed]
 
+    def raise_if_failed(self):
+        """Raise ModelViolationError naming every failed check."""
+        if not self.passed:
+            names = ", ".join(c.name for c in self.failures())
+            raise ModelViolationError(f"hypothesis checks failed: {names}")
+
     def __getitem__(self, name):
         for c in self.checks:
             if c.name == name:

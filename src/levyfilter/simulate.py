@@ -199,8 +199,8 @@ def simulate_path(spec, grid, x0_sampler, y0, rng_seed):
                 y = y + np.asarray(spec.f2(t, y, ev.mark[None]), float)
         X[k + 1] = x[0]
         Y[k + 1] = y[0]
-        norm = max(abs(x).max(), abs(y).max())
-        if not np.isfinite(norm) or norm > MAX_NORM:
+        norm = np.abs(np.append(x, y)).max()   # nan if any entry is nan
+        if not norm <= MAX_NORM:
             raise DivergenceError(
                 f"state norm {norm:.3e} exceeded {MAX_NORM:.3e} at step {k}, "
                 f"t={node_t[k + 1]:g}")

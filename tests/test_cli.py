@@ -2,6 +2,7 @@
 manifest hashing, acceptance gates."""
 
 import contextlib
+import glob
 import hashlib
 import importlib
 import io
@@ -61,11 +62,17 @@ def test_list_families_prints_registry(capsys):
         assert f"{name}:" in out
 
 
-def test_validate_passes_for_bundled_family(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, BASE_CFG)
-    assert main(["validate", "--config", cfg]) == 0
+BUNDLED_CONFIGS = sorted(
+    os.path.relpath(p, ROOT)
+    for p in glob.glob(os.path.join(ROOT, "configs", "*.cfg"))) + [
+    "perfbench/workloads/jumps.cfg"]
+
+
+@pytest.mark.parametrize("path", BUNDLED_CONFIGS)
+def test_validate_passes_for_bundled_family(capsys, path):
+    assert main(["validate", "--config", os.path.join(ROOT, path)]) == 0
     out = capsys.readouterr().out
-    assert "hypothesis checks passed" in out
+    assert out.endswith("all 12 hypothesis checks passed\n")
 
 
 def test_validate_reports_violation_with_exit_3(tmp_path, capsys):
@@ -78,6 +85,10 @@ param.lam0 = 0.0005
     assert main(["validate", "--config", cfg]) == 3
     captured = capsys.readouterr()
     assert "jump_intensity_lower" in captured.out
+    assert "     witness: {'t': " in captured.out
+    # the plain numbers of verdicts.json, not numpy reprs
+    assert "np.float64(" not in captured.out
+    assert "array(" not in captured.out
     assert "model violation" in captured.err
 
 
@@ -138,12 +149,13 @@ def test_out_of_range_value_exits_2_with_one_message_line(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-# test-function specs with a number that is not finite, a length that is not
-# positive or whose square is not a normal float, one field too many, or a
-# length so extreme that a derivative is not finite at a screen probe
-BAD_SPECS = ["const:nan", "bump:0:inf", "hermite:2:inf", "bump:0:nan",
-             "bump:nan:1", "hermite:2:0", "bump:0:-1", "bump:0:1:5",
-             "hermite:2:1:9", "bump:0:1e-300", "bump:0:1e200",
+# test-function specs with an index out of range, a number that is not
+# finite, a length that is not positive or whose square is not a normal
+# float, one field too many, or a length so extreme that a derivative is not
+# finite at a screen probe
+BAD_SPECS = ["coord:5", "const:nan", "bump:0:inf", "hermite:2:inf",
+             "bump:0:nan", "bump:nan:1", "hermite:2:0", "bump:0:-1",
+             "bump:0:1:5", "hermite:2:1:9", "bump:0:1e-300", "bump:0:1e200",
              "bump:0:1e-100", "hermite:2:1e-150"]
 
 
@@ -174,11 +186,15 @@ BAD_SPECS = ["const:nan", "bump:0:inf", "hermite:2:inf", "bump:0:nan",
          "duplicate_function", "hypothesis_budget", "kalman_gap_no_reference",
          "kalman_gap_no_coord", "kalman_gap_negative", "ess_fraction_high",
          "ess_fraction_negative"] + BAD_SPECS)
+@pytest.mark.parametrize("command", ["run", "validate"])
 def test_bad_model_value_exits_2_with_one_message_line(tmp_path, capsys,
-                                                       family, line, named):
+                                                       command, family, line,
+                                                       named):
+    # validate makes every check run makes before it writes anything
     cfg = write_cfg(tmp_path, f"family = {family}\nn_steps = 20\n"
                     f"n_particles = 50\n{line}\n")
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    out = ["--out", str(tmp_path / "x")] if command == "run" else []
+    assert main([command, "--config", cfg] + out) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert named in err and "Traceback" not in err
@@ -389,6 +405,22 @@ def test_threads_below_one_is_rejected(tmp_path, capsys, command, threads):
     assert not (tmp_path / "out").exists()
 
 
+def test_one_replica_runs_without_a_pool(tmp_path, monkeypatch):
+    from levyfilter import cli
+
+    def no_pool(workers):
+        raise AssertionError("a pool was started for one replica")
+
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("replicas = 2", "replicas = 1"))
+    out1 = str(tmp_path / "serial")
+    assert main(["run", "--config", cfg, "--out", out1]) == 0
+    monkeypatch.setattr(cli, "_replica_pool", no_pool)
+    out2 = str(tmp_path / "threaded")
+    assert main(["run", "--config", cfg, "--out", out2, "--threads", "2"]) == 0
+    assert read_json(out1, "manifest.json")["files"] == \
+        read_json(out2, "manifest.json")["files"]
+
+
 def test_worker_pool_without_fork_is_a_config_error(tmp_path, capsys,
                                                      monkeypatch):
     def no_fork(method):
@@ -487,14 +519,16 @@ def test_replay_of_a_malformed_manifest_is_a_config_error(tmp_path, capsys,
 RUN_PATH_MODULES = ["levyfilter.cli", "levyfilter.filtering",
                     "levyfilter.girsanov", "levyfilter.propagation",
                     "levyfilter.simulate", "levyfilter.levy",
-                    "levyfilter.testfuncs", "levyfilter.oracle",
-                    "numpy.polynomial"]
+                    "levyfilter.oracle", "numpy.polynomial"]
 
 
-@pytest.mark.parametrize("args", [
-    ["validate", "--config", "perfbench/workloads/jumps.cfg"],
-    ["list-families"]], ids=["validate", "list-families"])
-def test_screen_commands_load_no_run_path_module(args):
+# validate builds the test functions, as run does before it writes anything
+@pytest.mark.parametrize("args, modules", [
+    (["validate", "--config", "perfbench/workloads/jumps.cfg"],
+     RUN_PATH_MODULES),
+    (["list-families"], RUN_PATH_MODULES + ["levyfilter.testfuncs"])],
+    ids=["validate", "list-families"])
+def test_screen_commands_load_no_run_path_module(args, modules):
     # `python -m levyfilter` in a fresh interpreter, then the modules it left
     code = ("import runpy, sys\n"
             f"sys.argv = ['levyfilter', *{args!r}]\n"
@@ -502,7 +536,7 @@ def test_screen_commands_load_no_run_path_module(args):
             "    runpy.run_module('levyfilter', run_name='__main__')\n"
             "except SystemExit as exc:\n"
             "    print('exit', exc.code)\n"
-            f"print('loaded', [m for m in {RUN_PATH_MODULES!r} "
+            f"print('loaded', [m for m in {modules!r} "
             "if m in sys.modules])\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,

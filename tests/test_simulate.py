@@ -188,6 +188,15 @@ def test_divergence_guard_raises(monkeypatch):
         simulate_path(scen.spec, grid, scen.prior_sampler, scen.y0, 1)
 
 
+def test_nan_observation_is_a_divergence_at_its_step():
+    # Python's max(1.0, nan) is 1.0: a finite signal must not hide a nan Y
+    scen = build_family("jump_free")
+    bad = replace(scen.spec, b2=lambda t, x, y: np.full(np.shape(y), np.nan))
+    grid = TimeGrid(0.0, bad.T, 10)
+    with pytest.raises(DivergenceError, match="nan .* at step 0,"):
+        simulate_path(bad, grid, scen.prior_sampler, scen.y0, 1)
+
+
 def test_out_of_range_intensity_raises_during_simulation():
     scen = build_family("jump_only", {"rate2": 20.0})
     bad = replace(scen.spec, lam=lambda t, x, u: np.full(
