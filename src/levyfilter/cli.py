@@ -53,8 +53,8 @@ def _prior_mc_moments(spec, scen, n_steps, n_samples, seed, funcs):
         t = k * dt
         db = rng_g.standard_normal((R, spec.d)) * np.sqrt(dt)
         dw = rng_g.standard_normal((R, spec.m)) * np.sqrt(dt)
-        x = reference_step(spec, signal_terms(spec, t, x, spec.nu1.marks),
-                           np.asarray(spec.sigma1(t, x), float), dt, dw, db)
+        x = reference_step(signal_terms(spec, t, x, spec.nu1.marks), dt, dw,
+                           db)
         x = add_signal_jumps(spec, t, x, dt, rng_c, rng_u)
     out = {}
     for F in funcs:

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
 from .errors import DegeneracyError, ModelViolationError
 from .girsanov import reconstruct_reference_drivers
-from .model import SignalTerms, signal_terms
+from .model import signal_terms
 from .propagation import (add_signal_jumps, lam_bar, log_weight_step,
                           reference_step)
 from .rng import substream
@@ -67,70 +67,32 @@ def _keep_freed_heap():
     mallopt(M_TRIM_THRESHOLD, 64 << 20)
 
 
-class ShiftedWeights:
-    """exp(logw - max logw) over a cloud, computed once: the log mass, the
-    effective sample size and the normalized weights are all read from it.
-    The exponentials are not formed when the largest log-weight is not
-    finite."""
-
-    def __init__(self, logw):
-        self.n = len(logw)
-        self.max = np.max(logw)
-        self.e = np.exp(logw - self.max) if np.isfinite(self.max) else None
-        self.sum = None if self.e is None else self.e.sum()
-
-    def log_mass(self):
-        """log of the mean weight: log-sum-exp of logw less log N."""
-        lse = self.max if self.e is None else self.max + np.log(self.sum)
-        return lse - np.log(self.n)
-
-    @cached_property
-    def ess(self):
-        """(sum w)^2 / sum w^2; zero when the largest log-weight is not finite."""
-        if self.e is None:
-            return 0.0
-        return float(self.sum * self.sum / np.sum(self.e * self.e))
-
-    def normalized(self):
-        return self.e / self.sum
+def cloud_weights(logw):
+    """The normalized weights of a cloud's log-weights, its log mass (the
+    log of the mean weight) and its effective sample size (sum w)^2 /
+    sum w^2, all read from exp(logw - max logw), formed once.  When the
+    largest log-weight is not finite the weights are None, the log mass
+    is that largest value less log N and the sample size is 0."""
+    top = logw.max()
+    if not np.isfinite(top):
+        return None, top - np.log(len(logw)), 0.0
+    e = np.exp(logw - top)
+    total = e.sum()
+    return (e / total, top + np.log(total) - np.log(len(logw)),
+            float(total * total / (e * e).sum()))
 
 
-def resample(x, weights, rng):
-    """Systematic resampling of the particles x, weighted by ``weights``
-    (their ShiftedWeights): the new states and log-weights, which keep the
-    total unnormalized mass."""
+def resample(x, w, log_mass, rng):
+    """Systematic resampling of the particles x by their normalized weights
+    w: the new states and log-weights, which keep the total unnormalized
+    mass, exp(log_mass) times N."""
     N = x.shape[0]
-    edges = np.cumsum(weights.normalized())
+    edges = np.cumsum(w)
     edges[-1] = 1.0
     points = (rng.uniform() + np.arange(N)) / N
     idx = np.searchsorted(edges, points, side="right")
     idx = np.minimum(idx, N - 1)
-    return x[idx], np.full(N, float(weights.log_mass()))
-
-
-@dataclass
-class FunctionTerms:
-    """One test function's per-particle terms on a cloud; they read the
-    states alone."""
-
-    value: np.ndarray            # F, (N,)
-    grad_coup: np.ndarray        # grad F . coupling, (N, m)
-    generator: np.ndarray        # LF, (N,)
-    lam_bar: np.ndarray | None   # F lambda-bar, (N,); None without
-                                 # observation jumps
-
-
-def function_terms(F, x, signal, coup, lam_bar_x):
-    """F's terms on the states x (N, n), given the signal's terms on them
-    (``model.SignalTerms``), the coupling, shared (n, m) or per state
-    (N, n, m), and lambda-bar (N,) or None."""
-    N, n = x.shape
-    value = np.asarray(F.value(x), float).reshape(N)
-    grad = np.asarray(F.grad(x), float).reshape(N, n)
-    return FunctionTerms(
-        value, np.einsum("...n,...nm->...m", grad, coup),
-        signal.generator(F, value, grad),
-        None if lam_bar_x is None else value * lam_bar_x)
+    return x[idx], np.full(N, float(log_mass))
 
 
 @dataclass
@@ -154,16 +116,6 @@ class FunctionSummary:
                    np.zeros((K + 1, m)), np.zeros((K + 1, m)),
                    np.zeros(K + 1), np.zeros(K), np.zeros(K))
 
-    def record(self, k, w, terms, h):
-        """Write node k's weighted means of F's ``FunctionTerms``, from the
-        normalized weights w (N,) and the sensor function h (N, m)."""
-        self.pi_F[k] = float(w @ terms.value)
-        self.pi_LF[k] = float(w @ terms.generator)
-        self.grad_coup[k] = w @ terms.grad_coup
-        self.f_h[k] = w @ (terms.value[:, None] * h)
-        self.pi_F_lambar[k] = (self.pi_F[k] if terms.lam_bar is None
-                               else float(w @ terms.lam_bar))
-
     def zakai_gain(self):
         """The unnormalized moment's gain on dW at every node, (K+1, m)."""
         return self.grad_coup + self.f_h
@@ -171,30 +123,6 @@ class FunctionSummary:
     def ks_gain(self, pi_h):
         """The normalized moment's gain on dW - pi(h) dt, (K+1, m)."""
         return self.zakai_gain() - self.pi_F[:, None] * pi_h
-
-
-@dataclass
-class NodeTerms:
-    """The per-particle terms at a node that read the states alone,
-    evaluated once on the cloud and shared by the moment recording and the
-    step that follows it."""
-
-    lam_bar: np.ndarray | None   # mark mean of lambda, (N,); None without
-                                 # observation jumps
-    coup: np.ndarray             # driver coupling sigma1: shared (n, m)
-                                 # when sigma1 ignores x, else (N, n, m)
-    signal: SignalTerms          # b1, a, f1 displacement and compensator
-    functions: dict              # test-function name -> FunctionTerms
-
-
-def node_terms(spec, t, x, funcs):
-    """Evaluate a cloud's ``NodeTerms`` at time t."""
-    lam_bar_x = lam_bar(spec, t, x)
-    coup = np.asarray(spec.sigma1(t, x), float)
-    signal = signal_terms(spec, t, x, spec.nu1.marks)
-    return NodeTerms(lam_bar_x, coup, signal,
-                     {F.name: function_terms(F, x, signal, coup, lam_bar_x)
-                      for F in funcs})
 
 
 @dataclass
@@ -237,10 +165,12 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
     so the residual assemblers can telescope them afterwards.
 
     An observation-jump step keeps t and moves no particle, so the node
-    after it reuses every term that reads x alone (``NodeTerms``: lambda-bar,
-    the coupling, the signal's terms and each F, grad F . coupling, LF and
-    F lambda-bar) unless it resampled; only h, which reads y, and the
-    weighted reductions are formed again.
+    after it reuses every term that reads x alone (lambda-bar, the signal's
+    terms and each F, grad F . coupling, LF and F lambda-bar) unless it
+    resampled; only h, which reads y, and the weighted reductions are
+    formed again.  A node where the cloud moved lends its successor the
+    signal's terms that read no state and kept their inputs' values
+    (``model.signal_terms``).
     """
     _keep_freed_heap()
     dW_all = reconstruct_reference_drivers(obs, spec)
@@ -255,6 +185,7 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
     is_jump = obs.is_jump()
     marks = iter(obs.event_marks)
     dt_all = obs.dt()
+    sqrt_dt = np.sqrt(dt_all)
 
     funcs = list(test_functions)
     names = [F.name for F in funcs]
@@ -267,77 +198,86 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
     resampled = np.zeros(K + 1, bool)
     summ = {name: FunctionSummary.zeros(name, K, m) for name in names}
     clouds = [] if store_clouds else None
-    event_count = np.zeros(K + 1)
+    log_floor = np.log(MASS_FLOOR)
+    rate2 = spec.nu2.rate
+    marks1 = spec.nu1.marks
 
-    def record_node(k, t, y, weights, node):
-        """Record the moments of node k; returns the normalized weights and
-        h on the cloud."""
-        mass = weights.log_mass()
-        if not np.isfinite(mass) or mass < np.log(MASS_FLOOR):
+    signal = None    # the signal's terms at the last node the cloud moved to
+    terms = None     # (summary, F, grad F . coupling, LF, F lambda-bar) of
+                     # each test function on the cloud x at time t
+    for k in range(K + 1):
+        t = obs.t[k]
+        w, mass, ess = cloud_weights(logw)
+        if not np.isfinite(mass) or mass < log_floor:
             raise DegeneracyError(
                 f"unnormalized mass collapsed at t={t:g} (log mass {mass:.3g})")
-        log_mass[k] = mass
-        ess_arr[k] = weights.ess
-        w = weights.normalized()
-        hv = np.asarray(spec.h(t, x, y), float).reshape(N, m)
-        pi_h[k] = w @ hv
-        if node.lam_bar is not None:
-            pi_lambar[k] = float(w @ node.lam_bar)
-        for name, terms in node.functions.items():
-            summ[name].record(k, w, terms, hv)
-        if store_clouds:
-            clouds.append((x.copy(), logw.copy()))
-        return w, hv
-
-    node = None                  # NodeTerms of the cloud x at time t
-    for k in range(K):
-        t = obs.t[k]
-        y = obs.Y[k]
-        weights = ShiftedWeights(logw)
-        if k > 0 and ess_fraction > 0.0 and weights.ess < ess_fraction * N:
-            x, logw = resample(x, weights,
+        if 0 < k < K and ess_fraction > 0.0 and ess < ess_fraction * N:
+            x, logw = resample(x, w, mass,
                                substream(rng_seed, f"resample-{k}"))
             resampled[k] = True
-            weights = ShiftedWeights(logw)
-            node = None
-        if node is None:
-            node = node_terms(spec, t, x, funcs)
-        w, hv = record_node(k, t, y, weights, node)
-        event_count[k + 1] = event_count[k]
+            w, mass, ess = cloud_weights(logw)
+            terms = None
+        if terms is None:
+            lam_bar_x = lam_bar(spec, t, x)
+            signal = signal_terms(spec, t, x, marks1, signal)
+            terms = []
+            for F in funcs:
+                value = np.asarray(F.value(x), float).reshape(N)
+                grad = np.asarray(F.grad(x), float).reshape(N, n)
+                terms.append((
+                    summ[F.name], value,
+                    np.einsum("...n,...nm->...m", grad, signal.on_W),
+                    signal.generator(F, value, grad),
+                    None if lam_bar_x is None else value * lam_bar_x))
+
+        # the moments of node k
+        log_mass[k] = mass
+        ess_arr[k] = ess
+        hv = np.asarray(spec.h(t, x, obs.Y[k]), float).reshape(N, m)
+        pi_h[k] = w @ hv
+        if lam_bar_x is not None:
+            pi_lambar[k] = float(w @ lam_bar_x)
+        for s, value, grad_coup, generator, value_lam in terms:
+            pi_F = s.pi_F[k] = float(w @ value)
+            s.pi_LF[k] = float(w @ generator)
+            s.grad_coup[k] = w @ grad_coup
+            s.f_h[k] = w @ (value[:, None] * hv)
+            s.pi_F_lambar[k] = (pi_F if value_lam is None
+                                else float(w @ value_lam))
+        if store_clouds:
+            clouds.append((x.copy(), logw.copy()))
+        if k == K:
+            break
+
+        # the step from node k
         if is_jump[k]:
-            u = next(marks)
-            lam = spec.acceptance(t, x, u).reshape(N)
+            lam = spec.acceptance(t, x, next(marks)).reshape(N)
             b = float(w @ lam)
             if b < spec.iota:
                 raise ModelViolationError(
                     f"conditional intensity {b:.3g} below floor {spec.iota:g} "
                     f"at t={t:g}")
             mass_left = np.exp(log_mass[k])
-            for name, terms in node.functions.items():
-                s = summ[name]
-                a = float(w @ (terms.value * lam))
+            for s, value, *_ in terms:
+                a = float(w @ (value * lam))
                 s.jump_D[k] = a / b - s.pi_F[k]
                 s.zakai_jump[k] = mass_left * (a - s.pi_F[k])
             logw = logw + np.log(lam)
-            event_count[k + 1] += 1.0
         else:
             dt = dt_all[k]
             dW = dW_all[k]
-            logw = log_weight_step(logw, hv, dW, dt, spec.nu2.rate,
-                                   node.lam_bar)
-            dB = rng_b.standard_normal((N, spec.d)) * np.sqrt(dt)
-            x = reference_step(spec, node.signal, node.coup, dt, dW, dB, hv)
+            logw = log_weight_step(logw, hv, dW, dt, rate2, lam_bar_x)
+            dB = rng_b.standard_normal((N, spec.d)) * sqrt_dt[k]
+            x = reference_step(signal, dt, dW, dB, hv)
             x = add_signal_jumps(spec, t, x, dt, rng_c, rng_u)
-            node = None
-    if node is None:
-        node = node_terms(spec, obs.t[K], x, funcs)
-    record_node(K, obs.t[K], obs.Y[K], ShiftedWeights(logw), node)
+            terms = None
 
     return FilterTrajectory(
         t=obs.t.copy(), dt=dt_all, dW=dW_all, is_jump=is_jump,
         log_mass=log_mass, ess=ess_arr, pi_h=pi_h, pi_lambar=pi_lambar,
-        rate2=spec.nu2.rate, summaries=summ, resampled=resampled,
-        clouds=clouds, event_count=event_count)
+        rate2=rate2, summaries=summ, resampled=resampled,
+        clouds=clouds, event_count=np.concatenate(
+            ([0.0], np.cumsum(is_jump, dtype=float))))
 
 
 def _running_sum(inc):

@@ -79,8 +79,7 @@ def sample_reference_log_weights(spec, grid, n_paths, x0_sampler, y0, rng_seed):
         hv = np.asarray(spec.h(t, X, Y), float).reshape(R, m)
         logw = log_weight_step(logw, hv, dW, dt, spec.nu2.rate,
                                lam_bar(spec, t, X))
-        Xn = reference_step(spec, signal_terms(spec, t, X, spec.nu1.marks),
-                            np.asarray(spec.sigma1(t, X), float), dt, dW,
+        Xn = reference_step(signal_terms(spec, t, X, spec.nu1.marks), dt, dW,
                             dXi, hv)
         Yn = observation_reference_step(spec, t, Y, dt, dW)
         if spec.nu2.rate > 0.0:

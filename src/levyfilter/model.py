@@ -81,6 +81,17 @@ def solve(sig, rhs, t):
         ) from exc
 
 
+def _same_bytes(value, kept):
+    """Whether ``value``, a float matrix that reads no state, has the shape
+    and the bytes of ``kept``; a per-state value, with more than two axes,
+    is never compared.  A term formed from equal bytes has equal bytes, so
+    a term kept from them stands for a fresh one whatever the arithmetic
+    does with signed zeros; at these sizes this also costs less than
+    ``np.array_equal``."""
+    return (value.ndim == 2 and value.shape == kept.shape
+            and value.tobytes() == kept.tobytes())
+
+
 @dataclass
 class LevyMeasureSpec:
     """Finite-activity jump measure: total rate times a normalized mark law.
@@ -155,16 +166,30 @@ class LevyMeasureSpec:
         marks.flags.writeable = False
         return marks
 
-    def jumps(self, f, t, z, marks):
+    def jumps(self, f, t, z, marks, last=None):
         """The jump map f(t, z, u) at every mark u of ``marks``, (..., M, k),
         and its compensator drift, rate times its mark mean, (..., k).  The
         displacement is None when the measure is off, and the drift is then
-        zero."""
+        zero.  The mean is the sum over the marks divided by their count,
+        the arithmetic of ``np.mean`` without its wrapper, which costs more
+        than the sum at these sizes.
+
+        A displacement that reads no state, (M, k), is kept as a copy, so
+        that an f which changes its returned array in place cannot change
+        it later.  ``last``, a pair this method returned before, is
+        returned itself when such a displacement has its shape and bytes
+        (``_same_bytes``): the drift of equal bytes is the same, so it is
+        not formed again."""
         z = np.asarray(z, float)
         if self.rate == 0.0 or marks.shape[0] == 0:
             return None, np.zeros(z.shape)
         disp = np.asarray(f(t, z[..., None, :], marks), float)
-        return disp, self.rate * np.mean(disp, axis=-2)
+        if disp.ndim == 2:
+            if last is not None and _same_bytes(disp, last[0]):
+                return last
+            disp = disp.copy()
+        return disp, self.rate * (np.add.reduce(disp, axis=-2)
+                                  / disp.shape[-2])
 
 
 @dataclass
@@ -204,15 +229,6 @@ class SystemSpec:
         y = np.asarray(y, float)
         b2v = np.asarray(self.b2(t, x, y), float)
         return solve(np.asarray(self.sigma2(t, y), float), b2v, t)
-
-    def diffusion_matrix(self, t, x):
-        """Full diffusion matrix a(t,x) = sigma1 sigma1' + sigma0 sigma0'
-        of the signal generator."""
-        x = np.asarray(x, float)
-        on_W = np.asarray(self.sigma1(t, x), float)
-        on_B = np.asarray(self.sigma0(t, x), float)
-        return (np.einsum("...ik,...jk->...ij", on_W, on_W)
-                + np.einsum("...ik,...jk->...ij", on_B, on_B))
 
     # -- compensator drifts over each measure's quadrature --
 
@@ -260,15 +276,18 @@ def constant_hessian(hess, n):
 class SignalTerms:
     """The signal's coefficients on one batch of states.
 
-    b1, the diffusion matrix a, the f1 displacement at each frozen mark
-    and its compensator drift, evaluated once and shared by the generator
-    of every test function (and by the filter's propagation step).
-    ``disp`` is None without signal jumps; it is (M, n) when f1 ignores x.
+    b1, sigma0 and sigma1 (each shared when it ignores x), the diffusion
+    matrix a, the f1 displacement at each frozen mark and its compensator
+    drift, evaluated once and shared by the generator of every test
+    function (and by the filter's propagation step).  ``disp`` is None
+    without signal jumps; it is (M, n) when f1 ignores x.
     """
 
     t: float
     x: np.ndarray
     b1: np.ndarray
+    on_B: np.ndarray             # sigma0: (n, d) shared, else (..., n, d)
+    on_W: np.ndarray             # sigma1: (n, m) shared, else (..., n, m)
     a: np.ndarray
     disp: np.ndarray | None
     jump_drift: np.ndarray
@@ -317,13 +336,43 @@ class SignalTerms:
         return total
 
 
-def signal_terms(spec, t, x, marks):
-    """Evaluate the signal's coefficients once on a batch of states."""
+def _shared(value):
+    """A coefficient's value on a batch as the terms keep it: a shared
+    matrix, which reads no state, is copied, so that a coefficient which
+    changes its returned array in place cannot change it later."""
+    value = np.asarray(value, float)
+    return value.copy() if value.ndim == 2 else value
+
+
+def signal_terms(spec, t, x, marks, last=None):
+    """Evaluate the signal's coefficients once on a batch of states.
+
+    ``last``, the terms of the previous node, lends the terms that read no
+    state when their inputs have last's bytes: the diffusion matrix when
+    sigma0 and sigma1 are shared matrices equal to last's, and the jump
+    drift and second moment when the (M, n) displacement equals last's.
+    Equal inputs give equal bytes, so a lent term is the one that would be
+    formed; a coefficient that reads t, or changes its returned array in
+    place, gets fresh terms whenever its value moves.
+    """
     x = np.asarray(x, float)
-    disp, jump_drift = spec.nu1.jumps(spec.f1, t, x, marks)
-    return SignalTerms(t, x, np.asarray(spec.b1(t, x), float),
-                       spec.diffusion_matrix(t, x), disp, jump_drift,
-                       spec.nu1.rate)
+    on_B = _shared(spec.sigma0(t, x))
+    on_W = _shared(spec.sigma1(t, x))
+    if (last is not None and _same_bytes(on_B, last.on_B)
+            and _same_bytes(on_W, last.on_W)):
+        a = last.a
+    else:
+        a = (np.einsum("...ik,...jk->...ij", on_W, on_W)
+             + np.einsum("...ik,...jk->...ij", on_B, on_B))
+    disp, jump_drift = spec.nu1.jumps(
+        spec.f1, t, x, marks,
+        None if last is None else (last.disp, last.jump_drift))
+    terms = SignalTerms(t, x, np.asarray(spec.b1(t, x), float), on_B, on_W,
+                        a, disp, jump_drift, spec.nu1.rate)
+    if disp is not None and last is not None and disp is last.disp:
+        # the cached_property's value lives in the instance dict
+        terms.__dict__["jump_second_moment"] = last.jump_second_moment
+    return terms
 
 
 def generator_values(spec, F, t, x, marks):

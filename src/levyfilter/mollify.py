@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .filtering import ShiftedWeights
+from .filtering import cloud_weights
 
 PAD_MULT = 8.0
 SPACING_DIV = 8.0
@@ -219,8 +219,8 @@ def energy_trajectory(traj, eps):
     grid = auto_grid(np.concatenate([x for x, _ in traj.clouds]), eps)
     out = np.empty(len(traj.clouds))
     for k, (x, logw) in enumerate(traj.clouds):
-        weights = ShiftedWeights(logw)
-        w = weights.normalized() * np.exp(weights.log_mass())
+        w, log_mass, _ = cloud_weights(logw)
+        w = w * np.exp(log_mass)
         out[k] = h_norm(mollify_measure(x, w, eps, grid=grid))
     return out
 

@@ -60,22 +60,22 @@ def thin(spec, t, x, u, rng):
     return rng.uniform(size=lam.shape) < lam, lam
 
 
-def reference_step(spec, signal, coup, dt, dW, dB, h=None):
+def reference_step(signal, dt, dW, dB, h=None):
     """One Euler step of the states ``signal.x`` (N, n); returns the new ones.
 
-    ``signal`` (``model.SignalTerms``) and ``coup``, sigma1 shared (n, m)
-    or (N, n, m), hold b1, the jump compensator drift and the coupling
-    already evaluated on the states.  Without the sensor function ``h``
-    (N, m), as for a prior, the drift has no coupling term.  ``dW`` is
-    shared (m,) or per state (N, m); the independent noise ``dB`` is (N, d).
+    ``signal`` (``model.SignalTerms``) holds b1, the jump compensator drift
+    and the loadings sigma0 and sigma1, shared or per state, already
+    evaluated on the states.  Without the sensor function ``h`` (N, m), as
+    for a prior, the drift has no coupling term.  ``dW`` is shared (m,) or
+    per state (N, m); the independent noise ``dB`` is (N, d).
     """
     x = signal.x
     drift = signal.b1.reshape(x.shape)
     if h is not None:
-        drift = drift - loaded(coup, h)
+        drift = drift - loaded(signal.on_W, h)
     drift = drift - signal.jump_drift
-    return (x + drift * dt + loaded(coup, dW)
-            + loaded(np.asarray(spec.sigma0(signal.t, x), float), dB))
+    return (x + drift * dt + loaded(signal.on_W, dW)
+            + loaded(signal.on_B, dB))
 
 
 def observation_reference_step(spec, t, y, dt, dW):
@@ -110,17 +110,19 @@ def log_weight_step(logw, h, dW, dt, rate2, lam_bar):
 
 
 def jump_rounds(rng_counts, rng_marks, nu, dt, size):
-    """Poisson(nu.rate dt) jumps for each of ``size`` rows: round j yields
-    the ascending indices of the rows with at least j jumps and one mark
-    per such row, drawn from the quadrature ``nu.marks``, which the
-    compensators average over."""
+    """Poisson(nu.rate dt) jumps for each of ``size`` rows, as a list of
+    rounds: round j holds the ascending indices of the rows with at least
+    j jumps and one mark per such row, drawn from the quadrature
+    ``nu.marks``, which the compensators average over."""
     counts = rng_counts.poisson(nu.rate * dt, size=size)
-    rows = np.flatnonzero(counts)
-    j = 1
+    rows = counts.nonzero()[0]
+    marks = nu.marks
+    rounds = []
     while rows.size:
-        yield rows, nu.marks[rng_marks.integers(0, len(nu.marks), rows.size)]
-        j += 1
-        rows = rows[counts[rows] >= j]
+        rounds.append((rows, marks[rng_marks.integers(0, len(marks),
+                                                      rows.size)]))
+        rows = rows[counts[rows] > len(rounds)]
+    return rounds
 
 
 def add_signal_jumps(spec, t, x, dt, rng_counts, rng_marks):

@@ -36,7 +36,7 @@ import numpy as np
 from conftest import observed_scenario, record_acceptance, rms
 from levyfilter.cli import main as cli_main
 from levyfilter.families import build_family, list_families
-from levyfilter.filtering import (ShiftedWeights, innovation_process,
+from levyfilter.filtering import (cloud_weights, innovation_process,
                                   ks_residual, zakai_filter)
 from levyfilter.girsanov import sample_reference_log_weights
 from levyfilter.levy import compensator_integral, sample_poisson_stream
@@ -271,8 +271,8 @@ def test_criterion_8_pathwise_uniqueness_probe():
                       store_clouds=True)
     tb = zakai_filter(mix.spec, obs, 400, mix.prior_sampler, 9,
                       store_clouds=True)
-    equal_seed = max(energy_distance(xa, ShiftedWeights(la).normalized(),
-                                     xb, ShiftedWeights(lb).normalized(), 0.5)
+    equal_seed = max(energy_distance(xa, cloud_weights(la)[0],
+                                     xb, cloud_weights(lb)[0], 0.5)
                      for (xa, la), (xb, lb) in zip(ta.clouds, tb.clouds))
 
     def sup_distance(n_particles, seed_a, seed_b):

@@ -10,12 +10,10 @@ import pytest
 from levyfilter import filtering
 from levyfilter.errors import DegeneracyError, ModelViolationError
 from levyfilter.families import build_family
-from levyfilter.filtering import (FunctionSummary, ShiftedWeights,
-                                  function_terms, innovation_process,
+from levyfilter.filtering import (cloud_weights, innovation_process,
                                   ks_residual, resample, write_trajectory_csv,
                                   zakai_filter, zakai_residual)
-from levyfilter.model import (LevyMeasureSpec, SystemSpec, generator_values,
-                              signal_terms)
+from levyfilter.model import LevyMeasureSpec, SystemSpec, generator_values
 from levyfilter.oracle import kalman_bucy
 from levyfilter.rng import substream
 from levyfilter.simulate import TimeGrid, project_observation, simulate_path
@@ -84,29 +82,27 @@ def run_family(family, n_steps, n_particles, seed, *, params=None,
 # --- cloud algebra -------------------------------------------------------------
 
 def test_cloud_moments_closed_form():
-    weights = ShiftedWeights(HAND_LOGW)
-    pi_x = weights.normalized() @ HAND_X[:, 0]
+    w, log_mass, _ = cloud_weights(HAND_LOGW)
+    pi_x = w @ HAND_X[:, 0]
     assert pi_x == pytest.approx(HAND_PI_X, abs=1e-14)
-    assert np.exp(weights.log_mass()) * pi_x == pytest.approx(HAND_RHO_X,
-                                                              abs=1e-14)
+    assert np.exp(log_mass) * pi_x == pytest.approx(HAND_RHO_X, abs=1e-14)
 
 
 def test_effective_sample_size_closed_forms():
-    assert ShiftedWeights(np.zeros(50)).ess == pytest.approx(50.0)
-    assert ShiftedWeights(HAND_LOGW).ess == pytest.approx(HAND_ESS, abs=1e-12)
-    assert ShiftedWeights(np.array([0.0, -1000.0])).ess == \
+    assert cloud_weights(np.zeros(50))[2] == pytest.approx(50.0)
+    assert cloud_weights(HAND_LOGW)[2] == pytest.approx(HAND_ESS, abs=1e-12)
+    assert cloud_weights(np.array([0.0, -1000.0]))[2] == \
         pytest.approx(1.0, abs=1e-12)
-    assert ShiftedWeights(np.full(3, -np.inf)).ess == 0.0
+    assert cloud_weights(np.full(3, -np.inf))[2] == 0.0
 
 
 def test_resample_preserves_mass_and_matches_weights():
     N = 9000
     x = np.repeat(np.array([[0.0], [1.0], [2.0]]), N // 3, axis=0)
     logw = np.repeat(np.log(np.array([1.0, 2.0, 3.0])), N // 3)
-    weights = ShiftedWeights(logw)
-    out_x, out_logw = resample(x, weights, substream(123, "resample-test"))
-    assert ShiftedWeights(out_logw).log_mass() == pytest.approx(
-        weights.log_mass(), abs=1e-13)
+    w, log_mass, _ = cloud_weights(logw)
+    out_x, out_logw = resample(x, w, log_mass, substream(123, "resample-test"))
+    assert cloud_weights(out_logw)[1] == pytest.approx(log_mass, abs=1e-13)
     assert np.all(np.isin(out_x, [0.0, 1.0, 2.0]))
     assert np.ptp(out_logw) == 0.0
     for atom, p in zip((0.0, 1.0, 2.0), (1 / 6, 2 / 6, 3 / 6)):
@@ -117,18 +113,21 @@ def test_resample_preserves_mass_and_matches_weights():
 # --- gains ---------------------------------------------------------------------
 
 def test_summary_gains_hand_values():
-    spec = build_family("linear_gaussian").spec
-    x = np.array([[0.0], [1.0]])
+    # node 0 of a run from the hand cloud, whose two particles weigh 1/2 each
+    scen = build_family("linear_gaussian")
+    grid = TimeGrid(0.0, scen.spec.T, 1)
+    obs = project_observation(simulate_path(scen.spec, grid,
+                                            scen.prior_sampler, scen.y0, 5))
     F = coordinate(0)
-    signal = signal_terms(spec, 0.0, x, spec.nu1.frozen_marks(1))
-    w, h = np.full(2, 0.5), spec.h(0.0, x, np.zeros(1))
-    s = FunctionSummary.zeros(F.name, 0, 1)
-    s.record(0, w, function_terms(F, x, signal, spec.sigma1(0.0, x), None), h)
-    pi_h = (w @ h)[None, :]
+    traj = zakai_filter(scen.spec, obs, 2,
+                        lambda rng, size: np.array([[0.0], [1.0]]), 6,
+                        test_functions=[F])
+    s = traj.summaries[F.name]
     assert s.pi_F[0] == pytest.approx(0.5, abs=1e-14)
-    assert pi_h[0] == pytest.approx([0.5], abs=1e-14)
+    assert traj.pi_h[0] == pytest.approx([0.5], abs=1e-14)
     assert s.zakai_gain()[0] == pytest.approx([HAND_ZAKAI_GAIN], abs=1e-14)
-    assert s.ks_gain(pi_h)[0] == pytest.approx([HAND_KS_GAIN], abs=1e-14)
+    assert s.ks_gain(traj.pi_h)[0] == pytest.approx([HAND_KS_GAIN],
+                                                    abs=1e-14)
 
 
 # --- filter runs ---------------------------------------------------------------
@@ -302,6 +301,20 @@ def test_filter_reports_mass_collapse(monkeypatch):
         zakai_filter(scen.spec, obs, 50, scen.prior_sampler, 1)
 
 
+def test_collapsed_cloud_is_a_degeneracy_before_the_resample_test():
+    # a sensor of 1e200 x drives every log-weight to -inf or NaN in one
+    # step, so node 1 meets a cloud with no finite weight; the resample test
+    # (ess_fraction > 0) must not be reached with it
+    scen = build_family("affine")
+    grid = TimeGrid(0.0, scen.spec.T, 20)
+    obs = project_observation(simulate_path(scen.spec, grid,
+                                            scen.prior_sampler, scen.y0, 3))
+    huge = replace(scen.spec, b2=lambda t, x, y: 1e200 * np.asarray(x, float))
+    with np.errstate(all="ignore"), \
+            pytest.raises(DegeneracyError, match="mass collapsed"):
+        zakai_filter(huge, obs, 100, scen.prior_sampler, 4, ess_fraction=0.5)
+
+
 # --- outputs -------------------------------------------------------------------
 
 def test_store_clouds_and_trajectory_csv(tmp_path):
@@ -309,7 +322,7 @@ def test_store_clouds_and_trajectory_csv(tmp_path):
                                              store_clouds=True)
     assert traj.clouds is not None
     assert len(traj.clouds) == len(obs.t)
-    assert ShiftedWeights(traj.clouds[-1][1]).log_mass() == pytest.approx(
+    assert cloud_weights(traj.clouds[-1][1])[1] == pytest.approx(
         traj.log_mass[-1], abs=1e-12)
     assert traj.clouds[0][0].shape == (150, 1)
     p = tmp_path / "traj.csv"
@@ -338,6 +351,26 @@ def _state_dependent_sigma1(spec):
         0.3 * (1.0 + 0.2 * np.tanh(np.asarray(x, float))))[..., None])
 
 
+def _time_dependent_in_place(spec):
+    """sigma0 and sigma1 that read t and each return one array object,
+    changed in place at every call, and an f1 that reads t: shared values
+    that a cache keyed on identity or on shape would serve stale."""
+    on_B, on_W = np.zeros((1, 1)), np.zeros((1, 1))
+
+    def sigma0(t, x):
+        on_B[0, 0] = 0.4 + 0.3 * t
+        return on_B
+
+    def sigma1(t, x):
+        on_W[0, 0] = 0.3 - 0.1 * t
+        return on_W
+
+    def f1(t, x, u):
+        return (0.3 + 0.2 * t) * np.asarray(u, float)
+
+    return replace(spec, sigma0=sigma0, sigma1=sigma1, f1=f1)
+
+
 @pytest.mark.parametrize("family, change, extra, ess_fraction", [
     ("mixed", None, [], 0.5),
     ("sensor_saturated", None, [], 0.5),
@@ -351,8 +384,12 @@ def _state_dependent_sigma1(spec):
     # the node after an observation jump keeps the cloud's terms unless it
     # resamples; near 1 some of those nodes resample and some do not
     ("mixed", _mark_dependent_lam, [bump(0.0, 3.0)], 0.95),
+    # x-free terms lent from node to node must follow coefficients that
+    # read t, even through one array object changed in place
+    ("mixed", _time_dependent_in_place, [], 0.5),
 ], ids=["mixed", "sensor_saturated", "mixed-mark_lambda", "mixed-bump",
-        "mixed-state_sigma1", "mixed-resample_after_jumps"])
+        "mixed-state_sigma1", "mixed-resample_after_jumps",
+        "mixed-time_in_place"])
 def test_node_moments_equal_direct_evaluation(family, change, extra,
                                               ess_fraction):
     # Both jump channels on, with candidates dense enough for observation
@@ -374,7 +411,7 @@ def test_node_moments_equal_direct_evaluation(family, change, extra,
     for k, (x, logw) in enumerate(traj.clouds):
         t, y = obs.t[k], obs.Y[k]
         N = x.shape[0]
-        w = ShiftedWeights(logw).normalized()
+        w = cloud_weights(logw)[0]
         hv = np.asarray(spec.h(t, x, y), float).reshape(N, spec.m)
         lam_marks = spec.lam_marks(t, x, obs.marks2)
         if change is _mark_dependent_lam:

@@ -54,7 +54,9 @@ def fd_generator(spec, F, t, x, marks, h=1e-5):
         return H
 
     b = np.asarray(spec.b1(t, x), float).reshape(spec.n)
-    a = np.asarray(spec.diffusion_matrix(t, x), float).reshape(spec.n, spec.n)
+    s1 = np.asarray(spec.sigma1(t, x), float).reshape(spec.n, spec.m)
+    s0 = np.asarray(spec.sigma0(t, x), float).reshape(spec.n, spec.d)
+    a = s1 @ s1.T + s0 @ s0.T
     out = float(grad(x) @ b + 0.5 * np.sum(a * hess(x)))
     if spec.nu1.rate > 0.0 and len(marks):
         disp = np.asarray(spec.f1(t, x[None, :], marks), float)
@@ -530,6 +532,15 @@ def test_levy_measure_moment_bookkeeping():
         nu.marks[0, 0] = 1.0
     assert nu.marks.tobytes() == nu.frozen_marks(64).tobytes()
     assert LevyMeasureSpec.none().marks.shape == (0, 1)
+    # the compensator drift is rate times np.mean over the marks, bit for
+    # bit, for a displacement that reads no state (M, k) and one that does
+    z = np.linspace(-2.0, 2.0, 7)[:, None]
+    for f, shape in ((lambda t, x, u: 0.3 * np.sin(u + t), (64, 1)),
+                     (lambda t, x, u: np.tanh(x) * u - x + t, (7, 64, 1))):
+        disp, drift = nu.jumps(f, 0.7, z, nu.marks)
+        assert disp.shape == shape
+        want = nu.rate * np.mean(f(0.7, z[..., None, :], nu.marks), axis=-2)
+        assert drift.tobytes() == want.tobytes()
     spec = build_family("mixed").spec
     assert spec.mark_budget == 64
     fields = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
