@@ -7,11 +7,13 @@ only: `mixed` with rate2 = 60, T = 2, r = 0.5 on 400 base steps) at a fixed
 seed, and runs `zakai_filter` on it with the test functions coord:0 and quad
 at N = 200, 2,000 and 20,000 particles, taking the best of --repeats runs at
 each size. A least-squares line through the per-node times gives the fixed
-cost of a node (us) and its cost per particle (ns per particle-node). It
-then prints the best per-step time of `simulate_path` on the base grid and
-of `reconstruct_reference_drivers` on the record, the two other layers a
-replica steps through. BLAS runs on one thread unless the environment says
-otherwise.
+cost of a node (us) and its cost per particle (ns per particle-node). At
+each size it also prints the best per-step time of `add_signal_jumps`, the
+signal-jump draw of each continuous step, over the base grid on a cloud
+drawn from the prior. It then prints the best per-step time of
+`simulate_path` on the base grid and of `reconstruct_reference_drivers` on
+the record, the two other layers a replica steps through. BLAS runs on one
+thread unless the environment says otherwise.
 
 Usage: python3 scripts/node_cost.py [--config PATH] [--seed N] [--repeats 5]
 """
@@ -30,6 +32,8 @@ from levyfilter import (build_family, derive_seed, project_observation,  # noqa:
                         simulate_path, zakai_filter)
 from levyfilter.config import parse_config_file  # noqa: E402
 from levyfilter.girsanov import reconstruct_reference_drivers  # noqa: E402
+from levyfilter.propagation import add_signal_jumps  # noqa: E402
+from levyfilter.rng import substream  # noqa: E402
 from levyfilter.simulate import TimeGrid  # noqa: E402
 from levyfilter.testfuncs import make_test_function  # noqa: E402
 
@@ -45,6 +49,16 @@ def best_time(fn, repeats):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def signal_jumps(spec, grid, scen, N, seed):
+    """One step's signal jumps on N prior states at every base-grid node."""
+    x = np.asarray(scen.prior_sampler(substream(seed, "x0"), N),
+                   float).reshape(N, spec.n)
+    rng_c = substream(seed, "jump-counts")
+    rng_u = substream(seed, "jump-marks")
+    for t in grid.nodes()[:-1]:
+        add_signal_jumps(spec, t, x, grid.dt, rng_c, rng_u)
 
 
 def main():
@@ -71,8 +85,11 @@ def main():
             spec, obs, N, scen.prior_sampler, derive_seed(seed, "filter"),
             test_functions=funcs, ess_fraction=cfg.ess_fraction), args.repeats)
         per_node.append(best / K)
+        jumps = best_time(lambda: signal_jumps(spec, grid, scen, N, seed),
+                          args.repeats)
         print(f"N={N:<6d} best of {args.repeats}: {1e3 * best:8.1f} ms  "
-              f"({1e6 * best / K:7.1f} us per node)")
+              f"({1e6 * best / K:7.1f} us per node; add_signal_jumps "
+              f"{1e6 * jumps / grid.n_steps:6.1f} us per step)")
     slope, fixed = np.polyfit(np.array(SIZES, float), per_node, 1)
     print(f"fixed cost {1e6 * fixed:.1f} us per node, "
           f"{1e9 * slope:.1f} ns per particle-node")

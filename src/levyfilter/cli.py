@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
 import sys
 import tempfile
 import time
@@ -97,8 +98,8 @@ def _write_manifest(out_dir, cfg, command, **fields):
 def _run_replica(cfg, seed_r, out_dir, index):
     """Simulate, filter and write one replica; (file names, verdict).
 
-    The scenario and the test functions are built here from ``cfg``: they
-    are closures, which cannot be pickled into a worker process.
+    The scenario and the test functions are built here from ``cfg``, in
+    the process that runs the replica.
     """
     scen, funcs = build_scenario(cfg)
     spec = scen.spec
@@ -150,29 +151,97 @@ def _run_replica(cfg, seed_r, out_dir, index):
     return [obs_name, traj_name], verdict
 
 
-def _replica_pool(workers):
-    """A pool of forked worker processes for the replicas.
-
-    The start method is fork, not spawn or forkserver (the default from
-    Python 3.14): a forked worker starts with the package already imported.
-    On the benchmark's dense-jump workload (four replicas on two workers,
-    2-vCPU VM, five runs each) fork ran ``run`` in 3.4-3.9 s against
-    3.5-4.0 s for either of the others, and its peak resident set was
-    38.9 MB against 44.3 MB for spawn; all wrote identical bytes. The pool
-    forks its workers before it starts its own threads, and the command
-    has none.
-    """
-    # imported here, as only a pool needs them: they take 15-25 ms to import,
-    # which every other command would pay at start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
+def _replica_child(cfg, seeds, out_dir, replicas, fd):
+    """Run ``replicas`` in a forked child and send (results, failure) down
+    the pipe ``fd``: the (names, verdict) of each replica that finished,
+    and (replica, exception) for the one that raised, or None.  The child
+    leaves with ``os._exit``, so none of the parent's exit handlers run."""
+    status = 1
     try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
+        results, failure = [], None
+        try:
+            for r in replicas:
+                results.append(_run_replica(cfg, seeds[r], out_dir, r))
+        except Exception as exc:
+            failure = (r, exc)
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump((results, failure), fh)
+        status = 0
+    except BaseException:
+        import traceback
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def _run_replicas(cfg, seeds, out_dir, workers):
+    """(names, verdict) of every replica, in replica order.
+
+    With W workers the command process runs the replicas r = 0 (mod W)
+    and W - 1 forked children run the rest; a forked child starts with the
+    package imported and with nothing to pickle but its results, and the
+    command has no threads of its own that a fork could cut off.  The
+    exception of the lowest-numbered failing replica is re-raised, type
+    and message kept, so exit codes match a serial run.  Every child is
+    reaped before this returns or raises.
+    """
+    if workers == 1:
+        return [_run_replica(cfg, s, out_dir, r) for r, s in enumerate(seeds)]
+    if not hasattr(os, "fork"):
         raise ConfigError("--threads above 1 needs the fork start method, "
                           "which this platform does not have")
-    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
+    share = [range(w, len(seeds), workers) for w in range(workers)]
+    children = []                       # (pid, pipe's read end, replicas)
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _replica_child(cfg, seeds, out_dir, share[w], write_fd)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb"), share[w]))
+        results, failures = {}, []
+        try:
+            for r in share[0]:
+                results[r] = _run_replica(cfg, seeds[r], out_dir, r)
+        except Exception as exc:
+            failures.append((r, exc))
+        while children:
+            pid, pipe, mine = children[0]
+            payload = pipe.read()
+            pipe.close()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            try:
+                done, failure = pickle.loads(payload)
+            except Exception:   # nothing, or a cut-off stream
+                done, failure = None, None
+            if status != 0 or done is None or (
+                    failure is None and len(done) != len(mine)):
+                how = (f"signal {-status}" if status < 0
+                       else f"status {status}")
+                raise RuntimeError(
+                    "the process running replicas "
+                    + ", ".join(map(str, mine))
+                    + f" ended with {how} without sending all its results")
+            results.update(zip(mine, done))
+            if failure is not None:
+                failures.append(failure)
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        return [results[r] for r in range(len(seeds))]
+    finally:
+        # children are left here only when something was raised; signal,
+        # like traceback in the child, is imported on the failure path
+        # alone, as a module imported at start-up adds to every run's
+        # peak resident set
+        for pid, pipe, _ in children:
+            import signal
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _execute_run(cfg, out_dir, threads, argv_echo):
@@ -200,18 +269,8 @@ def _execute_run(cfg, out_dir, threads, argv_echo):
 
     seeds = [derive_seed(cfg.seed, "replica", r) for r in range(cfg.replicas)]
     files = ["config.cfg", "verdicts.json"]
-    workers = min(threads, cfg.replicas)
-    if workers > 1:
-        # map returns results in replica order and re-raises a worker's
-        # exception, type and message kept, so exit codes match a serial run
-        with _replica_pool(workers) as pool:
-            results = list(pool.map(_run_replica, [cfg] * cfg.replicas,
-                                    seeds, [out_dir] * cfg.replicas,
-                                    range(cfg.replicas)))
-    else:
-        results = [_run_replica(cfg, s, out_dir, r)
-                   for r, s in enumerate(seeds)]
-    for names, verdict in results:
+    for names, verdict in _run_replicas(cfg, seeds, out_dir,
+                                        min(threads, cfg.replicas)):
         files.extend(names)
         verdicts["replicas"].append(verdict)
 

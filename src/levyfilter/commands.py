@@ -107,8 +107,8 @@ def build_parser():
                        help="override the config seed")
     pool = argparse.ArgumentParser(add_help=False)
     pool.add_argument("--threads", type=_worker_count, default=1,
-                      help="worker processes for the replicas (forked; "
-                      "above 1 needs the fork start method)")
+                      help="replicas run at once: the command itself and "
+                      "N - 1 forked processes (above 1 needs os.fork)")
 
     p_run = sub.add_parser("run", parents=[setup, pool],
                            help="simulate and filter a configured scenario")

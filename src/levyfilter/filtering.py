@@ -339,19 +339,19 @@ def innovation_process(traj):
 
 
 def write_trajectory_csv(traj, path):
+    """A header, then one row per node: each float as ``%.17g``, which
+    reads back exactly, ``resampled`` as 0 or 1, and the csv module's
+    CRLF line ends."""
     names = list(traj.summaries)
+    table = np.column_stack(
+        [traj.t, traj.log_mass, traj.ess, traj.resampled, traj.pi_h,
+         traj.pi_lambar] + [traj.summaries[name].pi_F for name in names])
+    row = ",".join(["%.17g"] * 3 + ["%d"]
+                   + ["%.17g"] * (table.shape[1] - 4)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["t", "log_mass", "ess", "resampled"]
-        header += [f"pi_h_{l}" for l in range(traj.pi_h.shape[1])]
-        header += ["pi_lambda_bar"]
-        header += [f"pi_{name}" for name in names]
-        w.writerow(header)
-        for k in range(len(traj.t)):
-            row = [format(traj.t[k], ".17g"), format(traj.log_mass[k], ".17g"),
-                   format(traj.ess[k], ".17g"), int(traj.resampled[k])]
-            row += [format(v, ".17g") for v in traj.pi_h[k]]
-            row += [format(traj.pi_lambar[k], ".17g")]
-            row += [format(traj.summaries[name].pi_F[k], ".17g")
-                    for name in names]
-            w.writerow(row)
+        csv.writer(fh).writerow(
+            ["t", "log_mass", "ess", "resampled"]
+            + [f"pi_h_{l}" for l in range(traj.pi_h.shape[1])]
+            + ["pi_lambda_bar"] + [f"pi_{name}" for name in names])
+        for r in table:
+            fh.write(row % tuple(r.tolist()))

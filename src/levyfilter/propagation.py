@@ -113,8 +113,14 @@ def jump_rounds(rng_counts, rng_marks, nu, dt, size):
     """Poisson(nu.rate dt) jumps for each of ``size`` rows, as a list of
     rounds: round j holds the ascending indices of the rows with at least
     j jumps and one mark per such row, drawn from the quadrature
-    ``nu.marks``, which the compensators average over."""
-    counts = rng_counts.poisson(nu.rate * dt, size=size)
+    ``nu.marks``, which the compensators average over.
+
+    The counts are drawn per batch: a Poisson(size rate dt) total spread
+    uniformly over the rows gives each row an independent Poisson(rate dt)
+    count, at a cost that follows the jumps rather than the rows."""
+    counts = np.bincount(
+        rng_counts.integers(0, size, rng_counts.poisson(size * nu.rate * dt)),
+        minlength=size)
     rows = counts.nonzero()[0]
     marks = nu.marks
     rounds = []

@@ -7,7 +7,6 @@ import hashlib
 import importlib
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -22,6 +21,7 @@ import levyfilter
 from levyfilter import __version__
 from levyfilter.cli import main
 from levyfilter.config import SCHEMA, config_to_text, parse_config
+from levyfilter.errors import ModelViolationError
 from levyfilter.families import FAMILIES, build_family
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -406,15 +406,13 @@ def test_threads_below_one_is_rejected(tmp_path, capsys, command, threads):
 
 
 def test_one_replica_runs_without_a_pool(tmp_path, monkeypatch):
-    from levyfilter import cli
-
-    def no_pool(workers):
-        raise AssertionError("a pool was started for one replica")
+    def no_fork():
+        raise AssertionError("a process was forked for one replica")
 
     cfg = write_cfg(tmp_path, BASE_CFG.replace("replicas = 2", "replicas = 1"))
     out1 = str(tmp_path / "serial")
     assert main(["run", "--config", cfg, "--out", out1]) == 0
-    monkeypatch.setattr(cli, "_replica_pool", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     out2 = str(tmp_path / "threaded")
     assert main(["run", "--config", cfg, "--out", out2, "--threads", "2"]) == 0
     assert read_json(out1, "manifest.json")["files"] == \
@@ -423,14 +421,81 @@ def test_one_replica_runs_without_a_pool(tmp_path, monkeypatch):
 
 def test_worker_pool_without_fork_is_a_config_error(tmp_path, capsys,
                                                      monkeypatch):
-    def no_fork(method):
-        raise ValueError(f"cannot find context for {method!r}")
-
-    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    monkeypatch.delattr(os, "fork")
     cfg = write_cfg(tmp_path, BASE_CFG)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
                  "--threads", "2"]) == 2
     assert "fork start method" in capsys.readouterr().err
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_replica(monkeypatch, failing, fail):
+    """Make cli._run_replica call ``fail`` for the replicas in ``failing``."""
+    from levyfilter import cli
+    run_replica = cli._run_replica
+
+    def patched(cfg, seed_r, out_dir, index):
+        if index in failing:
+            fail(index)
+        return run_replica(cfg, seed_r, out_dir, index)
+
+    monkeypatch.setattr(cli, "_run_replica", patched)
+
+
+def raise_violation(index):
+    raise ModelViolationError(f"replica {index} broke")
+
+
+# with 3 replicas on 2 workers the command process runs replicas 0 and 2, and
+# one forked child runs replica 1
+@pytest.mark.parametrize("failing, named", [
+    ({1}, "replica 1 broke"), ({2}, "replica 2 broke"),
+    ({1, 2}, "replica 1 broke"), ({0, 1}, "replica 0 broke")],
+    ids=["child", "command", "both-child-lower", "both-command-lower"])
+def test_replica_error_in_either_process_keeps_the_serial_exit_code(
+        tmp_path, capsys, monkeypatch, failing, named):
+    fail_replica(monkeypatch, failing, raise_violation)
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("replicas = 2", "replicas = 3"))
+    for threads in ("1", "2"):
+        assert main(["run", "--config", cfg, "--out",
+                     str(tmp_path / threads), "--threads", threads]) == 3
+        assert f"model violation: {named}" in capsys.readouterr().err
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("how", ["no-results", "bad-status"])
+def test_child_that_dies_without_its_results_is_an_error(tmp_path,
+                                                         monkeypatch, how):
+    if how == "no-results":
+        fail_replica(monkeypatch, {3}, lambda index: os._exit(9))
+    else:   # all its results sent, then a non-zero exit
+        exit_now = os._exit
+        monkeypatch.setattr(os, "_exit", lambda status: exit_now(9))
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("replicas = 2", "replicas = 4"))
+    with pytest.raises(RuntimeError,
+                       match="replicas 1, 3 ended with status 9"):
+        main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+              "--threads", "2"])
+    assert_no_child_left()
+    manifest = read_json(str(tmp_path / "out"), "manifest.json")
+    assert manifest["status"] == "running"
+
+
+def test_interrupt_in_the_command_process_reaps_the_children(tmp_path,
+                                                             monkeypatch):
+    def interrupt(index):
+        raise KeyboardInterrupt
+
+    fail_replica(monkeypatch, {0}, interrupt)
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("replicas = 2", "replicas = 3"))
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+              "--threads", "3"])
+    assert_no_child_left()
 
 
 # --- replay ------------------------------------------------------------------------

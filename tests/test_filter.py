@@ -340,6 +340,39 @@ def test_store_clouds_and_trajectory_csv(tmp_path):
         assert np.array_equal(body[:, 6 + j], traj.summaries[name].pi_F)
 
 
+def _csv_module_trajectory(traj, path):
+    # the csv-module form of the writer: one formatted list per row
+    names = list(traj.summaries)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "log_mass", "ess", "resampled"]
+                   + [f"pi_h_{l}" for l in range(traj.pi_h.shape[1])]
+                   + ["pi_lambda_bar"] + [f"pi_{name}" for name in names])
+        for k in range(len(traj.t)):
+            row = [format(traj.t[k], ".17g"),
+                   format(traj.log_mass[k], ".17g"),
+                   format(traj.ess[k], ".17g"), int(traj.resampled[k])]
+            row += [format(v, ".17g") for v in traj.pi_h[k]]
+            row += [format(traj.pi_lambar[k], ".17g")]
+            row += [format(traj.summaries[name].pi_F[k], ".17g")
+                    for name in names]
+            w.writerow(row)
+
+
+def test_trajectory_csv_bytes_match_the_csv_module_writer(tmp_path):
+    traj = run_family("mixed", 30, 150, 37)[3]
+    log_mass = traj.log_mass.copy()
+    log_mass[[1, 2, 3]] = [np.nan, -0.0, np.inf]
+    resampled = traj.resampled.copy()
+    resampled[5] = True
+    traj = replace(traj, log_mass=log_mass, resampled=resampled)
+    write_trajectory_csv(traj, tmp_path / "fast.csv")
+    _csv_module_trajectory(traj, tmp_path / "reference.csv")
+    got = (tmp_path / "fast.csv").read_bytes()
+    assert got == (tmp_path / "reference.csv").read_bytes()
+    assert b"nan" in got and b",-0," in got and got.endswith(b"\r\n")
+
+
 def _mark_dependent_lam(spec):
     lam = spec.lam
     return replace(spec, lam=lambda t, x, u: (

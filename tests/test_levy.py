@@ -129,13 +129,17 @@ def test_thinning_deterministic_and_batch_free():
 
 @pytest.mark.parametrize("rate_dt", [0.0, 0.05, 2.5])
 def test_jump_rounds_match_a_boolean_mask_reference(rate_dt):
-    # the reference is the mask form: round j takes the rows with at least
-    # j jumps, in row order, and draws one mark index for each from the
-    # measure's quadrature
+    # the reference is the mask form: the counts are a Poisson(500 rate dt)
+    # total spread uniformly over the rows, round j takes the rows with at
+    # least j jumps, in row order, and draws one mark index for each from
+    # the measure's quadrature
     nu = LevyMeasureSpec(1, rate_dt,
                          lambda rng, size: np.arange(size, dtype=float)[:, None])
     marks = nu.marks
-    counts = substream(4, "counts").poisson(rate_dt, size=500)
+    rng_counts = substream(4, "counts")
+    counts = np.bincount(
+        rng_counts.integers(0, 500, rng_counts.poisson(500 * rate_dt)),
+        minlength=500)
     rng_marks = substream(4, "marks")
     want = []
     for j in range(1, int(counts.max(initial=0)) + 1):
@@ -149,6 +153,23 @@ def test_jump_rounds_match_a_boolean_mask_reference(rate_dt):
         assert np.array_equal(rows, want_rows)
         assert np.all(np.diff(rows) > 0)
         assert np.array_equal(u, want_u)
+
+
+@pytest.mark.parametrize("rate_dt", [0.05, 2.5])
+def test_jump_round_counts_are_poisson_per_row(rate_dt):
+    # each row's count is Poisson(rate dt): its mean, its variance and its
+    # share of zeros each within 3 standard errors of 20,000 rows
+    n = 20_000
+    nu = LevyMeasureSpec.uniform(0.0, 1.0, rate=rate_dt)
+    counts = np.zeros(n)
+    for rows, _ in jump_rounds(substream(6, "counts"), substream(6, "marks"),
+                               nu, 1.0, n):
+        counts[rows] += 1
+    var_se = np.sqrt((rate_dt + 2 * rate_dt ** 2) / n)
+    p0 = np.exp(-rate_dt)
+    assert abs(counts.mean() - rate_dt) <= 3 * np.sqrt(rate_dt / n)
+    assert abs(counts.var(ddof=1) - rate_dt) <= 3 * var_se
+    assert abs(np.mean(counts == 0) - p0) <= 3 * np.sqrt(p0 * (1 - p0) / n)
 
 
 def test_thinning_rejects_out_of_range_lambda():
