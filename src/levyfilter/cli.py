@@ -95,13 +95,8 @@ def _write_manifest(out_dir, cfg, command, **fields):
         fh.write("\n")
 
 
-def _run_replica(cfg, seed_r, out_dir, index):
-    """Simulate, filter and write one replica; (file names, verdict).
-
-    The scenario and the test functions are built here from ``cfg``, in
-    the process that runs the replica.
-    """
-    scen, funcs = build_scenario(cfg)
+def _run_replica(scen, funcs, cfg, seed_r, out_dir, index):
+    """Simulate, filter and write one replica; (file names, verdict)."""
     spec = scen.spec
     grid = TimeGrid(0.0, spec.T, cfg.n_steps)
     record = simulate_path(spec, grid, scen.prior_sampler, scen.y0, seed_r)
@@ -151,21 +146,27 @@ def _run_replica(cfg, seed_r, out_dir, index):
     return [obs_name, traj_name], verdict
 
 
-def _replica_child(cfg, seeds, out_dir, replicas, fd):
-    """Run ``replicas`` in a forked child and send (results, failure) down
-    the pipe ``fd``: the (names, verdict) of each replica that finished,
-    and (replica, exception) for the one that raised, or None.  The child
-    leaves with ``os._exit``, so none of the parent's exit handlers run."""
+def _outcomes(run_one, replicas):
+    """(run_one(r), None) for each of ``replicas`` in turn, up to the first
+    that raises, which gives (None, exception) and ends the share."""
+    for r in replicas:
+        try:
+            yield run_one(r), None
+        except Exception as exc:
+            yield None, exc
+            return
+
+
+def _replica_child(run_one, replicas, fd):
+    """Run ``replicas`` in a forked child and send each outcome down the
+    pipe ``fd`` as it ends.  The child leaves with ``os._exit``, so none of
+    the parent's exit handlers run."""
     status = 1
     try:
-        results, failure = [], None
-        try:
-            for r in replicas:
-                results.append(_run_replica(cfg, seeds[r], out_dir, r))
-        except Exception as exc:
-            failure = (r, exc)
         with os.fdopen(fd, "wb") as fh:
-            pickle.dump((results, failure), fh)
+            for outcome in _outcomes(run_one, replicas):
+                pickle.dump(outcome, fh)
+                fh.flush()
         status = 0
     except BaseException:
         import traceback
@@ -175,69 +176,62 @@ def _replica_child(cfg, seeds, out_dir, replicas, fd):
         os._exit(status)
 
 
-def _run_replicas(cfg, seeds, out_dir, workers):
-    """(names, verdict) of every replica, in replica order.
+def _reap(pid, pipe, replicas, complete):
+    """Close a child's pipe and wait for it; a RuntimeError naming its
+    replicas unless it sent all it had to (``complete``) and exited 0."""
+    pipe.close()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0 or not complete:
+        how = f"signal {-status}" if status < 0 else f"status {status}"
+        raise RuntimeError("the process running replicas "
+                           + ", ".join(map(str, replicas))
+                           + f" ended with {how} without sending all its "
+                           "results")
 
-    With W workers the command process runs the replicas r = 0 (mod W)
-    and W - 1 forked children run the rest; a forked child starts with the
-    package imported and with nothing to pickle but its results, and the
-    command has no threads of its own that a fork could cut off.  The
-    exception of the lowest-numbered failing replica is re-raised, type
-    and message kept, so exit codes match a serial run.  Every child is
-    reaped before this returns or raises.
+
+def _run_replicas(run_one, count, workers):
+    """[run_one(r) for r in range(count)] on W = ``workers`` processes.
+
+    The command runs the replicas r = 0 (mod W) and W - 1 forked children,
+    which inherit ``run_one`` and pickle only outcomes, run the rest; the
+    command has no threads that a fork could cut off.  Each process stops
+    at its first failing replica.  Outcomes are read in replica order, so
+    the first exception met is the lowest-numbered failure, as in a serial
+    run, and is re-raised at once.  Every child is reaped on every path.
     """
-    if workers == 1:
-        return [_run_replica(cfg, s, out_dir, r) for r, s in enumerate(seeds)]
-    if not hasattr(os, "fork"):
-        raise ConfigError("--threads above 1 needs the fork start method, "
-                          "which this platform does not have")
-    share = [range(w, len(seeds), workers) for w in range(workers)]
-    children = []                       # (pid, pipe's read end, replicas)
+    share = [range(w, count, workers) for w in range(workers)]
+    children = {}                   # worker -> (pid, pipe's read end)
     try:
         for w in range(1, workers):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(read_fd)
-                _replica_child(cfg, seeds, out_dir, share[w], write_fd)
+                _replica_child(run_one, share[w], write_fd)
             os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb"), share[w]))
-        results, failures = {}, []
-        try:
-            for r in share[0]:
-                results[r] = _run_replica(cfg, seeds[r], out_dir, r)
-        except Exception as exc:
-            failures.append((r, exc))
-        while children:
-            pid, pipe, mine = children[0]
-            payload = pipe.read()
-            pipe.close()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            try:
-                done, failure = pickle.loads(payload)
-            except Exception:   # nothing, or a cut-off stream
-                done, failure = None, None
-            if status != 0 or done is None or (
-                    failure is None and len(done) != len(mine)):
-                how = (f"signal {-status}" if status < 0
-                       else f"status {status}")
-                raise RuntimeError(
-                    "the process running replicas "
-                    + ", ".join(map(str, mine))
-                    + f" ended with {how} without sending all its results")
-            results.update(zip(mine, done))
-            if failure is not None:
-                failures.append(failure)
-        if failures:
-            raise min(failures, key=lambda f: f[0])[1]
-        return [results[r] for r in range(len(seeds))]
+            children[w] = (pid, os.fdopen(read_fd, "rb"))
+        own = list(_outcomes(run_one, share[0]))
+        results = []
+        for r in range(count):
+            w = r % workers
+            if w == 0:
+                result, exc = own[r // workers]
+            else:
+                try:
+                    result, exc = pickle.load(children[w][1])
+                except Exception:   # the stream ended early or is cut off
+                    _reap(*children.pop(w), share[w], False)
+            if exc is not None:
+                raise exc
+            results.append(result)
+        for w in list(children):
+            _reap(*children.pop(w), share[w], True)
+        return results
     finally:
         # children are left here only when something was raised; signal,
-        # like traceback in the child, is imported on the failure path
-        # alone, as a module imported at start-up adds to every run's
-        # peak resident set
-        for pid, pipe, _ in children:
+        # like traceback in the child, is imported on this path alone, as a
+        # module imported at start-up adds to every run's peak resident set
+        for pid, pipe in children.values():
             import signal
             pipe.close()
             os.kill(pid, signal.SIGKILL)
@@ -245,9 +239,14 @@ def _run_replicas(cfg, seeds, out_dir, workers):
 
 
 def _execute_run(cfg, out_dir, threads, argv_echo):
-    # built here too, so every check `validate` makes stops the run before
-    # it writes anything
-    spec = build_scenario(cfg)[0].spec
+    # built before anything is written, so every check `validate` makes
+    # stops the run first
+    scen, funcs = build_scenario(cfg)
+    spec = scen.spec
+    workers = min(threads, cfg.replicas)
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ConfigError("--threads above 1 needs the fork start method, "
+                          "which this platform does not have")
 
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -269,8 +268,9 @@ def _execute_run(cfg, out_dir, threads, argv_echo):
 
     seeds = [derive_seed(cfg.seed, "replica", r) for r in range(cfg.replicas)]
     files = ["config.cfg", "verdicts.json"]
-    for names, verdict in _run_replicas(cfg, seeds, out_dir,
-                                        min(threads, cfg.replicas)):
+    for names, verdict in _run_replicas(
+            lambda r: _run_replica(scen, funcs, cfg, seeds[r], out_dir, r),
+            cfg.replicas, workers):
         files.extend(names)
         verdicts["replicas"].append(verdict)
 

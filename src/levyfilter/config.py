@@ -145,9 +145,9 @@ def parse_config_file(path, seed=None):
     """The config in the file ``path``, with ``seed`` (the ``--seed`` of a
     command) in place of its own seed if given."""
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}")
     cfg = parse_config(text)
     if seed is not None:

@@ -164,8 +164,11 @@ def hermite_window(degrees=2, n=1, scale=1.0):
     """Product of Gaussian-windowed Hermite polynomials, one per coordinate:
     of degree ``degrees`` in coordinate 0, the window alone elsewhere."""
     degs = [int(degrees)] + [0] * (n - 1)
-    if degs[0] < 0:
-        raise ValueError(f"Hermite degrees must be >= 0, got {degs}")
+    # the ceiling is checked before _psi allocates k + 1 coefficients; no
+    # degree above 266 is finite with its derivatives at the screen's
+    # origin probe, so it refuses nothing the screen would pass
+    if not 0 <= degs[0] <= 300:
+        raise ValueError(f"Hermite degrees must be in [0, 300], got {degs}")
     s = _length(scale, "Hermite scale")
 
     def _all_parts(x):

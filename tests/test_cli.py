@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -165,6 +166,8 @@ BAD_SPECS = ["coord:5", "const:nan", "bump:0:inf", "hermite:2:inf",
     ("uninformative", "param.mark_lo = 2", "param.mark_lo = 2.0"),
     ("uninformative", "test_functions = coord:5", "'coord:5'"),
     ("uninformative", "test_functions = hermite:-1", "'hermite:-1'"),
+    ("uninformative", "test_functions = hermite:301",
+     "Hermite degrees must be in [0, 300], got [301]"),
     ("uninformative", "test_functions = coord:0,coord:0",
      "'coord:0' is given twice"),
     ("uninformative", "hypothesis_budget = 100000000000",
@@ -183,6 +186,7 @@ BAD_SPECS = ["coord:5", "const:nan", "bump:0:inf", "hermite:2:inf",
 ] + [("jump_free", f"test_functions = coord:0,{spec}", f"'{spec}'")
       for spec in BAD_SPECS],
     ids=["T", "rate2", "mark_lo", "coord_index", "hermite_degree",
+         "hermite_ceiling",
          "duplicate_function", "hypothesis_budget", "kalman_gap_no_reference",
          "kalman_gap_no_coord", "kalman_gap_negative", "ess_fraction_high",
          "ess_fraction_negative"] + BAD_SPECS)
@@ -198,6 +202,27 @@ def test_bad_model_value_exits_2_with_one_message_line(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert named in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_huge_hermite_degree_is_refused_at_once(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "family = jump_free\nn_steps = 20\n"
+                    "n_particles = 50\ntest_functions = hermite:1000000\n")
+    started = time.perf_counter()
+    assert main(["validate", "--config", cfg]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert "must be in [0, 300]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(BASE_CFG.encode() + b"# caf\xe9\n")
+    out = ["--out", str(tmp_path / "x")] if command == "run" else []
+    assert main([command, "--config", str(cfg)] + out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config ")
+    assert err.count("\n") == 1 and "utf-8" in err
     assert not (tmp_path / "x").exists()
 
 
@@ -426,6 +451,7 @@ def test_worker_pool_without_fork_is_a_config_error(tmp_path, capsys,
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
                  "--threads", "2"]) == 2
     assert "fork start method" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def assert_no_child_left():
@@ -438,10 +464,10 @@ def fail_replica(monkeypatch, failing, fail):
     from levyfilter import cli
     run_replica = cli._run_replica
 
-    def patched(cfg, seed_r, out_dir, index):
+    def patched(scen, funcs, cfg, seed_r, out_dir, index):
         if index in failing:
             fail(index)
-        return run_replica(cfg, seed_r, out_dir, index)
+        return run_replica(scen, funcs, cfg, seed_r, out_dir, index)
 
     monkeypatch.setattr(cli, "_run_replica", patched)
 
@@ -483,6 +509,44 @@ def test_child_that_dies_without_its_results_is_an_error(tmp_path,
     assert_no_child_left()
     manifest = read_json(str(tmp_path / "out"), "manifest.json")
     assert manifest["status"] == "running"
+
+
+def test_command_failure_does_not_wait_for_later_replicas(tmp_path, capsys,
+                                                         monkeypatch):
+    def fail(index):
+        if index == 0:
+            raise_violation(index)
+        time.sleep(30)      # replica 1, in the forked child
+
+    fail_replica(monkeypatch, {0, 1}, fail)
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("replicas = 2", "replicas = 3"))
+    started = time.perf_counter()
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--threads", "2"]) == 3
+    assert time.perf_counter() - started < 5.0
+    assert "model violation: replica 0 broke" in capsys.readouterr().err
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_scenario_is_built_once_per_run_and_replay(tmp_path, monkeypatch,
+                                                   threads):
+    from levyfilter import cli
+    calls = []
+    build = cli.build_scenario
+
+    def counted(cfg):
+        calls.append(os.getpid())
+        return build(cfg)
+
+    monkeypatch.setattr(cli, "build_scenario", counted)
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("replicas = 2", "replicas = 3"))
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out,
+                 "--threads", threads]) == 0
+    assert calls == [os.getpid()]
+    assert main(["replay", "--out", out, "--threads", threads]) == 0
+    assert calls == [os.getpid()] * 2
 
 
 def test_interrupt_in_the_command_process_reaps_the_children(tmp_path,
