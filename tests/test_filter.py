@@ -442,24 +442,28 @@ def test_node_moments_equal_direct_evaluation(family, change, extra,
         assert 0 < np.sum(traj.resampled[after_jump]) < len(after_jump)
     marks1 = spec.nu1.frozen_marks(spec.mark_budget)
     for k, (x, logw) in enumerate(traj.clouds):
+        # a fresh copy of the spec and of both its measures at every node
+        # holds no kept term, so the direct evaluation shares none with
+        # the run it checks
+        fresh = replace(spec, nu1=replace(spec.nu1), nu2=replace(spec.nu2))
         t, y = obs.t[k], obs.Y[k]
         N = x.shape[0]
         w = cloud_weights(logw)[0]
-        hv = np.asarray(spec.h(t, x, y), float).reshape(N, spec.m)
-        lam_marks = spec.lam_marks(t, x, obs.marks2)
+        hv = np.asarray(fresh.h(t, x, y), float).reshape(N, spec.m)
+        lam_marks = fresh.lam_marks(t, x, obs.marks2)
         if change is _mark_dependent_lam:
             assert lam_marks.shape == (N, len(obs.marks2))
         if change is _state_dependent_sigma1:
-            assert spec.sigma1(t, x).shape == (N, spec.n, spec.m)
+            assert fresh.sigma1(t, x).shape == (N, spec.n, spec.m)
         lam_bar = np.mean(lam_marks, axis=-1)
-        coup = np.broadcast_to(spec.sigma1(t, x), (N, spec.n, spec.m))
+        coup = np.broadcast_to(fresh.sigma1(t, x), (N, spec.n, spec.m))
         assert np.array_equal(traj.pi_h[k], w @ hv)
         assert traj.pi_lambar[k] == float(w @ lam_bar)
         for F in funcs:
             s = traj.summaries[F.name]
             vals = F.value(x)
             grad = F.grad(x)
-            lf = generator_values(spec, F, t, x, marks1)
+            lf = generator_values(fresh, F, t, x, marks1)
             assert s.pi_F[k] == float(w @ vals)
             assert s.pi_LF[k] == float(w @ lf)
             assert np.array_equal(s.grad_coup[k],

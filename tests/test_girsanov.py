@@ -11,6 +11,7 @@ from levyfilter.families import build_family
 from levyfilter.girsanov import (reconstruct_reference_drivers,
                                  sample_model_log_inverse_weights,
                                  sample_reference_log_weights)
+from levyfilter.model import solve
 from levyfilter.propagation import (lam_bar, log_weight_step,
                                     observation_reference_step, thin)
 from levyfilter.rng import substream
@@ -113,6 +114,54 @@ def test_drivers_zero_on_jump_steps_and_resynthesis_roundtrip():
         y1 = observation_reference_step(scen.spec, obs.t[k], obs.Y[k:k + 1],
                                         dt[k], dW[k:k + 1])[0]
         assert np.max(np.abs(y1 - obs.Y[k + 1])) <= 1e-10
+
+
+def test_compensator_that_reads_t_in_place_is_formed_at_every_step():
+    # An f2 that reads t and returns one array per shape, changed in place
+    # at every call: a shared value that a term kept by identity or by
+    # shape would serve stale.  Each path must match, bit for bit, one
+    # that keeps no compensator.
+    scen = build_family("mixed", {"rate2": 8.0})
+    spec = scen.spec
+    f2, out = spec.f2, {}
+
+    def in_place(t, y, u):
+        value = (1.0 + t) * np.asarray(f2(t, y, u), float)
+        buf = out.setdefault(value.shape, np.empty(value.shape))
+        buf[...] = value
+        return buf
+
+    def per_state(t, y, u):
+        # the same values at the batch shape, a per-state array of more
+        # than two axes in the simulator's compensator
+        value = np.array(in_place(t, y, u))
+        return np.broadcast_to(value, np.broadcast_shapes(
+            np.shape(y)[:-1], np.shape(u)[:-1]) + value.shape[-1:])
+
+    marks2 = spec.nu2.marks
+    assert in_place(0.5, np.zeros((1, 1, 1)), marks2).ndim == 2
+    assert per_state(0.5, np.zeros((1, 1, 1)), marks2).ndim == 3
+    grid = TimeGrid(0.0, spec.T, 40)
+    kept = replace(spec, f2=in_place)
+    rec = simulate_path(kept, grid, scen.prior_sampler, scen.y0, 61)
+    ref = simulate_path(replace(spec, f2=per_state), grid, scen.prior_sampler,
+                        scen.y0, 61)
+    assert rec.X.tobytes() == ref.X.tobytes()
+    assert rec.Y.tobytes() == ref.Y.tobytes()
+
+    obs = project_observation(rec)
+    assert len(obs.event_steps) > 0
+    dW = reconstruct_reference_drivers(obs, kept)
+    # the inversion at each continuous step through a fresh copy of nu2,
+    # which keeps nothing
+    want = np.zeros_like(dW)
+    dt = obs.dt()
+    for k in np.flatnonzero(~obs.is_jump()):
+        t, y = obs.t[k], obs.Y[k]
+        comp = replace(spec.nu2).jumps(in_place, t, y, marks2)[1]
+        want[k] = solve(np.asarray(spec.sigma2(t, y), float),
+                        (obs.Y[k + 1] - y) + dt[k] * comp, t)
+    assert dW.tobytes() == want.tobytes()
 
 
 def test_reconstruction_requires_invertible_obs_diffusion():
