@@ -159,13 +159,14 @@ def _outcomes(run_one, replicas):
 
 def _replica_child(run_one, replicas, fd):
     """Run ``replicas`` in a forked child and send each outcome down the
-    pipe ``fd`` as it ends.  The child leaves with ``os._exit``, so none of
-    the parent's exit handlers run."""
+    pipe ``fd`` as it ends (``_receive``).  The child leaves with
+    ``os._exit``, so none of the parent's exit handlers run."""
     status = 1
     try:
         with os.fdopen(fd, "wb") as fh:
             for outcome in _outcomes(run_one, replicas):
-                pickle.dump(outcome, fh)
+                data = pickle.dumps(outcome)
+                fh.write(len(data).to_bytes(8, "little") + data)
                 fh.flush()
         status = 0
     except BaseException:
@@ -176,17 +177,28 @@ def _replica_child(run_one, replicas, fd):
         os._exit(status)
 
 
-def _reap(pid, pipe, replicas, complete):
-    """Close a child's pipe and wait for it; a RuntimeError naming its
+def _receive(fd):
+    """One outcome from a child's pipe: its pickle's length, then the
+    pickle, read to the last byte and no further, so that ``select`` sees
+    whether the next has come.  Cut short, the pickle does not load."""
+    def read(size):
+        data = b""
+        while len(data) < size and (chunk := os.read(fd, size - len(data))):
+            data += chunk
+        return data
+    return pickle.loads(read(int.from_bytes(read(8), "little")))
+
+
+def _reap(pid, fd, replicas, complete):
+    """Close a child's pipe and wait for it: a RuntimeError naming its
     replicas unless it sent all it had to (``complete``) and exited 0."""
-    pipe.close()
+    os.close(fd)
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status != 0 or not complete:
         how = f"signal {-status}" if status < 0 else f"status {status}"
-        raise RuntimeError("the process running replicas "
-                           + ", ".join(map(str, replicas))
-                           + f" ended with {how} without sending all its "
-                           "results")
+        return RuntimeError(
+            f"the process running replicas {', '.join(map(str, replicas))} "
+            f"ended with {how} without sending all its results")
 
 
 def _run_replicas(run_one, count, workers):
@@ -195,12 +207,23 @@ def _run_replicas(run_one, count, workers):
     The command runs the replicas r = 0 (mod W) and W - 1 forked children,
     which inherit ``run_one`` and pickle only outcomes, run the rest; the
     command has no threads that a fork could cut off.  Each process stops
-    at its first failing replica.  Outcomes are read in replica order, so
-    the first exception met is the lowest-numbered failure, as in a serial
-    run, and is re-raised at once.  Every child is reaped on every path.
+    at its first failing replica.  After each of its own the command reads
+    what the children have sent (``select`` without a wait); once every
+    outcome below a failure is known, it re-raises that lowest-numbered
+    failure, as a serial run would.  Every child is reaped on every path.
     """
     share = [range(w, count, workers) for w in range(workers)]
     children = {}                   # worker -> (pid, pipe's read end)
+    unread = {}                     # worker -> its replicas not yet read
+    outcomes = {}                   # replica -> (result, exception)
+
+    def take(w):
+        try:
+            outcome = _receive(children[w][1])
+        except Exception:           # the stream ended early or is cut off
+            outcome = None, _reap(*children.pop(w), share[w], False)
+        outcomes[unread[w].pop(0)] = outcome
+
     try:
         for w in range(1, workers):
             read_fd, write_fd = os.pipe()
@@ -209,31 +232,35 @@ def _run_replicas(run_one, count, workers):
                 os.close(read_fd)
                 _replica_child(run_one, share[w], write_fd)
             os.close(write_fd)
-            children[w] = (pid, os.fdopen(read_fd, "rb"))
-        own = list(_outcomes(run_one, share[0]))
-        results = []
+            children[w], unread[w] = (pid, read_fd), list(share[w])
+        own = zip(share[0], _outcomes(run_one, share[0]))
         for r in range(count):
-            w = r % workers
-            if w == 0:
-                result, exc = own[r // workers]
-            else:
-                try:
-                    result, exc = pickle.load(children[w][1])
-                except Exception:   # the stream ended early or is cut off
-                    _reap(*children.pop(w), share[w], False)
-            if exc is not None:
-                raise exc
-            results.append(result)
+            while r not in outcomes:
+                # run the command's next replica, else wait for r's child
+                mine = next(own, None)
+                if mine is None:
+                    take(r % workers)
+                    continue
+                outcomes[mine[0]] = mine[1]
+                for w in range(1, workers):
+                    import select   # loaded only where there are children
+                    while (w in children and unread[w] and select.select(
+                            [children[w][1]], [], [], 0)[0]):
+                        take(w)
+            if outcomes[r][1] is not None:
+                raise outcomes[r][1]
         for w in list(children):
-            _reap(*children.pop(w), share[w], True)
-        return results
+            error = _reap(*children.pop(w), share[w], True)
+            if error is not None:
+                raise error
+        return [outcomes[r][0] for r in range(count)]
     finally:
         # children are left here only when something was raised; signal,
         # like traceback in the child, is imported on this path alone, as a
         # module imported at start-up adds to every run's peak resident set
-        for pid, pipe in children.values():
+        for pid, fd in children.values():
             import signal
-            pipe.close()
+            os.close(fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 

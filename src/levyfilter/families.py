@@ -146,7 +146,7 @@ def _linear_gaussian(params=None):
         return p["gain"] * np.clip(np.asarray(x, float), -p["clip"], p["clip"])
 
     # imported here, as the one family with a linear reference: the oracle
-    # is not loaded to screen or run any other family
+    # is not loaded to screen any other family
     from .oracle import LinearSpec
     linear = LinearSpec(A=p["a"], Sigma0=p["s0"], Sigma1=p["s1"],
                         H=p["gain"], R=p["r"], x0_mean=[p["prior_mean"]],

@@ -168,9 +168,9 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
     after it reuses every term that reads x alone (lambda-bar, the signal's
     terms and each F, grad F . coupling, LF and F lambda-bar) unless it
     resampled; only h, which reads y, and the weighted reductions are
-    formed again.  A node where the cloud moved lends its successor the
-    signal's terms that read no state and kept their inputs' values
-    (``model.signal_terms``).
+    formed again.  The signal's terms that read no state are kept on the
+    spec from node to node while their inputs keep their bytes
+    (``model.keep``).
     """
     _keep_freed_heap()
     dW_all = reconstruct_reference_drivers(obs, spec)
@@ -202,7 +202,6 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
     rate2 = spec.nu2.rate
     marks1 = spec.nu1.marks
 
-    signal = None    # the signal's terms at the last node the cloud moved to
     terms = None     # (summary, F, grad F . coupling, LF, F lambda-bar) of
                      # each test function on the cloud x at time t
     for k in range(K + 1):
@@ -219,7 +218,7 @@ def zakai_filter(spec, obs, n_particles, prior_sampler, rng_seed, *,
             terms = None
         if terms is None:
             lam_bar_x = lam_bar(spec, t, x)
-            signal = signal_terms(spec, t, x, marks1, signal)
+            signal = signal_terms(spec, t, x, marks1)
             terms = []
             for F in funcs:
                 value = np.asarray(F.value(x), float).reshape(N)

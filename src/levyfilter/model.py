@@ -35,7 +35,7 @@ nu1 and int f2 nu2 are rate times the mean over it (``LevyMeasureSpec.jumps``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -81,15 +81,22 @@ def solve(sig, rhs, t):
         ) from exc
 
 
-def _same_bytes(value, kept):
-    """Whether ``value``, a float matrix that reads no state, has the shape
-    and the bytes of ``kept``; a per-state value, with more than two axes,
-    is never compared.  A term formed from equal bytes has equal bytes, so
-    a term kept from them stands for a fresh one whatever the arithmetic
-    does with signed zeros; at these sizes this also costs less than
-    ``np.array_equal``."""
-    return (value.ndim == 2 and value.shape == kept.shape
-            and value.tobytes() == kept.tobytes())
+def keep(owner, name, form, *inputs):
+    """``form(*inputs)``, kept on ``owner`` under ``name`` while the float
+    arrays ``inputs`` keep their shapes and bytes, so a kept term is the
+    one that would be formed; never kept from an input of more than two
+    axes (a value per state).  The owner keeps one term per name in its
+    instance dict, so a ``dataclasses.replace`` copy keeps none."""
+    key = []
+    for v in inputs:
+        if v.ndim > 2:
+            return form(*inputs)
+        key += v.shape, v.tobytes()
+    kept = vars(owner).setdefault("kept", {})
+    last = kept.get(name)
+    if last is None or last[0] != key:
+        last = kept[name] = key, form(*inputs)
+    return last[1]
 
 
 @dataclass
@@ -166,30 +173,19 @@ class LevyMeasureSpec:
         marks.flags.writeable = False
         return marks
 
-    def jumps(self, f, t, z, marks, last=None):
+    def jumps(self, f, t, z, marks):
         """The jump map f(t, z, u) at every mark u of ``marks``, (..., M, k),
         and its compensator drift, rate times its mark mean, (..., k).  The
         displacement is None when the measure is off, and the drift is then
-        zero.  The mean is the sum over the marks divided by their count,
-        the arithmetic of ``np.mean`` without its wrapper, which costs more
-        than the sum at these sizes.
-
-        A displacement that reads no state, (M, k), is kept as a copy, so
-        that an f which changes its returned array in place cannot change
-        it later.  ``last``, a pair this method returned before, is
-        returned itself when such a displacement has its shape and bytes
-        (``_same_bytes``): the drift of equal bytes is the same, so it is
-        not formed again."""
+        zero, and is kept while the displacement keeps its bytes (``keep``).
+        The mean is the sum over the marks divided by their count, the
+        arithmetic of ``np.mean`` without its wrapper, which costs more."""
         z = np.asarray(z, float)
         if self.rate == 0.0 or marks.shape[0] == 0:
             return None, np.zeros(z.shape)
         disp = np.asarray(f(t, z[..., None, :], marks), float)
-        if disp.ndim == 2:
-            if last is not None and _same_bytes(disp, last[0]):
-                return last
-            disp = disp.copy()
-        return disp, self.rate * (np.add.reduce(disp, axis=-2)
-                                  / disp.shape[-2])
+        return disp, keep(self, "drift", lambda d: self.rate * (
+            np.add.reduce(d, axis=-2) / d.shape[-2]), disp)
 
 
 @dataclass
@@ -265,13 +261,6 @@ class SystemSpec:
         return self.nu2.jumps(self.f2, t, y, self.nu2.marks)[1]
 
 
-@cache
-def constant_hessian(hess, n):
-    """The Hessian of an F declared of degree 2, constant by that
-    declaration: ``hess`` read once at the origin of R^n, (n, n)."""
-    return np.asarray(hess(np.zeros(n)), float)
-
-
 @dataclass
 class SignalTerms:
     """The signal's coefficients on one batch of states.
@@ -280,9 +269,11 @@ class SignalTerms:
     matrix a, the f1 displacement at each frozen mark and its compensator
     drift, evaluated once and shared by the generator of every test
     function (and by the filter's propagation step).  ``disp`` is None
-    without signal jumps; it is (M, n) when f1 ignores x.
+    without signal jumps; it is (M, n) when f1 ignores x.  A term formed
+    from values that read no state is kept on ``spec`` (``keep``).
     """
 
+    spec: SystemSpec
     t: float
     x: np.ndarray
     b1: np.ndarray
@@ -291,13 +282,18 @@ class SignalTerms:
     a: np.ndarray
     disp: np.ndarray | None
     jump_drift: np.ndarray
-    rate1: float
 
-    @cached_property
-    def jump_second_moment(self):
-        """Mark mean of f1 f1': (n, n) when f1 ignores x, else (..., n, n)."""
-        return (np.einsum("...Mi,...Mj->...ij", self.disp, self.disp)
-                / self.disp.shape[-2])
+    def _quadratic(self, hess, a, disp=None):
+        """The diffusion term a:H / 2 of an F of degree 2 and, given the
+        displacements, its jump bracket rate1 M:H / 2, for M the mark mean
+        of f1 f1'.  H is constant by that degree: ``hess`` at the origin."""
+        H = np.asarray(hess(np.zeros(a.shape[-1])), float)
+        diffusion = 0.5 * np.einsum("...ij,...ij->...", a, H)
+        if disp is None:
+            return diffusion, 0.0
+        moment = np.einsum("...Mi,...Mj->...ij", disp, disp) / disp.shape[-2]
+        return diffusion, 0.5 * self.spec.nu1.rate * np.einsum(
+            "...ij,...ij->...", moment, H)
 
     def generator(self, F, value, grad):
         """Generator applied to F, given F and grad F on the batch: (...,).
@@ -306,8 +302,8 @@ class SignalTerms:
         grad F . f1 part is grad F . jump_drift / rate1.  ``F.degree`` 0 or
         1 has no jump bracket and no Hessian: only the drift is formed.
         Degree 2 has a constant Hessian H, so the bracket at each mark is
-        f1' H f1 / 2 and its mark mean is jump_second_moment : H / 2, with H
-        read once per F as (n, n) (``constant_hessian``).
+        f1' H f1 / 2 and its mark mean is M : H / 2, M the mark mean of
+        f1 f1'; both terms are kept per F while a and f1 keep their bytes.
         """
         t = self.t
         drift = np.einsum("...i,...i->...", grad, self.b1)
@@ -316,16 +312,19 @@ class SignalTerms:
         if degree in (0, 1):
             total = drift
         else:
-            H = (constant_hessian(F.hess, self.x.shape[-1]) if degree == 2
-                 else np.asarray(F.hess(self.x), float))
-            diffusion = 0.5 * np.einsum("...ij,...ij->...", self.a, H)
-            if self.disp is not None and degree == 2:
-                jump = 0.5 * self.rate1 * np.einsum(
-                    "...ij,...ij->...", self.jump_second_moment, H)
-            elif self.disp is not None:
-                moved = F.value(self.x[..., None, :] + self.disp)
-                jump = (self.rate1 * (np.mean(moved, axis=-1) - value)
-                        - np.einsum("...i,...i->...", grad, self.jump_drift))
+            if degree == 2:
+                diffusion, jump = keep(
+                    self.spec, F.hess, partial(self._quadratic, F.hess),
+                    self.a, *(() if self.disp is None else (self.disp,)))
+            else:
+                diffusion = 0.5 * np.einsum("...ij,...ij->...", self.a,
+                                            np.asarray(F.hess(self.x), float))
+                if self.disp is not None:
+                    moved = F.value(self.x[..., None, :] + self.disp)
+                    jump = (self.spec.nu1.rate
+                            * (np.mean(moved, axis=-1) - value)
+                            - np.einsum("...i,...i->...", grad,
+                                        self.jump_drift))
             total = drift + diffusion + jump
         if not np.isfinite(total).all():
             for label, term in (("drift", drift), ("diffusion", diffusion),
@@ -336,43 +335,17 @@ class SignalTerms:
         return total
 
 
-def _shared(value):
-    """A coefficient's value on a batch as the terms keep it: a shared
-    matrix, which reads no state, is copied, so that a coefficient which
-    changes its returned array in place cannot change it later."""
-    value = np.asarray(value, float)
-    return value.copy() if value.ndim == 2 else value
-
-
-def signal_terms(spec, t, x, marks, last=None):
-    """Evaluate the signal's coefficients once on a batch of states.
-
-    ``last``, the terms of the previous node, lends the terms that read no
-    state when their inputs have last's bytes: the diffusion matrix when
-    sigma0 and sigma1 are shared matrices equal to last's, and the jump
-    drift and second moment when the (M, n) displacement equals last's.
-    Equal inputs give equal bytes, so a lent term is the one that would be
-    formed; a coefficient that reads t, or changes its returned array in
-    place, gets fresh terms whenever its value moves.
-    """
+def signal_terms(spec, t, x, marks):
+    """Evaluate the signal's coefficients once on a batch of states."""
     x = np.asarray(x, float)
-    on_B = _shared(spec.sigma0(t, x))
-    on_W = _shared(spec.sigma1(t, x))
-    if (last is not None and _same_bytes(on_B, last.on_B)
-            and _same_bytes(on_W, last.on_W)):
-        a = last.a
-    else:
-        a = (np.einsum("...ik,...jk->...ij", on_W, on_W)
-             + np.einsum("...ik,...jk->...ij", on_B, on_B))
-    disp, jump_drift = spec.nu1.jumps(
-        spec.f1, t, x, marks,
-        None if last is None else (last.disp, last.jump_drift))
-    terms = SignalTerms(t, x, np.asarray(spec.b1(t, x), float), on_B, on_W,
-                        a, disp, jump_drift, spec.nu1.rate)
-    if disp is not None and last is not None and disp is last.disp:
-        # the cached_property's value lives in the instance dict
-        terms.__dict__["jump_second_moment"] = last.jump_second_moment
-    return terms
+    on_B = np.asarray(spec.sigma0(t, x), float)
+    on_W = np.asarray(spec.sigma1(t, x), float)
+    a = keep(spec, "diffusion", lambda B, W: (
+        np.einsum("...ik,...jk->...ij", W, W)
+        + np.einsum("...ik,...jk->...ij", B, B)), on_B, on_W)
+    disp, jump_drift = spec.nu1.jumps(spec.f1, t, x, marks)
+    return SignalTerms(spec, t, x, np.asarray(spec.b1(t, x), float), on_B,
+                       on_W, a, disp, jump_drift)
 
 
 def generator_values(spec, F, t, x, marks):

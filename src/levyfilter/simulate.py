@@ -265,12 +265,9 @@ def _fmt(v):
     return format(float(v), ".17g")
 
 
-def _write_marks(writer, label, marks):
-    writer.writerow([f"#{label}", str(marks.shape[0]), str(marks.shape[1])]
-                    + [_fmt(v) for v in marks.ravel()])
-
-
 def write_observation(obs, path):
+    """Each node's row as the csv module writes it, from one ``%`` string:
+    floats as ``%.17g``, which reads back exactly, and CRLF line ends."""
     m = obs.Y.shape[1]
     md = obs.marks2.shape[1] if obs.marks2.size else 1
     with open(path, "w", newline="") as fh:
@@ -279,14 +276,15 @@ def write_observation(obs, path):
         w.writerow(["#meta", "m", m, "mark_dim", md, "seed", obs.source_seed,
                     "t0", _fmt(g.t0), "t1", _fmt(g.t1), "n_steps", g.n_steps,
                     "n_events", len(obs.event_steps)])
-        _write_marks(w, "marks2", obs.marks2)
+        w.writerow(["#marks2", *map(str, obs.marks2.shape)]
+                   + [_fmt(v) for v in obs.marks2.ravel()])
         w.writerow(["t"] + [f"y_{i}" for i in range(m)]
                    + ["event_step", "event"] + [f"mark_{i}" for i in range(md)])
-        marks = iter(obs.event_marks)
-        for k, jump in enumerate(np.append(obs.is_jump(), False)):
-            row = [_fmt(obs.t[k])] + [_fmt(v) for v in obs.Y[k]]
-            if jump:
-                row += [k, 1] + [_fmt(v) for v in next(marks)]
-            else:
-                row += ["", 0] + [""] * md
-            w.writerow(row)
+        node = "%.17g," * (1 + m)
+        jump_row = node + "%d,1," + ",".join(["%.17g"] * md) + "\r\n"
+        node_row = node + ",0," + "," * (md - 1) + "\r\n"
+        marks = iter(obs.event_marks.tolist())
+        for k, (jump, t, y) in enumerate(zip(np.append(obs.is_jump(), False),
+                                             obs.t.tolist(), obs.Y.tolist())):
+            fh.write(jump_row % (t, *y, k, *next(marks)) if jump
+                     else node_row % (t, *y))

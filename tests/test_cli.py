@@ -528,6 +528,26 @@ def test_command_failure_does_not_wait_for_later_replicas(tmp_path, capsys,
     assert_no_child_left()
 
 
+def test_child_failure_does_not_wait_for_the_commands_later_replicas(
+        tmp_path, capsys, monkeypatch):
+    def fail(index):
+        if index == 0:
+            time.sleep(1.0)     # short, and the child has failed by its end
+        elif index == 1:
+            raise_violation(index)      # in the forked child, at once
+        else:
+            time.sleep(30)      # replica 2, the command's next
+
+    fail_replica(monkeypatch, {0, 1, 2}, fail)
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("replicas = 2", "replicas = 3"))
+    started = time.perf_counter()
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--threads", "2"]) == 3
+    assert time.perf_counter() - started < 5.0
+    assert "model violation: replica 1 broke" in capsys.readouterr().err
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_scenario_is_built_once_per_run_and_replay(tmp_path, monkeypatch,
                                                    threads):

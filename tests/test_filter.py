@@ -16,7 +16,8 @@ from levyfilter.filtering import (cloud_weights, innovation_process,
 from levyfilter.model import LevyMeasureSpec, SystemSpec, generator_values
 from levyfilter.oracle import kalman_bucy
 from levyfilter.rng import substream
-from levyfilter.simulate import TimeGrid, project_observation, simulate_path
+from levyfilter.simulate import (TimeGrid, project_observation, simulate_path,
+                                 write_observation)
 from levyfilter.testfuncs import bump, constant, coordinate, quadratic
 
 # --- independent oracles ------------------------------------------------------
@@ -371,6 +372,51 @@ def test_trajectory_csv_bytes_match_the_csv_module_writer(tmp_path):
     got = (tmp_path / "fast.csv").read_bytes()
     assert got == (tmp_path / "reference.csv").read_bytes()
     assert b"nan" in got and b",-0," in got and got.endswith(b"\r\n")
+
+
+def _csv_module_observation(obs, path):
+    # the csv-module form of the observation rows: one formatted list per row
+    m = obs.Y.shape[1]
+    md = obs.marks2.shape[1] if obs.marks2.size else 1
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        g = obs.base_grid
+        w.writerow(["#meta", "m", m, "mark_dim", md, "seed", obs.source_seed,
+                    "t0", format(g.t0, ".17g"), "t1", format(g.t1, ".17g"),
+                    "n_steps", g.n_steps, "n_events", len(obs.event_steps)])
+        w.writerow(["#marks2", str(obs.marks2.shape[0]),
+                    str(obs.marks2.shape[1])]
+                   + [format(v, ".17g") for v in obs.marks2.ravel()])
+        w.writerow(["t"] + [f"y_{i}" for i in range(m)]
+                   + ["event_step", "event"] + [f"mark_{i}" for i in range(md)])
+        marks = iter(obs.event_marks)
+        for k, jump in enumerate(np.append(obs.is_jump(), False)):
+            row = [format(obs.t[k], ".17g")]
+            row += [format(v, ".17g") for v in obs.Y[k]]
+            if jump:
+                row += [k, 1] + [format(v, ".17g") for v in next(marks)]
+            else:
+                row += ["", 0] + [""] * md
+            w.writerow(row)
+
+
+def test_observation_csv_bytes_match_the_csv_module_writer(tmp_path):
+    scen = build_family("mixed", {"rate2": 8.0})
+    rec = simulate_path(scen.spec, TimeGrid(0.0, scen.spec.T, 30),
+                        scen.prior_sampler, scen.y0, 43)
+    obs = project_observation(rec)
+    assert len(obs.event_steps) >= 2
+    Y = obs.Y.copy()
+    Y[[1, 2], 0] = [np.nan, -0.0]
+    event_marks = obs.event_marks.copy()
+    event_marks[0, 0] = -0.0
+    obs = replace(obs, Y=Y, event_marks=event_marks)
+    write_observation(obs, tmp_path / "fast.csv")
+    _csv_module_observation(obs, tmp_path / "reference.csv")
+    got = (tmp_path / "fast.csv").read_bytes()
+    assert got == (tmp_path / "reference.csv").read_bytes()
+    assert b"nan" in got and b",-0" in got and b",,0," in got
+    assert got.endswith(b"\r\n")
 
 
 def _mark_dependent_lam(spec):
